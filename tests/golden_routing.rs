@@ -8,9 +8,12 @@
 //! a perturbed float, a different tie-break — fails here.
 //!
 //! The matrix covers {line, grid, heavy-hex} × {SABRE, A1, A2, A3} ×
-//! {uniform, skewed calibration} for direct `route` calls, plus one
-//! full `TrialEngine` run per topology (which also exercises
-//! `absorb_adjacent_swaps` and post-selection).
+//! {uniform, skewed calibration} for direct `route` calls, plus full
+//! `TrialEngine` runs per topology (which also exercise
+//! `absorb_adjacent_swaps` and post-selection): one post-selecting on
+//! estimated success under the skewed calibration, and two post-selecting
+//! on duration-weighted depth (MIRAGE's headline metric) under the uniform
+//! and the skewed calibration.
 //!
 //! To re-pin after an *intentional* behavior change:
 //!
@@ -35,7 +38,9 @@ use mirage::topology::CouplingMap;
 /// label, routed-circuit fingerprint, swaps inserted, mirrors accepted.
 type Golden = (&'static str, u64, usize, usize);
 
-/// Pinned at the pre-rewrite router (PR 4 head). Do not edit by hand.
+/// Pinned at the pre-rewrite router; the `depth/*` trials cases were pinned
+/// before class-priced post-selection replaced per-gate coordinate
+/// re-derivation. Do not edit by hand.
 const GOLDEN: &[Golden] = &[
     ("line-8/sabre/uniform", 0x9A5D110826D99A4D, 36, 0),
     ("line-8/sabre/skewed", 0x9A5D110826D99A4D, 36, 0),
@@ -64,6 +69,12 @@ const GOLDEN: &[Golden] = &[
     ("line-8/trials", 0x59F208C844814F20, 3, 30),
     ("grid-3x3/trials", 0xF2C2A7709095FF21, 15, 10),
     ("heavy-hex-3/trials", 0xFB5B655AA1A22B9D, 5, 40),
+    ("line-8/depth/uniform", 0x48B12284EE19EEE8, 3, 29),
+    ("grid-3x3/depth/uniform", 0x489E2465CFF3984E, 10, 33),
+    ("heavy-hex-3/depth/uniform", 0xFB5B655AA1A22B9D, 5, 40),
+    ("line-8/depth/skewed", 0x2603A3FA819C8731, 11, 12),
+    ("grid-3x3/depth/skewed", 0xE7D63EDA46AB1D64, 10, 34),
+    ("heavy-hex-3/depth/skewed", 0xFB5B655AA1A22B9D, 5, 40),
 ];
 
 struct Topo {
@@ -141,9 +152,20 @@ fn route_case(topo: &Topo, target: &Target, aggression: Option<Aggression>, seed
 }
 
 /// The trial-engine options every golden trials case runs under.
-fn trials_opts(topo: &Topo) -> TrialOptions {
-    TrialOptions::quick(Metric::EstimatedSuccess, 0x901D + topo.cal_seed)
+fn trials_opts(topo: &Topo, metric: Metric) -> TrialOptions {
+    TrialOptions::quick(metric, 0x901D + topo.cal_seed)
 }
+
+/// One pinned trial-engine configuration: its label suffix, post-selection
+/// metric, and whether the target carries the skewed calibration.
+type TrialsKind = (&'static str, Metric, bool);
+
+/// Every pinned trial-engine configuration, in `GOLDEN` order.
+const TRIALS_KINDS: [TrialsKind; 3] = [
+    ("trials", Metric::EstimatedSuccess, true),
+    ("depth/uniform", Metric::Depth, false),
+    ("depth/skewed", Metric::Depth, true),
+];
 
 /// Thread count for golden trial runs: `MIRAGE_TEST_THREADS=<n>` runs the
 /// trial engine in parallel with `n` workers (CI runs the suite both ways
@@ -159,11 +181,12 @@ fn env_threads() -> Option<usize> {
 /// `MIRAGE_TEST_THREADS` (serial by default); `Some(n)` forces an
 /// `n`-thread parallel run. Every choice must produce the same pinned
 /// fingerprint — that is the engine's determinism contract.
-fn trials_case_threaded(topo: &Topo, threads: Option<usize>) -> Case {
-    let target = target_for(topo, true);
+fn trials_case_threaded(topo: &Topo, kind: TrialsKind, threads: Option<usize>) -> Case {
+    let (_, metric, calibrated) = kind;
+    let target = target_for(topo, calibrated);
     let cc = consolidate(&topo.circuit);
     let engine = TrialEngine::new(&cc, &target);
-    let mut opts = trials_opts(topo);
+    let mut opts = trials_opts(topo, metric);
     if let Some(n) = threads.or_else(env_threads) {
         opts.parallel = true;
         opts.threads = n;
@@ -178,10 +201,6 @@ fn trials_case_threaded(topo: &Topo, threads: Option<usize>) -> Case {
         swaps: outcome.best.swaps_inserted,
         mirrors: outcome.best.mirrors_accepted,
     }
-}
-
-fn trials_case(topo: &Topo) -> Case {
-    trials_case_threaded(topo, None)
 }
 
 struct Case {
@@ -208,8 +227,11 @@ fn run_all() -> Vec<(String, Case)> {
             }
         }
     }
-    for topo in &topologies() {
-        out.push((format!("{}/trials", topo.name), trials_case(topo)));
+    for kind in TRIALS_KINDS {
+        for topo in &topologies() {
+            let label = format!("{}/{}", topo.name, kind.0);
+            out.push((label, trials_case_threaded(topo, kind, None)));
+        }
     }
     out
 }
@@ -220,23 +242,25 @@ fn run_all() -> Vec<(String, Case)> {
 /// winner independent of scheduling; this is the proof.
 #[test]
 fn trials_fingerprints_invariant_across_thread_counts() {
-    for topo in &topologies() {
-        let label = format!("{}/trials", topo.name);
-        let &(_, g_fp, g_swaps, g_mirrors) = GOLDEN
-            .iter()
-            .find(|(l, ..)| *l == label)
-            .expect("every topology has a pinned trials case");
-        for threads in [1usize, 2, 4, 8] {
-            let case = trials_case_threaded(topo, Some(threads));
-            assert_eq!(
-                (case.fingerprint, case.swaps, case.mirrors),
-                (g_fp, g_swaps, g_mirrors),
-                "{label} @ {threads} threads: parallel run drifted from the \
-                 pinned serial fingerprint (got 0x{:016X}, {} swaps, {} mirrors)",
-                case.fingerprint,
-                case.swaps,
-                case.mirrors
-            );
+    for kind in TRIALS_KINDS {
+        for topo in &topologies() {
+            let label = format!("{}/{}", topo.name, kind.0);
+            let &(_, g_fp, g_swaps, g_mirrors) = GOLDEN
+                .iter()
+                .find(|(l, ..)| *l == label)
+                .expect("every topology has pinned trials cases");
+            for threads in [1usize, 2, 4, 8] {
+                let case = trials_case_threaded(topo, kind, Some(threads));
+                assert_eq!(
+                    (case.fingerprint, case.swaps, case.mirrors),
+                    (g_fp, g_swaps, g_mirrors),
+                    "{label} @ {threads} threads: parallel run drifted from the \
+                     pinned serial fingerprint (got 0x{:016X}, {} swaps, {} mirrors)",
+                    case.fingerprint,
+                    case.swaps,
+                    case.mirrors
+                );
+            }
         }
     }
 }
@@ -261,7 +285,7 @@ fn calibration_swap_mid_job_matches_fresh_target_at_every_thread_count() {
         .expect("calibration covers the map");
     let fresh_engine = TrialEngine::new(&cc, &fresh_target);
     let reference = fresh_engine
-        .run_detailed(true, &trials_opts(topo))
+        .run_detailed(true, &trials_opts(topo, Metric::EstimatedSuccess))
         .expect("valid mix")
         .best
         .circuit
@@ -276,7 +300,7 @@ fn calibration_swap_mid_job_matches_fresh_target_at_every_thread_count() {
     for threads in [1usize, 2, 4, 8] {
         let target = target_for(topo, true); // calibration A (skewed, cal_seed)
         let engine = TrialEngine::new(&cc, &target);
-        let mut opts = trials_opts(topo);
+        let mut opts = trials_opts(topo, Metric::EstimatedSuccess);
         opts.parallel = true;
         opts.threads = threads;
         // Warm run under A: fills the pooled scratches' cost memos and the
