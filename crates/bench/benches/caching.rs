@@ -1,6 +1,6 @@
 //! Micro-benchmark for the Fig. 13a caching design: coordinate cost
 //! lookups uncached, through the single-threaded LRU, and through the
-//! sharded shared cache a `Target` carries; plus block consolidation with
+//! shared cache a `Target` carries; plus block consolidation with
 //! exterior-1Q stripping.
 //!
 //! Run with `cargo bench --bench caching`.
@@ -53,50 +53,13 @@ fn main() {
     });
 
     let shared = SharedCostCache::new(4096);
-    bench("cost_lookup/shared_sharded", || {
+    bench("cost_lookup/shared", || {
         let mut total = 0.0;
         for w in &coords {
             total += shared.get_or_insert_with(black_box(w), || set.cost_or_max(w));
         }
         total
     });
-
-    // Contention sweep: parallel routing trials hammer the same handful of
-    // hot coordinate classes, so everything rides on how many threads can
-    // hold a shard at once. One shard is the worst case (a single global
-    // mutex); the default tracks available_parallelism.
-    // At least two threads so single-core machines still measure lock
-    // handoff rather than a solo fast path.
-    let threads = std::thread::available_parallelism().map_or(4, |n| n.get().clamp(2, 8));
-    for (label, shards) in [
-        ("contention/1_shard", 1),
-        (
-            "contention/default_shards",
-            SharedCostCache::default_shard_count(),
-        ),
-    ] {
-        let cache = SharedCostCache::with_shards(4096, shards);
-        // Warm the hot set once so the measurement is pure lock traffic.
-        for w in &coords {
-            cache.get_or_insert_with(w, || set.cost_or_max(w));
-        }
-        bench(&format!("{label}_x{threads}_threads"), || {
-            std::thread::scope(|s| {
-                for _ in 0..threads {
-                    s.spawn(|| {
-                        let mut total = 0.0;
-                        for _ in 0..8 {
-                            for w in &coords {
-                                total +=
-                                    cache.get_or_insert_with(black_box(w), || set.cost_or_max(w));
-                            }
-                        }
-                        black_box(total)
-                    });
-                }
-            });
-        });
-    }
 
     let circ = qft(16, true);
     bench("consolidate/qft16", || consolidate(black_box(&circ)));

@@ -182,8 +182,9 @@ impl Circuit {
 
     /// Longest path through the circuit where each instruction contributes
     /// `weight(instr)` — the critical-path duration metric MIRAGE optimizes
-    /// (paper §IV-B).
-    pub fn weighted_depth<F: Fn(&Instruction) -> f64>(&self, weight: F) -> f64 {
+    /// (paper §IV-B). `weight` is called exactly once per instruction, in
+    /// order.
+    pub fn weighted_depth<F: FnMut(&Instruction) -> f64>(&self, mut weight: F) -> f64 {
         let mut ready = vec![0.0f64; self.n_qubits];
         for instr in &self.instructions {
             let start = instr

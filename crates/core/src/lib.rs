@@ -13,6 +13,10 @@
 //!   [`placement::LayoutStrategy`] trait: the paper's random seeding,
 //!   interaction/degree matching, calibration-aware region seeding, and
 //!   the VF2 embedding pre-pass (success-probability tie-breaking).
+//! * [`pricing`] — coordinate classes, the per-run [`pricing::PriceTable`]
+//!   and the [`pricing::CalibrationSnapshot`] every score is priced under:
+//!   each class is priced once per run, and routed circuits carry class
+//!   ids so scoring never re-derives Weyl coordinates.
 //! * [`router`] — the routing engine: a faithful SABRE baseline (front
 //!   layer, lookahead window, decay) extended with MIRAGE's *intermediate
 //!   layer*, which may replace each executed two-qubit gate `U` by its
@@ -54,6 +58,7 @@ pub mod calibration;
 pub mod layout;
 pub mod pipeline;
 pub mod placement;
+pub mod pricing;
 pub mod router;
 pub mod target;
 pub mod trials;

@@ -13,6 +13,7 @@
 
 use crate::layout::Layout;
 use crate::placement;
+use crate::pricing::{ClassId, PriceTable};
 use crate::router::RoutedCircuit;
 use crate::target::Target;
 use crate::trials::{Metric, TrialEngine, TrialOptions};
@@ -128,6 +129,10 @@ pub struct TranspiledCircuit {
     pub metrics: Metrics,
     /// True when VF2 found a SWAP-free embedding and routing was skipped.
     pub used_vf2: bool,
+    /// The calibration generation of the one snapshot the whole call —
+    /// placement, routing, post-selection and these metrics — was priced
+    /// under (see [`Target::calibration_generation`]).
+    pub generation: u64,
 }
 
 impl TranspiledCircuit {
@@ -185,7 +190,45 @@ impl std::fmt::Display for TranspileError {
 
 impl std::error::Error for TranspileError {}
 
+impl Metrics {
+    /// The metrics of a routed circuit, read from its run's price table
+    /// through its instructions' class ids.
+    fn priced(prices: &PriceTable, routed: &RoutedCircuit, classes: &[ClassId]) -> Metrics {
+        Metrics {
+            depth_estimate: prices.depth_estimate(&routed.circuit, classes),
+            total_gate_cost: prices.total_gate_cost(&routed.circuit, classes),
+            two_qubit_gates: routed.circuit.two_qubit_gate_count(),
+            swaps_inserted: routed.swaps_inserted,
+            mirrors_accepted: routed.mirrors_accepted,
+            mirror_candidates: routed.mirror_candidates,
+            mirror_rate: routed.mirror_rate(),
+            estimated_success: prices.log_success(routed, classes).exp(),
+        }
+    }
+}
+
+impl TranspiledCircuit {
+    fn new(
+        routed: RoutedCircuit,
+        prices: &PriceTable,
+        classes: &[ClassId],
+        used_vf2: bool,
+    ) -> TranspiledCircuit {
+        TranspiledCircuit {
+            metrics: Metrics::priced(prices, &routed, classes),
+            circuit: routed.circuit,
+            initial_layout: routed.initial_layout,
+            final_layout: routed.final_layout,
+            used_vf2,
+            generation: prices.snapshot().generation(),
+        }
+    }
+}
+
 /// Transpile `circuit` onto `target`.
+///
+/// One calibration snapshot prices the whole call; the result records its
+/// generation.
 ///
 /// # Errors
 ///
@@ -223,35 +266,32 @@ pub fn transpile(
     // break by estimated success.
     if opts.use_vf2 {
         if let Some(layout) = engine.vf2_layout() {
-            let placed = placement::apply_layout(&consolidated, &layout);
             let final_assignment: Vec<usize> = (0..circuit.n_qubits)
                 .map(|w| layout.phys(wire_perm[w]))
                 .collect();
-            let final_layout = Layout::from_assignment(&final_assignment, topo.n_qubits());
-            let metrics = Metrics {
-                depth_estimate: target.depth_estimate(&placed),
-                total_gate_cost: target.total_gate_cost(&placed),
-                two_qubit_gates: placed.two_qubit_gate_count(),
+            let placed = RoutedCircuit {
+                circuit: placement::apply_layout(&consolidated, &layout),
+                initial_layout: layout,
+                final_layout: Layout::from_assignment(&final_assignment, topo.n_qubits()),
                 swaps_inserted: 0,
                 mirrors_accepted: 0,
                 mirror_candidates: 0,
-                mirror_rate: 0.0,
-                // Same convention as RoutedCircuit::log_success: readout at
-                // the logical qubits' final homes.
-                estimated_success: target
-                    .estimated_success(&placed, final_layout.real_assignment()),
             };
-            return Ok(TranspiledCircuit {
-                circuit: placed,
-                initial_layout: layout,
-                final_layout,
-                metrics,
-                used_vf2: true,
-            });
+            // Priced under the snapshot the embedding was chosen under;
+            // placement maps instructions one to one, so the consolidated
+            // circuit's class ids are the placed circuit's.
+            let prices = engine.price_table(engine.context().snapshot().clone());
+            return Ok(TranspiledCircuit::new(
+                placed,
+                &prices,
+                engine.circuit_classes(),
+                true,
+            ));
         }
     }
 
-    let mut routed: RoutedCircuit = engine.run(opts.router.uses_mirrors(), &opts.trials)?;
+    let outcome = engine.run_detailed(opts.router.uses_mirrors(), &opts.trials)?;
+    let mut routed = outcome.best;
 
     // Compose the SWAP-elision relabeling into the final layout: original
     // output wire `w` lives on elided wire `wire_perm[w]`, which routing
@@ -260,24 +300,12 @@ pub fn transpile(
         .map(|w| routed.final_layout.phys(wire_perm[w]))
         .collect();
     routed.final_layout = Layout::from_assignment(&adjusted, topo.n_qubits());
-
-    let metrics = Metrics {
-        depth_estimate: target.depth_estimate(&routed.circuit),
-        total_gate_cost: target.total_gate_cost(&routed.circuit),
-        two_qubit_gates: routed.circuit.two_qubit_gate_count(),
-        swaps_inserted: routed.swaps_inserted,
-        mirrors_accepted: routed.mirrors_accepted,
-        mirror_candidates: routed.mirror_candidates,
-        mirror_rate: routed.mirror_rate(),
-        estimated_success: routed.estimated_success(target),
-    };
-    Ok(TranspiledCircuit {
-        circuit: routed.circuit,
-        initial_layout: routed.initial_layout,
-        final_layout: routed.final_layout,
-        metrics,
-        used_vf2: false,
-    })
+    Ok(TranspiledCircuit::new(
+        routed,
+        &outcome.prices,
+        &outcome.classes,
+        false,
+    ))
 }
 
 #[cfg(test)]
@@ -372,34 +400,56 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_is_hit_across_metric_computations() {
-        // One Target = one cost cache for the whole transpile call. Routing
-        // prices every mirror decision and the metric computations re-price
-        // the very same coordinate classes, so by the end the cache must
-        // have served more hits than misses — the seed's fresh per-branch
-        // `CostCache::new(...)` could never see these hits. (Repeat queries
-        // within one router scratch are absorbed by its `CostMemo` and never
-        // reach the shared cache, so the ratio here reflects *cross-trial*
-        // and metric-side reuse, not raw mirror-decision traffic.)
+    fn second_transpile_on_a_warm_target_adds_no_coordinate_misses() {
+        // One Target = one coordinate cost cache across calls. A transpile
+        // prices each coordinate class of its circuit once; a second call
+        // on the same target finds every class already cached.
         let c = qft(5, false);
         let target = Target::sqrt_iswap(CouplingMap::line(5));
         let mut opts = TranspileOptions::quick(RouterKind::Mirage, 11);
         opts.use_vf2 = false;
-        let _ = transpile(&c, &target, &opts).unwrap();
+        let first = transpile(&c, &target, &opts).unwrap();
         let (hits, misses) = target.cache_stats();
-        assert!(
-            hits > 0,
-            "metric computations must hit the routing-era cache"
-        );
-        assert!(
-            hits > misses,
-            "a QFT has a handful of coordinate classes: {hits} hits vs {misses} misses"
-        );
-        // A second transpile on the same target starts warm: miss count
-        // stays flat because every class is already priced.
-        let _ = transpile(&c, &target, &opts).unwrap();
-        let (_, misses_after) = target.cache_stats();
+        assert!(misses > 0, "the first call prices its classes");
+        let second = transpile(&c, &target, &opts).unwrap();
+        let (hits_after, misses_after) = target.cache_stats();
         assert_eq!(misses, misses_after, "second run must be fully warm");
+        assert!(hits_after > hits, "the second run priced through the cache");
+        assert_eq!(first.circuit, second.circuit);
+    }
+
+    #[test]
+    fn metrics_match_the_matrix_path_scorers_bit_for_bit() {
+        // The class-priced metrics and the public coords_of-deriving
+        // scorers share one pricing core: they must agree exactly, through
+        // both the routed and the VF2 path, on a calibrated device.
+        use crate::calibration::Calibration;
+        use mirage_math::Rng;
+        let topo = CouplingMap::grid(3, 3);
+        let cal = Calibration::skewed(&topo, &mut Rng::new(0xFACE), 3e-3, 0.25, 10.0).unwrap();
+        let target = Target::sqrt_iswap(topo).with_calibration(cal).unwrap();
+        for (c, router) in [
+            (qft(7, false), RouterKind::Mirage),
+            (two_local_full(6, 1, 3), RouterKind::Sabre),
+            (ghz(6), RouterKind::Mirage),
+        ] {
+            let out = transpile(&c, &target, &TranspileOptions::quick(router, 5)).unwrap();
+            let routed = out.as_routed();
+            let m = out.metrics;
+            assert_eq!(
+                m.depth_estimate.to_bits(),
+                target.depth_estimate(&out.circuit).to_bits()
+            );
+            assert_eq!(
+                m.total_gate_cost.to_bits(),
+                target.total_gate_cost(&out.circuit).to_bits()
+            );
+            assert_eq!(
+                m.estimated_success.to_bits(),
+                routed.estimated_success(&target).to_bits()
+            );
+            assert_eq!(out.generation, 0);
+        }
     }
 
     #[test]

@@ -36,18 +36,24 @@
 
 use crate::calibration::Calibration;
 use crate::layout::Layout;
+use crate::pricing::{ln_survival, CalibrationSnapshot};
 use crate::target::Target;
 use crate::trials::mix_counts;
 use mirage_circuit::Circuit;
 use mirage_math::Rng;
 use mirage_topology::vf2::{find_embeddings, InteractionGraph};
+use std::sync::Arc;
 
 /// Everything a layout strategy may consult: the (consolidated) circuit,
-/// the device, and precomputed interaction statistics.
-#[derive(Debug)]
+/// the device, the calibration snapshot to rank seats under, and
+/// precomputed interaction statistics.
+#[derive(Debug, Clone)]
 pub struct PlacementContext<'a> {
     circuit: &'a Circuit,
     target: &'a Target,
+    /// The calibration every calibration-aware proposal reads, taken once
+    /// so one placement never mixes two calibrations.
+    snapshot: Arc<CalibrationSnapshot>,
     /// Interacting logical pairs with their two-qubit gate counts.
     interactions: Vec<((usize, usize), f64)>,
     /// Per-logical-qubit sum of interaction weights.
@@ -83,6 +89,7 @@ impl<'a> PlacementContext<'a> {
         PlacementContext {
             circuit,
             target,
+            snapshot: target.calibration_snapshot(),
             interactions: weights.into_iter().collect(),
             weighted_degree,
             vf2_budget: DEFAULT_VF2_BUDGET,
@@ -101,9 +108,29 @@ impl<'a> PlacementContext<'a> {
         self.circuit
     }
 
+    /// Re-base the context on another calibration snapshot (builder
+    /// style): a trial-engine run places under the snapshot it prices
+    /// under.
+    #[must_use]
+    pub(crate) fn with_snapshot(mut self, snapshot: Arc<CalibrationSnapshot>) -> Self {
+        self.snapshot = snapshot;
+        self
+    }
+
     /// The device being placed onto.
     pub fn target(&self) -> &Target {
         self.target
+    }
+
+    /// The calibration snapshot proposals rank seats under (taken from the
+    /// target when the context was built).
+    pub fn snapshot(&self) -> &Arc<CalibrationSnapshot> {
+        &self.snapshot
+    }
+
+    /// The calibration of [`PlacementContext::snapshot`].
+    pub fn calibration(&self) -> &Calibration {
+        self.snapshot.calibration()
     }
 
     /// Number of real (circuit) logical qubits.
@@ -211,14 +238,14 @@ impl LayoutStrategy for NoiseAware {
 
     fn propose(&self, ctx: &PlacementContext<'_>, rng: &mut Rng) -> Option<Layout> {
         let target = ctx.target();
-        let cal = target.calibration();
+        let cal = ctx.calibration();
         if cal.is_uniform() {
             return Random.propose(ctx, rng);
         }
         let quality: Vec<f64> = (0..ctx.n_physical())
-            .map(|q| target.qubit_quality_with(&cal, q))
+            .map(|q| target.qubit_quality_with(cal, q))
             .collect();
-        let region = grow_low_error_region(ctx, &cal, &quality, ctx.n_logical(), rng);
+        let region = grow_low_error_region(ctx, cal, &quality, ctx.n_logical(), rng);
         Some(greedy_assign(ctx, &region, &|p| quality[p], rng))
     }
 }
@@ -327,15 +354,15 @@ impl LayoutStrategy for DegreeNoise {
 
     fn propose(&self, ctx: &PlacementContext<'_>, rng: &mut Rng) -> Option<Layout> {
         let target = ctx.target();
-        let cal = target.calibration();
+        let cal = ctx.calibration();
         if cal.is_uniform() {
             return DegreeMatched.propose(ctx, rng);
         }
         let quality: Vec<f64> = (0..ctx.n_physical())
-            .map(|q| target.qubit_quality_with(&cal, q))
+            .map(|q| target.qubit_quality_with(cal, q))
             .collect();
         let size = Self::region_size(ctx.n_logical(), ctx.n_physical());
-        let region = grow_low_error_region(ctx, &cal, &quality, size, rng);
+        let region = grow_low_error_region(ctx, cal, &quality, size, rng);
         let topo = target.topology();
         // Degree dominates the tie-break inside the quiet region; quality
         // (a small negative log-survival) orders seats of equal degree.
@@ -368,7 +395,7 @@ impl LayoutStrategy for Vf2Embed {
         let pairs = ctx.interactions().iter().map(|&((a, b), _)| (a, b));
         let g = InteractionGraph::new(ctx.n_logical(), pairs);
         let topo = ctx.target().topology();
-        let candidates = if ctx.target().calibration().is_uniform() {
+        let candidates = if ctx.calibration().is_uniform() {
             find_embeddings(&g, topo, ctx.vf2_budget, 1)
         } else {
             find_embeddings(&g, topo, ctx.vf2_budget, Self::MAX_CANDIDATES)
@@ -379,7 +406,8 @@ impl LayoutStrategy for Vf2Embed {
             let placed = apply_layout(ctx.circuit(), &layout);
             let success = ctx
                 .target()
-                .estimated_success(&placed, layout.real_assignment());
+                .log_success_under(ctx.snapshot(), &placed, layout.real_assignment())
+                .exp();
             // Strict improvement only: ties keep the earliest embedding,
             // so uniform targets reproduce the single-result VF2 pass.
             if best.as_ref().map_or(true, |(s, _)| success > *s) {
@@ -534,12 +562,6 @@ fn greedy_assign(
         taken[p] = true;
     }
     Layout::from_assignment(&seat_of, ctx.n_physical())
-}
-
-/// `ln(1 − e)` clamped to stay finite (same convention as the target's
-/// scoring paths).
-fn ln_survival(error: f64) -> f64 {
-    (1.0 - error).max(1e-300).ln()
 }
 
 #[cfg(test)]

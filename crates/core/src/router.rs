@@ -30,6 +30,12 @@
 //!   front clone, no second walk.
 //! * The 2Q-only front view is maintained incrementally as gates execute
 //!   instead of being re-filtered per candidate.
+//! * The mirror decision reads a per-run [`PriceTable`]: every DAG node
+//!   carries a coordinate [`ClassId`], so pricing the gate and its mirror
+//!   on the executing coupler is `class_cost[k] * edge_factor[e]` — two
+//!   array reads, no lock, no hash. The router records the class of every
+//!   2Q instruction it emits (the node's class, its mirror class, or SWAP),
+//!   so post-selection and metrics never re-derive Weyl coordinates.
 //!
 //! Outputs are **bit-identical** to the pre-optimization router (kept
 //! verbatim as a test-only `legacy` fixture): residual distances are small
@@ -40,13 +46,12 @@
 //! sweep pin this.
 
 use crate::layout::Layout;
+use crate::pricing::{ClassId, Classes, PriceTable, NO_CLASS};
 use crate::target::Target;
 use mirage_circuit::{Circuit, Dag, Gate, Instruction};
-use mirage_coverage::cache::CostMemo;
 use mirage_math::{Mat4, Rng};
 use mirage_topology::CouplingMap;
 use mirage_weyl::coords::{coords_of, WeylCoord};
-use mirage_weyl::mirror::mirror_coord;
 use std::collections::VecDeque;
 
 /// Mirror-acceptance aggression levels (paper Algorithm 2).
@@ -148,8 +153,11 @@ impl RoutedCircuit {
     /// [`crate::trials::Metric::EstimatedSuccess`] post-selects on (higher
     /// is better).
     pub fn log_success(&self, target: &Target) -> f64 {
-        target.circuit_log_success(&self.circuit)
-            + target.readout_log_success(self.final_layout.real_assignment())
+        target.log_success_under(
+            &target.calibration_snapshot(),
+            &self.circuit,
+            self.final_layout.real_assignment(),
+        )
     }
 
     /// `exp` of [`RoutedCircuit::log_success`]: the estimated probability
@@ -188,12 +196,11 @@ struct ScoreEntry {
 ///
 /// A scratch grows to the high-water mark of the DAGs and devices it has
 /// routed and never shrinks; reusing one across calls makes the router's
-/// steady state allocation-free. Scratches carry **no routing state**
-/// between calls — only capacity, plus a [`CostMemo`] of pure
-/// `(class, edge) → cost` values (bit-identical to the shared-cache
-/// answers it fronts, epoch-invalidated on calibration swaps) — so reuse
-/// can never change results (the mark arrays are epoch-stamped: bumping a
-/// generation counter invalidates them in O(1) instead of clearing).
+/// steady state allocation-free. Scratches carry **no routing state and no
+/// cost state** between calls — only buffer capacity; every price comes
+/// from the caller's [`PriceTable`] — so reuse can never change results
+/// (the mark arrays are epoch-stamped: bumping a generation counter
+/// invalidates them in O(1) instead of clearing).
 ///
 /// [`crate::trials::TrialEngine`] keeps a pool of these, one checked out
 /// per layout trial; standalone callers can hold one per thread. A scratch
@@ -230,11 +237,6 @@ pub struct RouterScratch {
     entry_gen: u64,
     // Score-tie buffer fed to the RNG.
     best: Vec<(usize, usize)>,
-    // Per-worker `(class, edge) → cost` memo for the mirror decision
-    // (epoch-tagged; see `Target::gate_cost_on_memo`). Value-caching only:
-    // a hit is bit-identical to the shared-cache fall-through, so — like
-    // every other field — carrying it across calls cannot change results.
-    cost_memo: CostMemo,
 }
 
 impl RouterScratch {
@@ -359,9 +361,10 @@ fn sum_and_swap_delta(
 
 /// Route a circuit DAG onto `target` starting from `layout`.
 ///
-/// The target prices decomposition costs for the mirror decision through
-/// its shared cost cache. `rng` only breaks score ties, so two runs with
-/// equal seeds are identical.
+/// `coords` holds the Weyl coordinates of every node (`None` for 1Q
+/// nodes, see [`node_coords`]); the mirror decision prices them under the
+/// target's current calibration. `rng` only breaks score ties, so two runs
+/// with equal seeds are identical.
 ///
 /// Allocates a fresh [`RouterScratch`] per call; hot loops should hold one
 /// and call [`route_with_scratch`] instead.
@@ -384,9 +387,13 @@ pub fn route(
     )
 }
 
-/// [`route`] with caller-provided working storage: the allocation-free
-/// steady-state entry point. Results are independent of the scratch's
-/// history (see [`RouterScratch`]).
+/// [`route`] with caller-provided working storage. Results are
+/// independent of the scratch's history (see [`RouterScratch`]).
+///
+/// A thin wrapper: it interns `coords` into classes, prices them in a
+/// fresh [`PriceTable`] under the target's current calibration, and routes.
+/// [`crate::trials::TrialEngine`] builds its classes once per engine and
+/// its table once per run instead.
 pub fn route_with_scratch(
     dag: &Dag,
     coords: &[Option<WeylCoord>],
@@ -396,12 +403,43 @@ pub fn route_with_scratch(
     rng: &mut Rng,
     scratch: &mut RouterScratch,
 ) -> RoutedCircuit {
+    let (classes, node_classes) = Classes::build(coords);
+    let prices = PriceTable::new(target, &classes, target.calibration_snapshot());
+    let routable = Routable {
+        dag,
+        classes: &node_classes,
+    };
+    route_priced(routable, target, &prices, layout, config, rng, scratch).0
+}
+
+/// A DAG ready for class-priced routing: the DAG and the [`ClassId`] of
+/// every node ([`NO_CLASS`] for 1Q nodes).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Routable<'a> {
+    pub(crate) dag: &'a Dag,
+    pub(crate) classes: &'a [ClassId],
+}
+
+/// The router core: route `dag` onto `target` from `layout`, pricing the
+/// mirror decision from `prices`. Returns the routed circuit and the class
+/// id of every instruction it emitted ([`NO_CLASS`] for 1Q gates), priced
+/// by the same table.
+pub(crate) fn route_priced(
+    Routable { dag, classes }: Routable<'_>,
+    target: &Target,
+    prices: &PriceTable,
+    layout: Layout,
+    config: &RouterConfig,
+    rng: &mut Rng,
+    scratch: &mut RouterScratch,
+) -> (RoutedCircuit, Vec<ClassId>) {
     let topo = target.topology();
     let n_phys = topo.n_qubits();
     assert!(dag.n_qubits <= n_phys, "circuit larger than device");
     let initial_layout = layout.clone();
     let mut layout = layout;
     let mut out = Circuit::new(n_phys);
+    let mut out_classes: Vec<ClassId> = Vec::with_capacity(dag.len());
 
     scratch.prepare(dag.len(), n_phys);
     let RouterScratch {
@@ -426,7 +464,6 @@ pub fn route_with_scratch(
         entry_mark,
         entry_gen,
         best,
-        cost_memo,
     } = scratch;
 
     indeg.clear();
@@ -488,25 +525,24 @@ pub fn route_with_scratch(
             match node.qubits.len() {
                 1 => {
                     out.push(node.gate.clone(), &[layout.phys(node.qubits[0])]);
+                    out_classes.push(NO_CLASS);
                 }
                 2 => {
                     let (l1, l2) = (node.qubits[0], node.qubits[1]);
                     let (p1, p2) = (layout.phys(l1), layout.phys(l2));
+                    let k = classes[id];
                     let mut accepted = false;
                     if let Some(aggr) = config.aggression {
                         mirror_candidates += 1;
-                        let w = coords[id].expect("2Q node has coords");
-                        let wm = mirror_coord(&w);
+                        let km = prices.mirror(k);
                         // Price both options on the edge the gate executes
                         // on: a calibrated slow coupler scales dc and dcm
                         // alike, which amplifies their *difference* against
                         // the hop-denominated routing term — on expensive
                         // edges the decomposition delta dominates, exactly
                         // the effect the calibration-skew experiment sweeps.
-                        // Priced through the scratch's per-worker memo, so
-                        // the steady state takes no shared-cache lock here.
-                        let dc = target.gate_cost_on_memo(cost_memo, &w, p1, p2);
-                        let dcm = target.gate_cost_on_memo(cost_memo, &wm, p1, p2);
+                        let dc = prices.edge_cost(k, p1, p2);
+                        let dcm = prices.edge_cost(km, p1, p2);
 
                         // Lookahead impact: the *remaining* front plus the
                         // successors this gate would release (exactly one
@@ -553,11 +589,13 @@ pub fn route_with_scratch(
                             mirrors_accepted += 1;
                             let u = node.gate.matrix2();
                             out.push(Gate::Unitary2(Mat4::swap().mul(&u)), &[p1, p2]);
+                            out_classes.push(km);
                             layout.swap_physical(p1, p2);
                         }
                     }
                     if !accepted {
                         out.push(node.gate.clone(), &[p1, p2]);
+                        out_classes.push(k);
                     }
                 }
                 _ => unreachable!(),
@@ -743,6 +781,7 @@ pub fn route_with_scratch(
         };
 
         out.push(Gate::Swap, &[p1, p2]);
+        out_classes.push(Classes::SWAP);
         layout.swap_physical(p1, p2);
         swaps_inserted += 1;
         for p in [p1, p2] {
@@ -761,14 +800,15 @@ pub fn route_with_scratch(
         }
     }
 
-    RoutedCircuit {
+    let routed = RoutedCircuit {
         circuit: out,
         initial_layout,
         final_layout: layout,
         swaps_inserted,
         mirrors_accepted,
         mirror_candidates,
-    }
+    };
+    (routed, out_classes)
 }
 
 /// Peephole "mirage SWAP" absorption (paper §I: a SWAP absorbed into an
@@ -790,11 +830,22 @@ pub fn route_with_scratch(
 /// absorbed. The rewrite is local — wire semantics are unchanged, so
 /// layouts need no adjustment.
 pub fn absorb_adjacent_swaps(c: &Circuit) -> (Circuit, usize) {
+    absorb_swaps(c, None)
+}
+
+/// [`absorb_adjacent_swaps`], optionally keeping a per-instruction class
+/// list in step with the rewrite: a fused block takes the mirror class of
+/// the gate it absorbed the SWAP into, and the list is compacted alongside
+/// the instructions.
+pub(crate) fn absorb_swaps(
+    c: &Circuit,
+    mut classes: Option<(&mut Vec<ClassId>, &PriceTable)>,
+) -> (Circuit, usize) {
     let mut out: Vec<Instruction> = Vec::with_capacity(c.instructions.len());
     // last_touch[q] = index (into `out`) of the latest instruction on q.
     let mut last_touch: Vec<Option<usize>> = vec![None; c.n_qubits];
     let mut fused = 0usize;
-    for instr in &c.instructions {
+    for (i, instr) in c.instructions.iter().enumerate() {
         if matches!(instr.gate, Gate::Swap) {
             let (p, q) = (instr.qubits[0], instr.qubits[1]);
             if let (Some(a), Some(b)) = (last_touch[p], last_touch[q]) {
@@ -807,6 +858,9 @@ pub fn absorb_adjacent_swaps(c: &Circuit) -> (Circuit, usize) {
                         // order-symmetric).
                         let u = out[a].gate.matrix2();
                         out[a].gate = Gate::Unitary2(Mat4::swap().mul(&u));
+                        if let Some((ks, prices)) = classes.as_mut() {
+                            ks[a] = prices.mirror(ks[a]);
+                        }
                         fused += 1;
                         // `a` stays the last touch of p and q.
                         continue;
@@ -818,7 +872,13 @@ pub fn absorb_adjacent_swaps(c: &Circuit) -> (Circuit, usize) {
         for &qb in &instr.qubits {
             last_touch[qb] = Some(idx);
         }
+        if let Some((ks, _)) = classes.as_mut() {
+            ks[idx] = ks[i];
+        }
         out.push(instr.clone());
+    }
+    if let Some((ks, _)) = classes {
+        ks.truncate(out.len());
     }
     (
         Circuit {
@@ -866,6 +926,7 @@ fn force_step(dag: &Dag, front: &[usize], layout: &Layout, topo: &CouplingMap) -
 #[cfg(test)]
 pub mod legacy {
     use super::*;
+    use mirage_weyl::mirror::mirror_coord;
 
     /// The pre-optimization [`super::route`]: per-candidate layout clones,
     /// full re-scoring, per-step scratch allocation. Bit-identical output,
@@ -932,8 +993,10 @@ pub mod legacy {
                             mirror_candidates += 1;
                             let w = coords[id].expect("2Q node has coords");
                             let wm = mirror_coord(&w);
-                            let dc = target.gate_cost_on(&w, p1, p2);
-                            let dcm = target.gate_cost_on(&wm, p1, p2);
+                            let factor =
+                                target.calibration().edge_or_nominal(p1, p2).duration_factor;
+                            let dc = target.gate_cost(&w) * factor;
+                            let dcm = target.gate_cost(&wm) * factor;
 
                             let mut probe = front.clone();
                             release_successors(dag, id, &indeg, &mut probe, &done);

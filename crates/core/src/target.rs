@@ -15,16 +15,19 @@
 //!   load a checked-in coverage atlas (`mirage_coverage::atlas`) instead
 //!   of re-running sampling + quickhull, falling back to a fresh build
 //!   when the atlas is missing or stale,
-//! * an [`Arc<Calibration>`] — per-edge 2Q durations and error rates,
-//!   per-qubit 1Q durations/errors and readout errors — that drives
-//!   duration weights ([`Target::duration_weight`]) and success estimates
+//! * a [`CalibrationSnapshot`] — an [`Arc<Calibration>`] (per-edge 2Q
+//!   durations and error rates, per-qubit 1Q durations/errors and readout
+//!   errors) published together with its generation and the per-edge and
+//!   per-qubit terms scoring reads — that drives duration weights
+//!   ([`Target::depth_estimate`]) and success estimates
 //!   ([`Target::estimated_success`]); stock constructors start from
 //!   [`Calibration::uniform`], which reproduces the paper's idealized
 //!   device exactly, [`Target::with_calibration`] swaps in measured data at
 //!   construction, and [`Target::swap_calibration`] **hot-swaps** it on a
 //!   live shared target (see below), and
-//! * one process-wide-shareable sharded [`SharedCostCache`] consulted by
-//!   every routing trial, refinement pass, and metric computation.
+//! * one process-wide-shareable [`SharedCostCache`] — the Fig. 13a
+//!   coordinate LRU — that every engine run prices its coordinate classes
+//!   through once (see [`crate::pricing`]).
 //!
 //! `Target` is `Send + Sync`; routing trials running on scoped threads
 //! share one instance by reference, and a serving process
@@ -38,12 +41,13 @@
 //! data without rebuilding the target (and with it the lazily built
 //! coverage set and the warm cost cache). [`Target::swap_calibration`]
 //! does this through `&self`: it validates that the new calibration covers
-//! every coupler, publishes it, and bumps the **calibration generation**
-//! ([`Target::calibration_generation`]). Per-edge costs cached in the
-//! [`SharedCostCache`] are epoch-tagged, and the swap advances the cache
-//! epoch, so a warm cache can never serve a cost computed under a
-//! calibration that has since been replaced — while the (much more
-//! expensive, calibration-independent) coordinate-class costs stay warm.
+//! every coupler and publishes a new [`CalibrationSnapshot`] carrying the
+//! next **calibration generation** ([`Target::calibration_generation`]).
+//! The calibration and its generation live in one snapshot, so a reader
+//! that takes the snapshot once (a whole transpile call does) can never
+//! attribute its result to the wrong generation. The cost cache holds only
+//! calibration-independent coordinate-class costs, so it stays warm across
+//! swaps; every calibration-dependent term is read from the snapshot.
 //!
 //! ```
 //! use mirage_core::target::Target;
@@ -56,12 +60,12 @@
 //! ```
 
 use crate::calibration::{Calibration, CalibrationError, QubitCalibration};
-use mirage_circuit::{Circuit, Instruction};
-use mirage_coverage::cache::{CostMemo, SharedCostCache};
+use crate::pricing::{ln_survival, CalibrationSnapshot};
+use mirage_circuit::Circuit;
+use mirage_coverage::cache::SharedCostCache;
 use mirage_coverage::set::{BasisGate, CoverageOptions, CoverageSet};
 use mirage_topology::CouplingMap;
 use mirage_weyl::coords::{coords_of, WeylCoord};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// Uniform gate-duration model: the single-knob special case of
@@ -94,20 +98,8 @@ impl Default for DurationModel {
     }
 }
 
-/// Base capacity of a target's shared cost cache (coordinate classes).
+/// Capacity of a target's shared cost cache (coordinate classes).
 const DEFAULT_CACHE_CAPACITY: usize = 4096;
-
-/// Per-coupler headroom on top of [`DEFAULT_CACHE_CAPACITY`]: every
-/// coupler can hold this many edge-scoped cost entries before any LRU
-/// pressure. Without it, a wide device's `(class, edge)` entries would
-/// thrash a capacity sized for coordinate classes alone — and evict the
-/// expensive polytope-scan entries to make room for cheap multiplies.
-const EDGE_CACHE_HEADROOM: usize = 64;
-
-/// Default cost-cache capacity for a device with `n_edges` couplers.
-fn default_cache_capacity(n_edges: usize) -> usize {
-    DEFAULT_CACHE_CAPACITY + EDGE_CACHE_HEADROOM * n_edges
-}
 
 /// The paper-default coverage construction parameters for a standard
 /// (mirror-free) costing set.
@@ -162,18 +154,12 @@ pub struct Target {
     /// instead of building a private one (the stock basis constructors use
     /// this so repeated `Target`s never rebuild identical polytopes).
     shared_coverage: Option<fn() -> Arc<CoverageSet>>,
-    /// The live calibration. Behind a lock so a serving layer can swap it
-    /// on a shared target; scoring paths take one snapshot per computation
-    /// (an `Arc` clone), so snapshot-priced terms (1Q weights, all
-    /// success/log-fidelity scoring) never mix two calibrations within one
-    /// score. Per-edge 2Q costs resolve through the epoch-tagged cache
-    /// instead: each entry is internally consistent with exactly one
-    /// calibration, and a swap mid-depth-score at worst re-prices later
-    /// edges under the new data — it can never serve stale values.
-    calibration: RwLock<Arc<Calibration>>,
-    /// Bumped by every [`Target::swap_calibration`]; results can record the
-    /// generation they were computed under.
-    generation: AtomicU64,
+    /// The live calibration and its generation. Behind a lock so a serving
+    /// layer can swap it on a shared target; every score takes the snapshot
+    /// once (an `Arc` clone), so no score ever mixes two calibrations, and
+    /// a result records the generation of the very snapshot it was priced
+    /// under.
+    calibration: RwLock<Arc<CalibrationSnapshot>>,
     cache: SharedCostCache,
 }
 
@@ -181,8 +167,7 @@ impl Target {
     /// A target with an explicit basis and coverage-construction options;
     /// the coverage set is built on first cost query.
     pub fn new(topo: CouplingMap, basis: BasisGate, coverage_opts: CoverageOptions) -> Target {
-        let calibration = Arc::new(Calibration::uniform(&topo));
-        let cache = SharedCostCache::new(default_cache_capacity(topo.edges().len()));
+        let calibration = uniform_snapshot(&topo);
         Target {
             topo,
             basis,
@@ -190,8 +175,7 @@ impl Target {
             coverage: OnceLock::new(),
             shared_coverage: None,
             calibration: RwLock::new(calibration),
-            generation: AtomicU64::new(0),
-            cache,
+            cache: SharedCostCache::new(DEFAULT_CACHE_CAPACITY),
         }
     }
 
@@ -201,8 +185,7 @@ impl Target {
         let basis = coverage.basis.clone();
         let cell = OnceLock::new();
         cell.set(coverage).expect("fresh cell");
-        let calibration = Arc::new(Calibration::uniform(&topo));
-        let cache = SharedCostCache::new(default_cache_capacity(topo.edges().len()));
+        let calibration = uniform_snapshot(&topo);
         Target {
             topo,
             basis,
@@ -210,8 +193,7 @@ impl Target {
             coverage: cell,
             shared_coverage: None,
             calibration: RwLock::new(calibration),
-            generation: AtomicU64::new(0),
-            cache,
+            cache: SharedCostCache::new(DEFAULT_CACHE_CAPACITY),
         }
     }
 
@@ -254,13 +236,14 @@ impl Target {
     #[must_use]
     pub fn with_durations(mut self, durations: DurationModel) -> Target {
         let slot = self.calibration.get_mut().expect("calibration poisoned");
-        let cal = Arc::make_mut(slot);
+        let mut cal = (**slot.calibration()).clone();
         for q in 0..cal.n_qubits() {
             let mut qc = cal.qubit_or_default(q);
             qc.duration_1q = durations.one_qubit;
             cal.set_qubit(q, qc)
                 .expect("DurationModel::one_qubit must be finite and non-negative");
         }
+        *slot = Arc::new(CalibrationSnapshot::new(Arc::new(cal), slot.generation()));
         self
     }
 
@@ -280,27 +263,26 @@ impl Target {
         calibration: Calibration,
     ) -> Result<Target, CalibrationError> {
         calibration.validate_for(&self.topo)?;
-        *self.calibration.get_mut().expect("calibration poisoned") = Arc::new(calibration);
-        // The builder can run on an already-warmed target (e.g. a probed
-        // `with_coverage` target): retire any per-edge costs priced under
-        // the previous calibration, exactly like a hot swap would.
-        self.cache.advance_epoch();
+        let slot = self.calibration.get_mut().expect("calibration poisoned");
+        *slot = Arc::new(CalibrationSnapshot::new(
+            Arc::new(calibration),
+            slot.generation(),
+        ));
         Ok(self)
     }
 
     /// Hot-swap the calibration of a **live, shared** target: validate the
-    /// new data, publish it, advance the cost-cache epoch (so per-edge
-    /// costs computed under the old calibration are never served again),
-    /// and bump the calibration generation. Everything already built —
-    /// the coverage set, the coordinate-class cost entries, in-flight
+    /// new data and publish it as a new [`CalibrationSnapshot`] carrying
+    /// the next calibration generation. Everything already built — the
+    /// coverage set, the coordinate-class cost entries, in-flight
     /// [`TrialEngine`](crate::trials::TrialEngine)s — stays warm and keeps
     /// working; only calibration-derived values refresh.
     ///
-    /// Returns the new generation. Jobs scored after the swap see the new
-    /// calibration; a job mid-flight sees a consistent snapshot per scoring
-    /// computation (each takes the `Arc` once), so scores never blend two
-    /// calibrations, though different trials of one mid-swap job may land
-    /// on different sides of it.
+    /// Returns the new generation. Each engine run (and so each transpile
+    /// call) takes one snapshot when it starts and prices everything under
+    /// it, so a run never blends two calibrations and reports the
+    /// generation it actually ran under; a run already in flight finishes
+    /// under the snapshot it took.
     ///
     /// # Errors
     ///
@@ -309,18 +291,28 @@ impl Target {
     /// calibration, generation, and cache untouched.
     pub fn swap_calibration(&self, calibration: Arc<Calibration>) -> Result<u64, CalibrationError> {
         calibration.validate_for(&self.topo)?;
-        *self.calibration.write().expect("calibration poisoned") = calibration;
-        // Publish the data before advancing the epoch: a reader observing
-        // the new epoch can only recompute against the new calibration.
-        self.cache.advance_epoch();
-        Ok(self.generation.fetch_add(1, Ordering::SeqCst) + 1)
+        let snapshot = CalibrationSnapshot::new(calibration, 0);
+        let mut slot = self.calibration.write().expect("calibration poisoned");
+        let generation = slot.generation() + 1;
+        *slot = Arc::new(snapshot.with_generation(generation));
+        Ok(generation)
     }
 
     /// The number of calibration swaps this target has absorbed (0 for a
-    /// freshly built target). Serving layers record it per job so results
-    /// can be attributed to the calibration they were computed under.
+    /// freshly built target).
     pub fn calibration_generation(&self) -> u64 {
-        self.generation.load(Ordering::SeqCst)
+        self.calibration_snapshot().generation()
+    }
+
+    /// The live calibration and its generation, as one snapshot. Serving
+    /// layers attribute results through the snapshot a run actually took
+    /// (see `TranspiledCircuit::generation`), never through a separate
+    /// generation read.
+    pub fn calibration_snapshot(&self) -> Arc<CalibrationSnapshot> {
+        self.calibration
+            .read()
+            .expect("calibration poisoned")
+            .clone()
     }
 
     /// Replace the shared cost cache with one of the given capacity
@@ -353,10 +345,7 @@ impl Target {
     /// concurrently — it simply keeps describing the generation it was
     /// taken under.
     pub fn calibration(&self) -> Arc<Calibration> {
-        self.calibration
-            .read()
-            .expect("calibration poisoned")
-            .clone()
+        self.calibration_snapshot().calibration().clone()
     }
 
     /// A short identifier, e.g. `sqrt_iswap@grid-6x6`.
@@ -397,130 +386,74 @@ impl Target {
         self.cache.get_or_insert_with(w, || coverage.cost_or_max(w))
     }
 
-    /// Decomposition cost of coordinate class `w` executed on the coupler
-    /// `(a, b)`: the basis-independent [`Target::gate_cost`] scaled by that
-    /// edge's calibrated duration factor. Pairs without a calibration entry
-    /// (a circuit scored before placement) fall back to the nominal factor.
-    ///
-    /// Answered through an epoch-tagged per-edge cache entry, so the hot
-    /// path (every mirror decision of every routing trial) skips both the
-    /// polytope scan and the calibration lookup — and a calibration swap
-    /// invalidates exactly these entries.
-    pub fn gate_cost_on(&self, w: &WeylCoord, a: usize, b: usize) -> f64 {
-        self.cache.get_or_insert_edge_with(w, a, b, || {
-            self.gate_cost(w) * self.calibration().edge_or_nominal(a, b).duration_factor
+    /// The class cost of every instruction of `c`, derived from its matrix
+    /// (`0.0` for single-qubit gates): the input of the matrix-path
+    /// scorers, which hand it to the same [`CalibrationSnapshot`] pricing
+    /// core the engine's class-priced path uses.
+    fn matrix_class_costs<'c>(&'c self, c: &'c Circuit) -> impl Iterator<Item = f64> + 'c {
+        c.instructions.iter().map(|i| {
+            if i.gate.is_two_qubit() {
+                self.gate_cost(&coords_of(&i.gate.matrix2()))
+            } else {
+                0.0
+            }
         })
-    }
-
-    /// [`Target::gate_cost_on`] through a caller-owned per-worker
-    /// [`CostMemo`]: the router's steady state, where the mirror decision
-    /// queries the same handful of `(class, edge)` pairs for thousands of
-    /// gates and must not take two sharded-mutex locks per gate. A memo
-    /// miss is seeded from one [`SharedCostCache`] read at the current
-    /// epoch; a memo hit touches no shared state at all. The memo is
-    /// epoch-tagged with the same counter the shared cache uses, so a
-    /// calibration swap invalidates both identically and the returned
-    /// value is always bit-identical to [`Target::gate_cost_on`].
-    pub fn gate_cost_on_memo(&self, memo: &mut CostMemo, w: &WeylCoord, a: usize, b: usize) -> f64 {
-        let epoch = self.cache.epoch();
-        memo.get_or_insert_edge_with(w, a, b, epoch, || {
-            self.cache.get_or_insert_edge_at(w, a, b, epoch, || {
-                self.gate_cost(w) * self.calibration().edge_or_nominal(a, b).duration_factor
-            })
-        })
-    }
-
-    /// [`Target::duration_weight`] against an explicit calibration
-    /// snapshot: whole-circuit weighing takes the snapshot once instead of
-    /// paying a lock acquisition per single-qubit gate.
-    fn duration_weight_with(&self, cal: &Calibration, instr: &Instruction) -> f64 {
-        if !instr.gate.is_two_qubit() {
-            return cal.qubit_or_default(instr.qubits[0]).duration_1q;
-        }
-        self.gate_cost_on(
-            &coords_of(&instr.gate.matrix2()),
-            instr.qubits[0],
-            instr.qubits[1],
-        )
-    }
-
-    /// Instruction weight under the calibration: two-qubit gates cost their
-    /// decomposition duration scaled by their edge's duration factor,
-    /// single-qubit gates cost their qubit's calibrated 1Q duration.
-    pub fn duration_weight(&self, instr: &Instruction) -> f64 {
-        self.duration_weight_with(&self.calibration(), instr)
     }
 
     /// Duration-weighted critical path of a circuit on this target
-    /// (MIRAGE-Depth's post-selection metric, paper §IV-B). One calibration
-    /// snapshot weighs the whole circuit; two-qubit costs resolve through
-    /// the epoch-tagged per-edge cache.
+    /// (MIRAGE-Depth's post-selection metric, paper §IV-B), under one
+    /// calibration snapshot.
     pub fn depth_estimate(&self, c: &Circuit) -> f64 {
-        let cal = self.calibration();
-        c.weighted_depth(|i| self.duration_weight_with(&cal, i))
+        self.calibration_snapshot()
+            .depth(c, self.matrix_class_costs(c))
     }
 
     /// Total decomposition cost (sum over all gates), under one
     /// calibration snapshot.
     pub fn total_gate_cost(&self, c: &Circuit) -> f64 {
-        let cal = self.calibration();
-        c.instructions
-            .iter()
-            .map(|i| self.duration_weight_with(&cal, i))
-            .sum()
-    }
-
-    /// [`Target::instruction_log_success`] against an explicit calibration
-    /// snapshot — the shared core that keeps whole-circuit scores on one
-    /// snapshot (one lock acquisition, one consistent calibration).
-    fn instruction_log_success_with(&self, cal: &Calibration, instr: &Instruction) -> f64 {
-        if !instr.gate.is_two_qubit() {
-            let q = cal.qubit_or_default(instr.qubits[0]);
-            return ln_survival(q.error_1q);
-        }
-        let w = coords_of(&instr.gate.matrix2());
-        let applications = self.gate_cost(&w) / self.basis.duration;
-        let edge = cal.edge_or_nominal(instr.qubits[0], instr.qubits[1]);
-        applications * ln_survival(edge.error_2q)
-    }
-
-    /// Natural log of one instruction's estimated success probability.
-    ///
-    /// Two-qubit gates pay their edge's per-application error once per
-    /// basis application (`cost / basis.duration` applications — a SWAP
-    /// priced at 3 CNOTs or 3 √iSWAPs pays 3, a mirror only its own cost);
-    /// single-qubit gates pay their qubit's 1Q error once.
-    pub fn instruction_log_success(&self, instr: &Instruction) -> f64 {
-        self.instruction_log_success_with(&self.calibration(), instr)
+        self.calibration_snapshot()
+            .total_cost(c, self.matrix_class_costs(c))
     }
 
     /// Natural log of a circuit's estimated success probability: the sum of
     /// per-instruction log-fidelities (readout excluded; see
     /// [`Target::readout_log_success`]), all under one calibration
-    /// snapshot.
+    /// snapshot. Two-qubit gates pay their edge's per-application error
+    /// once per basis application (`cost / basis.duration` applications —
+    /// a SWAP priced at 3 CNOTs or 3 √iSWAPs pays 3, a mirror only its own
+    /// cost); single-qubit gates pay their qubit's 1Q error once.
     pub fn circuit_log_success(&self, c: &Circuit) -> f64 {
-        let cal = self.calibration();
-        c.instructions
-            .iter()
-            .map(|i| self.instruction_log_success_with(&cal, i))
-            .sum()
+        self.calibration_snapshot().circuit_log_success(
+            c,
+            self.matrix_class_costs(c),
+            self.basis.duration,
+        )
     }
 
     /// Natural log of the probability that measuring the given physical
     /// qubits all succeeds, under the calibrated readout errors.
     pub fn readout_log_success(&self, measured: &[usize]) -> f64 {
-        let cal = self.calibration();
-        measured
-            .iter()
-            .map(|&q| ln_survival(cal.qubit_or_default(q).readout_error))
-            .sum()
+        self.calibration_snapshot().readout_log_success(measured)
+    }
+
+    /// [`Target::circuit_log_success`] plus [`Target::readout_log_success`]
+    /// of `measured`, both under `snapshot`.
+    pub(crate) fn log_success_under(
+        &self,
+        snapshot: &CalibrationSnapshot,
+        c: &Circuit,
+        measured: &[usize],
+    ) -> f64 {
+        snapshot.circuit_log_success(c, self.matrix_class_costs(c), self.basis.duration)
+            + snapshot.readout_log_success(measured)
     }
 
     /// Estimated success probability of running `c` and measuring the
     /// physical qubits in `measured` — the quantity
     /// [`crate::trials::Metric::EstimatedSuccess`] post-selects on.
     pub fn estimated_success(&self, c: &Circuit, measured: &[usize]) -> f64 {
-        (self.circuit_log_success(c) + self.readout_log_success(measured)).exp()
+        self.log_success_under(&self.calibration_snapshot(), c, measured)
+            .exp()
     }
 
     /// Quality of one physical qubit as a seat for a circuit qubit: the
@@ -574,10 +507,13 @@ impl Target {
     }
 }
 
-/// `ln(1 − e)`, clamped so pathological error rates (`e → 1`) stay finite
-/// and comparisons through [`f64::total_cmp`] remain well-ordered.
-fn ln_survival(error: f64) -> f64 {
-    (1.0 - error).max(1e-300).ln()
+/// The snapshot of a target's boot calibration ([`Calibration::uniform`],
+/// generation 0).
+fn uniform_snapshot(topo: &CouplingMap) -> Arc<CalibrationSnapshot> {
+    Arc::new(CalibrationSnapshot::new(
+        Arc::new(Calibration::uniform(topo)),
+        0,
+    ))
 }
 
 #[cfg(test)]
@@ -736,7 +672,7 @@ mod tests {
         dear.cx(1, 2);
         assert!((t.depth_estimate(&cheap) - 1.0).abs() < 1e-9);
         assert!((t.depth_estimate(&dear) - 10.0).abs() < 1e-9);
-        assert!((t.gate_cost_on(&WeylCoord::CNOT, 2, 1) - 10.0).abs() < 1e-9);
+        assert_eq!(t.calibration_snapshot().edge_factor(2, 1), 10.0);
     }
 
     #[test]
@@ -847,13 +783,14 @@ mod tests {
     }
 
     #[test]
-    fn swap_calibration_never_serves_stale_edge_costs() {
+    fn swap_calibration_prices_under_the_new_calibration() {
         let topo = CouplingMap::line(3);
         let t = Target::sqrt_iswap(topo.clone());
         assert_eq!(t.calibration_generation(), 0);
-        // Warm the per-edge cache under the uniform calibration.
-        assert!((t.gate_cost_on(&WeylCoord::CNOT, 0, 1) - 1.0).abs() < 1e-12);
-        assert!((t.gate_cost_on(&WeylCoord::CNOT, 0, 1) - 1.0).abs() < 1e-12);
+        let mut c = Circuit::new(3);
+        c.cx(0, 1);
+        // Warm the coordinate cache under the uniform calibration.
+        assert!((t.depth_estimate(&c) - 1.0).abs() < 1e-12);
 
         // Swap in a calibration that makes (0, 1) ten times slower.
         let mut cal = Calibration::uniform(&topo);
@@ -869,16 +806,19 @@ mod tests {
         let generation = t.swap_calibration(Arc::new(cal)).unwrap();
         assert_eq!(generation, 1);
         assert_eq!(t.calibration_generation(), 1);
-        // The warm cache must answer with the *new* factor immediately.
-        assert!((t.gate_cost_on(&WeylCoord::CNOT, 0, 1) - 10.0).abs() < 1e-12);
-        let mut c = Circuit::new(3);
-        c.cx(0, 1);
+        // The calibration and its generation are published together.
+        let snapshot = t.calibration_snapshot();
+        assert_eq!(snapshot.generation(), 1);
+        assert_eq!(
+            snapshot.calibration().edge(0, 1).unwrap().duration_factor,
+            10.0
+        );
+        // Scores read the new calibration immediately.
         assert!((t.depth_estimate(&c) - 10.0).abs() < 1e-9);
-        // Success estimates reflect the swapped error rates too.
         let ln_s = (1.0f64 - 0.01).ln();
         assert!((t.circuit_log_success(&c) - 2.0 * ln_s).abs() < 1e-12);
-        // The coverage set was not rebuilt: coordinate-only costs stay
-        // warm (a second query after the swap is a pure hit).
+        // The coverage set was not rebuilt and coordinate costs stay warm:
+        // a query after the swap is a pure hit.
         let (hits_before, misses_before) = t.cache_stats();
         let _ = t.gate_cost(&WeylCoord::CNOT);
         let (hits_after, misses_after) = t.cache_stats();
@@ -887,13 +827,14 @@ mod tests {
     }
 
     #[test]
-    fn with_calibration_on_a_warmed_target_retires_stale_edge_costs() {
-        // The builder path must behave like a hot swap for the cache: a
-        // target probed before `with_calibration` (e.g. a shared
-        // `with_coverage` target) may already hold per-edge entries.
+    fn with_calibration_on_a_warmed_target_prices_the_new_data() {
+        // A target probed before `with_calibration` (e.g. a shared
+        // `with_coverage` target) must score under the new calibration.
         let topo = CouplingMap::line(3);
         let warmed = Target::sqrt_iswap(topo.clone());
-        assert!((warmed.gate_cost_on(&WeylCoord::SWAP, 0, 1) - 1.5).abs() < 1e-12);
+        let mut c = Circuit::new(3);
+        c.swap(0, 1);
+        assert!((warmed.depth_estimate(&c) - 1.5).abs() < 1e-12);
         let mut cal = Calibration::uniform(&topo);
         cal.set_edge(
             0,
@@ -905,16 +846,15 @@ mod tests {
         )
         .unwrap();
         let t = warmed.with_calibration(cal).unwrap();
-        assert!(
-            (t.gate_cost_on(&WeylCoord::SWAP, 0, 1) - 4.5).abs() < 1e-12,
-            "stale pre-builder cost served"
-        );
+        assert!((t.depth_estimate(&c) - 4.5).abs() < 1e-12);
+        assert_eq!(t.calibration_generation(), 0, "builders do not swap");
     }
 
     #[test]
     fn swap_calibration_rejects_partial_coverage_and_keeps_state() {
         let t = Target::sqrt_iswap(CouplingMap::line(4));
-        let _ = t.gate_cost_on(&WeylCoord::SWAP, 1, 2);
+        let _ = t.gate_cost(&WeylCoord::SWAP);
+        let before = t.calibration_snapshot();
         let partial =
             Calibration::from_edges(4, &[(0, 1, crate::calibration::EdgeCalibration::default())])
                 .unwrap();
@@ -922,9 +862,10 @@ mod tests {
         assert!(matches!(err, CalibrationError::MissingEdge { .. }));
         // Failed swaps leave generation, calibration, and cache untouched.
         assert_eq!(t.calibration_generation(), 0);
+        assert!(Arc::ptr_eq(&before, &t.calibration_snapshot()));
         assert!(t.calibration().is_uniform());
         let (hits_before, _) = t.cache_stats();
-        let _ = t.gate_cost_on(&WeylCoord::SWAP, 1, 2);
+        let _ = t.gate_cost(&WeylCoord::SWAP);
         let (hits_after, _) = t.cache_stats();
         assert_eq!(hits_after, hits_before + 1, "cache should still be warm");
     }
@@ -958,48 +899,6 @@ mod tests {
                 });
             }
         });
-    }
-
-    #[test]
-    fn gate_cost_on_memo_matches_shared_path_across_swaps() {
-        let topo = CouplingMap::line(3);
-        let t = Target::sqrt_iswap(topo.clone());
-        let mut memo = CostMemo::new();
-        for w in [WeylCoord::CNOT, WeylCoord::SWAP, WeylCoord::ISWAP] {
-            assert_eq!(
-                t.gate_cost_on_memo(&mut memo, &w, 0, 1),
-                t.gate_cost_on(&w, 0, 1)
-            );
-        }
-        // Memo hits stop querying the shared cache entirely.
-        let queries = |t: &Target| {
-            let (h, m) = t.cache_stats();
-            h + m
-        };
-        let before = queries(&t);
-        for _ in 0..5 {
-            let _ = t.gate_cost_on_memo(&mut memo, &WeylCoord::CNOT, 0, 1);
-        }
-        assert_eq!(queries(&t), before, "memo hits must bypass the cache");
-
-        // A swap invalidates the memo exactly like the shared cache: the
-        // warm memo must answer with the new factor immediately.
-        let mut cal = Calibration::uniform(&topo);
-        cal.set_edge(
-            0,
-            1,
-            crate::calibration::EdgeCalibration {
-                duration_factor: 10.0,
-                error_2q: 0.0,
-            },
-        )
-        .unwrap();
-        t.swap_calibration(Arc::new(cal)).unwrap();
-        assert!((t.gate_cost_on_memo(&mut memo, &WeylCoord::CNOT, 0, 1) - 10.0).abs() < 1e-12);
-        assert_eq!(
-            t.gate_cost_on_memo(&mut memo, &WeylCoord::SWAP, 0, 1),
-            t.gate_cost_on(&WeylCoord::SWAP, 0, 1)
-        );
     }
 
     #[test]

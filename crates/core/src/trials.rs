@@ -20,17 +20,16 @@
 use crate::layout::Layout;
 use crate::pipeline::TranspileError;
 use crate::placement::{LayoutStrategy, PlacementContext, StrategyKind, Vf2Embed};
+use crate::pricing::{ClassId, Classes, PriceTable};
 use crate::router::{
-    node_coords, route_with_scratch, Aggression, RoutedCircuit, RouterConfig, RouterScratch,
+    absorb_swaps, route_priced, Aggression, Routable, RoutedCircuit, RouterConfig, RouterScratch,
 };
 use crate::target::Target;
 use mirage_circuit::{Circuit, Dag};
 use mirage_math::Rng;
-use mirage_weyl::coords::WeylCoord;
-
-/// One layout trial's routed candidates, tagged by the strategy that
-/// seeded the layout.
-type TrialResult = (StrategyKind, Vec<RoutedCircuit>);
+use mirage_weyl::coords::coords_of;
+use std::borrow::Cow;
+use std::sync::{Arc, OnceLock};
 
 /// Post-selection metric across routing trials.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -214,14 +213,31 @@ fn validate_mix(which: &'static str, mix: &[f64]) -> Result<(), TranspileError> 
     Ok(())
 }
 
-fn score(r: &RoutedCircuit, metric: Metric, target: &Target) -> f64 {
+/// The post-selection score of a candidate (lower is better), read from
+/// the run's price table through the candidate's class ids.
+fn score(c: &Candidate, metric: Metric, prices: &PriceTable) -> f64 {
     match metric {
-        Metric::SwapCount => r.swaps_inserted as f64,
-        Metric::Depth => target.depth_estimate(&r.circuit),
+        Metric::SwapCount => c.routed.swaps_inserted as f64,
+        Metric::Depth => prices.depth_estimate(&c.routed.circuit, &c.classes),
         // Trials minimize the score, so the negated log-success ranks the
         // most-likely-to-succeed candidate first.
-        Metric::EstimatedSuccess => -r.log_success(target),
+        Metric::EstimatedSuccess => -prices.log_success(&c.routed, &c.classes),
     }
+}
+
+/// The first minimum of `items` under `score`, which is evaluated exactly
+/// once per item (ties keep the earliest item, as `Iterator::min_by`
+/// does). `None` when `items` is empty.
+fn first_min<T>(items: Vec<T>, score: impl FnMut(&T) -> f64) -> Option<T> {
+    let scores: Vec<f64> = items.iter().map(score).collect();
+    let best = (0..scores.len()).reduce(|best, i| {
+        if scores[i].total_cmp(&scores[best]).is_lt() {
+            i
+        } else {
+            best
+        }
+    })?;
+    items.into_iter().nth(best)
 }
 
 /// Trial counts per mix lane for `total` trials. Every lane with a nonzero
@@ -299,6 +315,28 @@ pub fn aggression_for_trial(t: usize, total: usize, mix: &[f64; 4]) -> Aggressio
     Aggression::A3
 }
 
+/// One routed candidate of a trial run.
+#[derive(Debug, Clone)]
+pub struct Candidate {
+    /// The layout strategy that seeded the candidate's layout trial.
+    pub strategy: StrategyKind,
+    /// The routed circuit.
+    pub routed: RoutedCircuit,
+    /// The [`ClassId`] of every instruction of `routed.circuit`, priced by
+    /// the run's [`PriceTable`].
+    pub classes: Vec<ClassId>,
+}
+
+/// Every routed candidate of one run, in trial-index order, with the
+/// run's price table.
+#[derive(Debug, Clone)]
+pub struct TrialRun {
+    /// Layout trials × routing trials candidates, in trial-index order.
+    pub candidates: Vec<Candidate>,
+    /// The prices (and calibration snapshot) the whole run used.
+    pub prices: PriceTable,
+}
+
 /// The routing result of a full trial run, with provenance.
 #[derive(Debug, Clone)]
 pub struct TrialOutcome {
@@ -308,33 +346,52 @@ pub struct TrialOutcome {
     pub strategy: StrategyKind,
     /// Total routed candidates scored (layout trials × routing trials).
     pub candidates: usize,
+    /// The [`ClassId`] of every instruction of `best.circuit`.
+    pub classes: Vec<ClassId>,
+    /// The prices (and calibration snapshot) the whole run used.
+    pub prices: PriceTable,
 }
 
-/// The routing precompute: forward/backward DAGs and per-node Weyl
-/// coordinates. Built lazily — a transpile that takes the VF2 fast path
-/// never routes, so it never pays for this.
+/// The routing precompute: forward/backward DAGs and the class id of every
+/// backward node (forward node `i` is instruction `i`, whose class id the
+/// engine's class precompute holds). Built lazily — a transpile that takes
+/// the VF2 fast path never routes, so it never pays for this.
 #[derive(Debug)]
 struct RoutingState {
     dag_fwd: Dag,
     dag_bwd: Dag,
-    coords_fwd: Vec<Option<WeylCoord>>,
-    coords_bwd: Vec<Option<WeylCoord>>,
+    classes_bwd: Vec<ClassId>,
+}
+
+/// What one run shares across its layout trials.
+struct Run<'r, 'a> {
+    /// The placement context under the run's calibration snapshot: the
+    /// engine's own when the snapshot is the one it was built under.
+    ctx: Cow<'r, PlacementContext<'a>>,
+    /// The VF2 proposal under a snapshot other than the engine's own.
+    vf2: OnceLock<Option<Layout>>,
+    prices: PriceTable,
 }
 
 /// The unified trial engine: one object owning layout generation (via the
 /// [`crate::placement`] strategies), SABRE forward–backward refinement,
 /// independent routing trials, and metric post-selection.
 ///
-/// The forward/backward DAGs and per-node Weyl coordinates are computed
-/// once, on first routing use; [`TrialEngine::run`] can be called
+/// The circuit's coordinate classes and the forward/backward DAGs are
+/// computed once, on first use; [`TrialEngine::run`] can be called
 /// repeatedly with different options (the bench harness sweeps strategies
-/// this way). The engine borrows its circuit and [`Target`]; reusing one
-/// target keeps the shared cost cache warm across runs.
+/// this way). Each run takes one calibration snapshot and prices every
+/// class once into its [`PriceTable`]. The engine borrows its circuit and
+/// [`Target`]; reusing one target keeps the coordinate cost cache warm
+/// across runs.
 #[derive(Debug)]
 pub struct TrialEngine<'a> {
     target: &'a Target,
     ctx: PlacementContext<'a>,
-    routing: std::sync::OnceLock<RoutingState>,
+    /// The circuit's coordinate classes and the class id of each of its
+    /// instructions.
+    classes: OnceLock<(Classes, Vec<ClassId>)>,
+    routing: OnceLock<RoutingState>,
     /// `Vf2Embed` is deterministic per engine, so its (possibly absent)
     /// proposal is computed once and shared by the pre-pass and every
     /// vf2-lane layout trial.
@@ -345,11 +402,9 @@ pub struct TrialEngine<'a> {
     /// runs hold exactly one per worker thread — the router's steady
     /// state stays allocation-free across trials (and across the repeated
     /// `run` calls of a serve worker's jobs on one engine). Scratches
-    /// carry no routing state — only buffer capacity and a [`CostMemo`]
-    /// of pure `(class, edge) → cost` values — so pooling never changes
+    /// carry no routing state and no cost state — only buffer capacity;
+    /// prices come from each run's table — so pooling never changes
     /// results.
-    ///
-    /// [`CostMemo`]: mirage_coverage::cache::CostMemo
     scratch_pool: std::sync::Mutex<Vec<RouterScratch>>,
 }
 
@@ -365,7 +420,8 @@ impl<'a> TrialEngine<'a> {
         TrialEngine {
             target,
             ctx: PlacementContext::new(circuit, target),
-            routing: std::sync::OnceLock::new(),
+            classes: OnceLock::new(),
+            routing: OnceLock::new(),
             vf2: std::sync::OnceLock::new(),
             scratch_pool: std::sync::Mutex::new(Vec::new()),
         }
@@ -396,22 +452,66 @@ impl<'a> TrialEngine<'a> {
             .clone()
     }
 
+    /// The lazily-built class precompute: the circuit's coordinate
+    /// classes (one `coords_of` per two-qubit instruction, ever) and the
+    /// class id of each instruction.
+    fn class_state(&self) -> &(Classes, Vec<ClassId>) {
+        self.classes.get_or_init(|| {
+            let coords: Vec<_> = self
+                .ctx
+                .circuit()
+                .instructions
+                .iter()
+                .map(|i| i.gate.is_two_qubit().then(|| coords_of(&i.gate.matrix2())))
+                .collect();
+            Classes::build(&coords)
+        })
+    }
+
+    /// The class id of every instruction of the engine's circuit (and so
+    /// of any placement of it: [`crate::placement::apply_layout`] maps
+    /// instructions one to one).
+    pub(crate) fn circuit_classes(&self) -> &[ClassId] {
+        &self.class_state().1
+    }
+
+    /// Price the circuit's classes under `snapshot`.
+    pub(crate) fn price_table(
+        &self,
+        snapshot: Arc<crate::pricing::CalibrationSnapshot>,
+    ) -> PriceTable {
+        PriceTable::new(self.target, &self.class_state().0, snapshot)
+    }
+
     /// The lazily-built routing precompute.
     fn routing_state(&self) -> &RoutingState {
         self.routing.get_or_init(|| {
             let circuit = self.ctx.circuit();
-            let dag_fwd = Dag::from_circuit(circuit);
-            let reversed = circuit.reversed();
-            let dag_bwd = Dag::from_circuit(&reversed);
-            let coords_fwd = node_coords(&dag_fwd);
-            let coords_bwd = node_coords(&dag_bwd);
+            // The backward DAG routes the reversed instruction list, so its
+            // node `i` is instruction `len - 1 - i`.
+            let mut classes_bwd = self.circuit_classes().to_vec();
+            classes_bwd.reverse();
             RoutingState {
-                dag_fwd,
-                dag_bwd,
-                coords_fwd,
-                coords_bwd,
+                dag_fwd: Dag::from_circuit(circuit),
+                dag_bwd: Dag::from_circuit(&circuit.reversed()),
+                classes_bwd,
             }
         })
+    }
+
+    fn fwd(&self) -> Routable<'_> {
+        Routable {
+            dag: &self.routing_state().dag_fwd,
+            classes: self.circuit_classes(),
+        }
+    }
+
+    fn bwd(&self) -> Routable<'_> {
+        let state = self.routing_state();
+        Routable {
+            dag: &state.dag_bwd,
+            classes: &state.classes_bwd,
+        }
     }
 
     /// Check a scratch out of the pool (or grow the pool by one). The
@@ -434,31 +534,31 @@ impl<'a> TrialEngine<'a> {
 
     /// SABRE layout refinement: route forward, then backward over the
     /// reversed circuit, feeding each final layout into the next pass.
-    /// Cost queries go through the target's shared cache; working storage
-    /// comes from the caller's scratch.
+    /// Prices come from the run's table; working storage from the caller's
+    /// scratch.
     fn refine_layout(
         &self,
         config: &RouterConfig,
         mut layout: Layout,
         iters: usize,
         rng: &mut Rng,
+        prices: &PriceTable,
         scratch: &mut RouterScratch,
     ) -> Layout {
-        let state = self.routing_state();
         for _ in 0..iters {
-            let fwd = route_with_scratch(
-                &state.dag_fwd,
-                &state.coords_fwd,
+            let (fwd, _) = route_priced(
+                self.fwd(),
                 self.target,
+                prices,
                 layout,
                 config,
                 rng,
                 scratch,
             );
-            let bwd = route_with_scratch(
-                &state.dag_bwd,
-                &state.coords_bwd,
+            let (bwd, _) = route_priced(
+                self.bwd(),
                 self.target,
+                prices,
                 fwd.final_layout,
                 config,
                 rng,
@@ -479,22 +579,28 @@ impl<'a> TrialEngine<'a> {
         trial: usize,
         mirage: bool,
         opts: &TrialOptions,
+        run: &Run<'_, 'a>,
         scratch: &mut RouterScratch,
-    ) -> TrialResult {
+    ) -> Vec<Candidate> {
         let mut rng = Rng::new(SeedSchedule::new(opts.seed).trial_seed(trial));
         let kind = StrategyKind::for_trial(trial, opts.layout_trials, &opts.strategy_mix);
+        let ctx: &PlacementContext<'a> = &run.ctx;
         // Only Vf2Embed can decline (no embedding); fall back to random
         // seeding so the trial budget is never wasted. Vf2Embed proposals
-        // go through the engine-level cache — the strategy is
-        // deterministic, so per-trial re-searches would be pure waste.
-        let proposed = if kind == StrategyKind::Vf2Embed {
-            self.vf2_layout()
-        } else {
-            kind.strategy().propose(&self.ctx, &mut rng)
+        // are computed once (per engine, or per run under another
+        // calibration snapshot) — the strategy is deterministic, so
+        // per-trial re-searches would be pure waste.
+        let proposed = match (kind, &run.ctx) {
+            (StrategyKind::Vf2Embed, Cow::Borrowed(_)) => self.vf2_layout(),
+            (StrategyKind::Vf2Embed, Cow::Owned(ctx)) => run
+                .vf2
+                .get_or_init(|| Vf2Embed.propose(ctx, &mut Rng::new(0)))
+                .clone(),
+            _ => kind.strategy().propose(ctx, &mut rng),
         };
-        let layout = proposed.unwrap_or_else(|| {
-            Layout::random(self.ctx.n_logical(), self.ctx.n_physical(), &mut rng)
-        });
+        let layout =
+            proposed.unwrap_or_else(|| Layout::random(ctx.n_logical(), ctx.n_physical(), &mut rng));
+        let prices = &run.prices;
 
         // Two refinements per layout trial: a mirror-free one (placements
         // that suit the A0 safety net and conservative trials) and, for
@@ -508,6 +614,7 @@ impl<'a> TrialEngine<'a> {
             layout.clone(),
             opts.fwd_bwd_iters,
             &mut rng,
+            prices,
             scratch,
         );
         let mirrored = if mirage {
@@ -519,14 +626,14 @@ impl<'a> TrialEngine<'a> {
                 layout,
                 opts.fwd_bwd_iters,
                 &mut rng,
+                prices,
                 scratch,
             )
         } else {
             plain.clone()
         };
 
-        let state = self.routing_state();
-        let routed = (0..opts.routing_trials)
+        (0..opts.routing_trials)
             .map(|t| {
                 let aggression = if mirage {
                     Some(aggression_for_trial(
@@ -552,10 +659,10 @@ impl<'a> TrialEngine<'a> {
                 } else {
                     mirrored.clone()
                 };
-                let mut routed = route_with_scratch(
-                    &state.dag_fwd,
-                    &state.coords_fwd,
+                let (mut routed, mut classes) = route_priced(
+                    self.fwd(),
                     self.target,
+                    prices,
                     start,
                     &config,
                     &mut trial_rng,
@@ -565,45 +672,50 @@ impl<'a> TrialEngine<'a> {
                     // Mirage-SWAP absorption: fold leftover SWAPs that sit
                     // next to a same-pair gate into mirror blocks.
                     let (fused_circuit, fused) =
-                        crate::router::absorb_adjacent_swaps(&routed.circuit);
+                        absorb_swaps(&routed.circuit, Some((&mut classes, prices)));
                     routed.circuit = fused_circuit;
                     routed.swaps_inserted -= fused;
                     routed.mirrors_accepted += fused;
                     routed.mirror_candidates += fused;
                 }
-                routed
+                Candidate {
+                    strategy: kind,
+                    routed,
+                    classes,
+                }
             })
-            .collect();
-        (kind, routed)
+            .collect()
     }
 
-    /// Run the full trial loop; like [`TrialEngine::run`] but also reports
-    /// which strategy seeded the winner and how many candidates were
-    /// scored (the `layout_strategies` experiment consumes this).
-    ///
-    /// # Determinism
-    ///
-    /// Parallel runs are bit-identical to serial runs at every thread
-    /// count. Two invariants make that hold:
-    ///
-    /// 1. **Pre-split seeds.** Each trial's randomness is a pure function
-    ///    of `(opts.seed, trial index)` via [`SeedSchedule`]; which worker
-    ///    runs a trial (and when) cannot influence its stream.
-    /// 2. **Fixed reduction order.** Results land in trial-indexed slots
-    ///    and are flattened in index order before the `min_by` below — and
-    ///    `min_by` keeps the *first* of equal minima, so ties break by
-    ///    trial index, never by completion order or pool size.
+    /// Route every candidate of the trial loop without post-selecting:
+    /// layout trials in index order, each contributing its routing trials
+    /// in order, all priced by one [`PriceTable`] under one calibration
+    /// snapshot taken when the run starts.
     ///
     /// # Errors
     ///
     /// [`TranspileError::InvalidTrialMix`] when either mix in `opts` is
     /// mis-normalized (see [`TrialOptions::validate`]).
-    pub fn run_detailed(
+    pub fn run_candidates(
         &self,
         mirage: bool,
         opts: &TrialOptions,
-    ) -> Result<TrialOutcome, TranspileError> {
+    ) -> Result<TrialRun, TranspileError> {
         opts.validate()?;
+        let snapshot = self.target.calibration_snapshot();
+        // Placement sees the run's snapshot too: the engine's own context
+        // when nothing was swapped since it was built, a re-based copy
+        // otherwise.
+        let ctx = if Arc::ptr_eq(&snapshot, self.ctx.snapshot()) {
+            Cow::Borrowed(&self.ctx)
+        } else {
+            Cow::Owned(self.ctx.clone().with_snapshot(Arc::clone(&snapshot)))
+        };
+        let run = Run {
+            ctx,
+            vf2: OnceLock::new(),
+            prices: self.price_table(snapshot),
+        };
         let n = opts.layout_trials;
         let workers = if opts.parallel {
             opts.effective_threads().min(n).max(1)
@@ -611,15 +723,16 @@ impl<'a> TrialEngine<'a> {
             1
         };
         // Trial-indexed result slots: whatever order workers finish in,
-        // the reduction below reads them back in trial order.
-        let mut slots: Vec<Option<TrialResult>> = (0..n).map(|_| None).collect();
+        // they are read back in trial order.
+        let mut slots: Vec<Option<Vec<Candidate>>> = (0..n).map(|_| None).collect();
         if workers > 1 {
             // Warm the lazy precomputes on this thread so workers never
             // race to build them (OnceLock would dedupe anyway; this just
             // keeps the work off the timed region).
             let _ = self.routing_state();
             let next = std::sync::atomic::AtomicUsize::new(0);
-            let per_worker: Vec<Vec<(usize, TrialResult)>> = std::thread::scope(|s| {
+            let run = &run;
+            let per_worker: Vec<Vec<(usize, Vec<Candidate>)>> = std::thread::scope(|s| {
                 let next = &next;
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {
@@ -635,7 +748,7 @@ impl<'a> TrialEngine<'a> {
                                 }
                                 local.push((
                                     t,
-                                    self.one_layout_trial(t, mirage, opts, &mut scratch),
+                                    self.one_layout_trial(t, mirage, opts, run, &mut scratch),
                                 ));
                             }
                             self.return_scratch(scratch);
@@ -654,26 +767,59 @@ impl<'a> TrialEngine<'a> {
         } else {
             let mut scratch = self.checkout_scratch();
             for (t, slot) in slots.iter_mut().enumerate() {
-                *slot = Some(self.one_layout_trial(t, mirage, opts, &mut scratch));
+                *slot = Some(self.one_layout_trial(t, mirage, opts, &run, &mut scratch));
             }
             self.return_scratch(scratch);
         }
-        let mut tagged: Vec<(StrategyKind, RoutedCircuit)> = Vec::new();
-        for slot in slots {
-            let (kind, routed) = slot.expect("every trial index was claimed by a worker");
-            tagged.extend(routed.into_iter().map(|r| (kind, r)));
-        }
-        let candidates = tagged.len();
-        let (strategy, best) = tagged
+        let candidates = slots
             .into_iter()
-            .min_by(|(_, a), (_, b)| {
-                score(a, opts.metric, self.target).total_cmp(&score(b, opts.metric, self.target))
-            })
+            .flat_map(|slot| slot.expect("every trial index was claimed by a worker"))
+            .collect();
+        Ok(TrialRun {
+            candidates,
+            prices: run.prices,
+        })
+    }
+
+    /// Run the full trial loop; like [`TrialEngine::run`] but also reports
+    /// which strategy seeded the winner, how many candidates were scored
+    /// (the `layout_strategies` experiment consumes this), and the
+    /// winner's class ids and the run's prices (`transpile` reads its
+    /// metrics from them).
+    ///
+    /// # Determinism
+    ///
+    /// Parallel runs are bit-identical to serial runs at every thread
+    /// count. Two invariants make that hold:
+    ///
+    /// 1. **Pre-split seeds.** Each trial's randomness is a pure function
+    ///    of `(opts.seed, trial index)` via [`SeedSchedule`]; which worker
+    ///    runs a trial (and when) cannot influence its stream.
+    /// 2. **Fixed reduction order.** Results land in trial-indexed slots
+    ///    and are flattened in index order; post-selection scores each
+    ///    candidate exactly once and keeps the *first* of equal minima, so
+    ///    ties break by trial index, never by completion order or pool
+    ///    size.
+    ///
+    /// # Errors
+    ///
+    /// [`TranspileError::InvalidTrialMix`] when either mix in `opts` is
+    /// mis-normalized (see [`TrialOptions::validate`]).
+    pub fn run_detailed(
+        &self,
+        mirage: bool,
+        opts: &TrialOptions,
+    ) -> Result<TrialOutcome, TranspileError> {
+        let TrialRun { candidates, prices } = self.run_candidates(mirage, opts)?;
+        let n = candidates.len();
+        let best = first_min(candidates, |c| score(c, opts.metric, &prices))
             .expect("at least one trial ran");
         Ok(TrialOutcome {
-            best,
-            strategy,
-            candidates,
+            best: best.routed,
+            strategy: best.strategy,
+            candidates: n,
+            classes: best.classes,
+            prices,
         })
     }
 
@@ -826,6 +972,47 @@ mod tests {
         let mut opts = TrialOptions::quick(Metric::Depth, 1);
         opts.aggression_mix = [0.1, 0.2, 0.3, 0.4 + 1e-9];
         opts.validate().unwrap();
+    }
+
+    #[test]
+    fn post_selection_scores_each_candidate_exactly_once() {
+        let scores = [3.0, 1.0, 2.0, 1.0, f64::NAN];
+        let mut calls = 0;
+        let best = first_min((0..scores.len()).collect(), |&i| {
+            calls += 1;
+            scores[i]
+        });
+        assert_eq!(calls, scores.len(), "one score per candidate");
+        assert_eq!(best, Some(1), "first of equal minima, NaN never wins");
+        assert_eq!(first_min(Vec::<usize>::new(), |_| 0.0), None);
+    }
+
+    #[test]
+    fn run_detailed_selects_the_first_minimum_of_run_candidates() {
+        // The winner is the first candidate, in trial-index order, whose
+        // class-priced score is minimal — exactly what `min_by` over the
+        // same scores (each evaluated twice per comparison) would pick.
+        let topo = CouplingMap::line(5);
+        let cal = crate::calibration::Calibration::synthetic(&topo, &mut Rng::new(0x51));
+        let target = Target::sqrt_iswap(topo).with_calibration(cal).unwrap();
+        let c = consolidate(&two_local_full(5, 1, 8));
+        let engine = TrialEngine::new(&c, &target);
+        for metric in [Metric::SwapCount, Metric::Depth, Metric::EstimatedSuccess] {
+            let opts = TrialOptions::quick(metric, 12);
+            let run = engine.run_candidates(true, &opts).unwrap();
+            let expected = run
+                .candidates
+                .iter()
+                .min_by(|a, b| {
+                    score(a, metric, &run.prices).total_cmp(&score(b, metric, &run.prices))
+                })
+                .unwrap();
+            let outcome = engine.run_detailed(true, &opts).unwrap();
+            assert_eq!(outcome.candidates, run.candidates.len());
+            assert_eq!(outcome.best.circuit, expected.routed.circuit);
+            assert_eq!(outcome.classes, expected.classes);
+            assert_eq!(outcome.strategy, expected.strategy);
+        }
     }
 
     #[test]

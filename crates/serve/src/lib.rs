@@ -38,9 +38,10 @@
 //!   panicked around it.
 //! * The service is **long-lived**: [`TranspileService::swap_calibration`]
 //!   hot-swaps the device calibration on the shared target between jobs —
-//!   validation, a generation bump, and cost-cache epoch invalidation are
-//!   handled by [`Target::swap_calibration`]; nothing is rebuilt, and each
-//!   [`JobResult`] records the generation it was computed under. The
+//!   validation and publishing the calibration with its generation as one
+//!   snapshot are handled by [`Target::swap_calibration`]; nothing is
+//!   rebuilt, each transpile prices under the one snapshot it took, and
+//!   each [`JobResult`] records that snapshot's generation. The
 //!   [`net::CalibrationRefresher`] drives this from a watched file.
 //! * Shutdown is graceful: [`TranspileService::shutdown`] (and `Drop`)
 //!   closes the queue, lets the workers drain every accepted job, and
@@ -251,8 +252,10 @@ pub struct JobResult {
     /// The transpilation outcome (errors are per-job data, not service
     /// failures: one malformed job never poisons the batch).
     pub outcome: Result<TranspiledCircuit, JobError>,
-    /// [`Target::calibration_generation`] observed when the job started —
-    /// which calibration this result was computed under.
+    /// The calibration generation this result was computed under: the
+    /// generation of the one snapshot the transpile priced everything
+    /// under (`TranspiledCircuit::generation`), or, for a job that failed
+    /// before producing a circuit, the generation current at dequeue.
     pub generation: u64,
     /// Index of the worker that ran the job.
     pub worker: usize,
@@ -276,7 +279,10 @@ pub enum JobEvent {
         job_id: u64,
         /// Worker that claimed the job.
         worker: usize,
-        /// Calibration generation the job will run under.
+        /// Calibration generation current at dequeue. A swap landing before
+        /// the transpile takes its snapshot moves the job to a later
+        /// generation; [`JobResult::generation`] reports the one it ran
+        /// under.
         generation: u64,
         /// Pool-wide dequeue sequence number.
         sequence: u64,
@@ -571,8 +577,8 @@ impl TranspileService {
 
     /// Hot-swap the calibration of the shared target (see
     /// [`Target::swap_calibration`]). Jobs started after the swap are
-    /// scored under the new calibration — with no service restart, no
-    /// coverage-set rebuild, and no stale cached per-edge costs.
+    /// scored under the new calibration — with no service restart and no
+    /// coverage-set rebuild.
     ///
     /// # Errors
     ///
@@ -752,11 +758,12 @@ impl Delivery<'_> {
     }
 
     fn send(&self, label: String, outcome: Result<TranspiledCircuit, JobError>) {
+        let generation = outcome.as_ref().map_or(self.generation, |t| t.generation);
         let result = JobResult {
             job_id: self.job_id,
             label,
             outcome,
-            generation: self.generation,
+            generation,
             worker: self.worker,
             sequence: self.sequence,
             elapsed: self.start.elapsed(),
@@ -1131,14 +1138,17 @@ mod tests {
 
     #[test]
     fn interactive_lane_dequeues_before_batch() {
-        let target = Arc::new(Target::sqrt_iswap(CouplingMap::line(3)));
+        let target = Arc::new(Target::sqrt_iswap(CouplingMap::line(8)));
         let service = TranspileService::new(target, 1);
-        // Occupy the single worker, then queue batch jobs *before*
-        // interactive ones; the dequeue sequence must still run every
-        // interactive job first.
-        let blocker = service
-            .submit(quick_job("blocker", qft(6, false), 1))
-            .unwrap();
+        // Occupy the single worker with a job that really routes (one
+        // wider than the device would fail in microseconds and free the
+        // worker while the rest are still being queued), then queue batch
+        // jobs *before* interactive ones; the dequeue sequence must still
+        // run every interactive job first.
+        let mut heavy = quick_job("blocker", qft(8, false), 1);
+        heavy.options.trials.layout_trials = 16;
+        heavy.options.use_vf2 = false;
+        let blocker = service.submit(heavy).unwrap();
         match blocker.recv_event() {
             JobEvent::Started { .. } => {}
             JobEvent::Finished(_) => panic!("blocker finished before Started was observed"),

@@ -620,7 +620,7 @@ fn forward_events(handle: &crate::JobHandle, writer: &Mutex<TcpStream>) {
                         label,
                         qasm: to_qasm(&out.circuit),
                         fingerprint: out.circuit.fingerprint(),
-                        generation: result.generation,
+                        generation: out.generation,
                         elapsed_us: u64::try_from(result.elapsed.as_micros()).unwrap_or(u64::MAX),
                         metrics: WireMetrics::from_metrics(&out.metrics),
                     }),

@@ -7,9 +7,9 @@
 //! (mtime, length) signature changes, parses it with
 //! [`Calibration::from_text`] and hot-swaps it into the shared
 //! [`Target`] via [`Target::swap_calibration`]. Jobs already running
-//! keep their snapshot (the PR 4 epoch machinery); jobs dequeued after
-//! the swap see the new generation, and every served result reports
-//! which generation it ran under.
+//! keep the calibration snapshot they took; jobs that start after the
+//! swap see the new generation, and every served result reports which
+//! generation it ran under.
 //!
 //! Failure policy: a missing, unreadable, or unparseable file is
 //! **counted and skipped**, never fatal — the server keeps serving under

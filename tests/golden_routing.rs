@@ -265,12 +265,57 @@ fn trials_fingerprints_invariant_across_thread_counts() {
     }
 }
 
-/// Mid-job calibration swap under parallel trials: a warm engine (scratch
-/// memos and shared cache filled under calibration A) that hot-swaps to
-/// calibration B must produce — at every thread count — exactly what a
-/// cold engine on a fresh target built with B produces. This is the
-/// generation-tagging contract of the per-worker cost memo: the epoch
-/// bump from `swap_calibration` invalidates every memoized cost.
+/// Class-priced scoring is matrix-path scoring: for every candidate of
+/// every pinned trials run, the run's price table — read through the class
+/// ids the router and SWAP absorption carried — must reproduce
+/// `Target::depth_estimate`, `Target::total_gate_cost` and
+/// `RoutedCircuit::log_success` (which re-derive Weyl coordinates from each
+/// gate's matrix) bit for bit.
+#[test]
+fn class_priced_scores_match_matrix_path_for_every_candidate() {
+    for kind in TRIALS_KINDS {
+        let (name, metric, calibrated) = kind;
+        for topo in &topologies() {
+            let target = target_for(topo, calibrated);
+            let cc = consolidate(&topo.circuit);
+            let opts = trials_opts(topo, metric);
+            let run = TrialEngine::new(&cc, &target)
+                .run_candidates(true, &opts)
+                .expect("valid mix");
+            assert_eq!(
+                run.candidates.len(),
+                opts.layout_trials * opts.routing_trials
+            );
+            for (i, c) in run.candidates.iter().enumerate() {
+                let label = format!("{}/{name} candidate {i}", topo.name);
+                let circuit = &c.routed.circuit;
+                assert_eq!(c.classes.len(), circuit.instructions.len(), "{label}");
+                assert_eq!(
+                    run.prices.depth_estimate(circuit, &c.classes).to_bits(),
+                    target.depth_estimate(circuit).to_bits(),
+                    "{label}: depth"
+                );
+                assert_eq!(
+                    run.prices.total_gate_cost(circuit, &c.classes).to_bits(),
+                    target.total_gate_cost(circuit).to_bits(),
+                    "{label}: total cost"
+                );
+                assert_eq!(
+                    run.prices.log_success(&c.routed, &c.classes).to_bits(),
+                    c.routed.log_success(&target).to_bits(),
+                    "{label}: log-success"
+                );
+            }
+        }
+    }
+}
+
+/// Mid-job calibration swap under parallel trials: a warm engine (pooled
+/// scratches and the coordinate cache filled under calibration A) that
+/// hot-swaps to calibration B must produce — at every thread count —
+/// exactly what a cold engine on a fresh target built with B produces.
+/// Each run takes one calibration snapshot when it starts, so the run
+/// after the swap prices everything under B.
 #[test]
 fn calibration_swap_mid_job_matches_fresh_target_at_every_thread_count() {
     let topos = topologies();

@@ -11,7 +11,6 @@ use mirage::math::Rng;
 use mirage::serve::net::CalibrationRefresher;
 use mirage::serve::{InjectedFault, JobError, TranspileJob, TranspileService};
 use mirage::topology::CouplingMap;
-use mirage::weyl::coords::WeylCoord;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -65,7 +64,7 @@ fn hot_swap_changes_routing_metrics_without_rebuilding_the_target() {
     let circuit = two_local_full(5, 1, 9);
     let opts = quick_opts(7).with_metric(Metric::EstimatedSuccess);
 
-    // Warm everything: coverage set, coordinate costs, per-edge costs.
+    // Warm everything: coverage set and coordinate-class costs.
     let before = transpile(&circuit, &target, &opts).unwrap();
     assert_eq!(before.metrics.estimated_success, 1.0, "uniform device");
     assert!(target.coverage_built());
@@ -91,8 +90,8 @@ fn hot_swap_changes_routing_metrics_without_rebuilding_the_target() {
     );
 
     // ...but the swapped target never rebuilt its coverage set: its
-    // coordinate-class entries stayed warm across the swap (only per-edge
-    // entries re-priced), while the fresh target had to miss everything.
+    // coordinate-class entries stayed warm across the swap, while the
+    // fresh target had to miss every class.
     let (_, misses_after) = target.cache_stats();
     let (_, misses_fresh) = fresh.cache_stats();
     assert!(
@@ -104,11 +103,17 @@ fn hot_swap_changes_routing_metrics_without_rebuilding_the_target() {
 }
 
 #[test]
-fn warm_cache_serves_new_edge_costs_immediately_after_swap() {
+fn warm_target_prices_under_the_new_calibration_immediately_after_swap() {
     let topo = CouplingMap::line(3);
     let target = Target::sqrt_iswap(topo.clone());
-    // Warm the per-edge entry under the nominal calibration.
-    assert!((target.gate_cost_on(&WeylCoord::SWAP, 0, 1) - 1.5).abs() < 1e-12);
+    let mut swap = mirage::circuit::Circuit::new(3);
+    swap.swap(0, 1);
+    let circuit = two_local_full(3, 1, 5);
+    let opts = quick_opts(3);
+    // Warm the coordinate cache under the nominal calibration.
+    assert!((target.depth_estimate(&swap) - 1.5).abs() < 1e-12);
+    let warm = transpile(&circuit, &target, &opts).unwrap();
+
     let mut cal = Calibration::uniform(&topo);
     cal.set_edge(
         0,
@@ -119,11 +124,95 @@ fn warm_cache_serves_new_edge_costs_immediately_after_swap() {
         },
     )
     .unwrap();
-    target.swap_calibration(Arc::new(cal)).unwrap();
+    target.swap_calibration(Arc::new(cal.clone())).unwrap();
     assert!(
-        (target.gate_cost_on(&WeylCoord::SWAP, 0, 1) - 4.5).abs() < 1e-12,
-        "stale cached cost served after swap"
+        (target.depth_estimate(&swap) - 4.5).abs() < 1e-12,
+        "depth priced under the replaced calibration"
     );
+    let swapped = transpile(&circuit, &target, &opts).unwrap();
+    assert_eq!((warm.generation, swapped.generation), (0, 1));
+    // A transpile on the warm target prices exactly like one on a target
+    // built with the new calibration.
+    let fresh = Target::sqrt_iswap(topo).with_calibration(cal).unwrap();
+    let expected = transpile(&circuit, &fresh, &opts).unwrap();
+    assert_eq!(swapped.circuit, expected.circuit);
+    assert_eq!(
+        swapped.metrics.depth_estimate.to_bits(),
+        expected.metrics.depth_estimate.to_bits()
+    );
+    assert_eq!(
+        swapped.metrics.depth_estimate.to_bits(),
+        target.depth_estimate(&swapped.circuit).to_bits()
+    );
+}
+
+#[test]
+fn reported_generation_reproduces_jobs_that_race_a_swap() {
+    // A swapper thread publishes calibrations back to back while jobs run,
+    // so swaps land between a worker's dequeue and its transpile's pricing.
+    // Whatever generation a job reports, rerunning it in-process on a
+    // fresh target carrying that generation's calibration must reproduce
+    // its circuit: the result was priced under exactly that snapshot.
+    let topo = CouplingMap::grid(2, 3);
+    let calibrations: Vec<Calibration> = (0..3u64)
+        .map(|i| Calibration::skewed(&topo, &mut Rng::new(0x5A5A + i), 5e-3, 0.25, 8.0).unwrap())
+        .collect();
+    // Generation g runs under calibrations[g % 3].
+    let target = Arc::new(
+        Target::sqrt_iswap(topo.clone())
+            .with_calibration(calibrations[0].clone())
+            .unwrap(),
+    );
+    // One worker leaves a core to the swapper on small hosts.
+    let service = TranspileService::new(Arc::clone(&target), 1);
+    let opts = quick_opts(0).with_metric(Metric::EstimatedSuccess);
+    let job = |i: u64| {
+        TranspileJob::new(format!("job-{i}"), qft(6, false), opts.clone()).with_seed(700 + i)
+    };
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let started = std::sync::atomic::AtomicBool::new(false);
+    let results = std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut generation = 0u64;
+            started.store(true, std::sync::atomic::Ordering::Relaxed);
+            while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                let next = &calibrations[((generation + 1) % 3) as usize];
+                generation = target.swap_calibration(Arc::new(next.clone())).unwrap();
+                std::thread::yield_now();
+            }
+        });
+        while !started.load(std::sync::atomic::Ordering::Relaxed) {
+            std::thread::yield_now();
+        }
+        let results = service.run_batch((0..16).map(job).collect()).unwrap();
+        done.store(true, std::sync::atomic::Ordering::Relaxed);
+        results
+    });
+    let generations: std::collections::BTreeSet<u64> =
+        results.iter().map(|r| r.generation).collect();
+    assert!(generations.len() > 1, "jobs should straddle several swaps");
+    for (i, result) in results.iter().enumerate() {
+        let out = result.outcome.as_ref().expect("job succeeds");
+        assert_eq!(result.generation, out.generation);
+        let cal = calibrations[(result.generation % 3) as usize].clone();
+        let fresh = Target::sqrt_iswap(topo.clone())
+            .with_calibration(cal)
+            .unwrap();
+        let mut rerun_opts = opts.clone();
+        rerun_opts.trials.seed = 700 + i as u64;
+        let rerun = transpile(&qft(6, false), &fresh, &rerun_opts).unwrap();
+        assert_eq!(
+            out.circuit.fingerprint(),
+            rerun.circuit.fingerprint(),
+            "job {i} reported generation {} but was not computed under it",
+            result.generation
+        );
+        assert_eq!(
+            out.metrics.estimated_success.to_bits(),
+            rerun.metrics.estimated_success.to_bits()
+        );
+    }
+    service.shutdown();
 }
 
 /// Block until `condition` holds or a generous deadline passes (the

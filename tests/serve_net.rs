@@ -284,11 +284,12 @@ fn wait_until_running(stream: &mut TcpStream) {
     }
 }
 
-/// A job slow enough (hundreds of routing trials on QFT-12) to keep a
-/// worker busy while a test stages the queue behind it.
+/// A job slow enough (hundreds of routing trials on QFT-12, tens of
+/// milliseconds even with parallel trials) to keep a worker busy while a
+/// test stages the queue behind it.
 fn slow_submit(label: &str) -> SubmitRequest {
     let mut submit = sample_submit(label, &to_qasm(&qft(12, false)), 0x51_0e);
-    submit.options.layout_trials = 6;
+    submit.options.layout_trials = 24;
     submit.options.routing_trials = 8;
     submit
 }
@@ -550,6 +551,9 @@ fn interactive_jobs_overtake_queued_batch_jobs_over_the_wire() {
     }
     let mut inter = sample_submit("inter", &to_qasm(&qft(8, false)), 9);
     inter.lane = Lane::Interactive;
+    // Long enough that the gap between the two Running edges (this job's
+    // whole execution) dwarfs reader-thread scheduling jitter.
+    inter.options.layout_trials = 16;
     let mut inter = raw_submit(addr, inter);
     match read_response(&mut inter) {
         Response::Queued { .. } => {}
