@@ -190,11 +190,16 @@ impl std::fmt::Display for TranspileError {
 
 impl std::error::Error for TranspileError {}
 
-impl Metrics {
-    /// The metrics of a routed circuit, read from its run's price table
+impl TranspiledCircuit {
+    /// The result for `routed`, its metrics read from its run's price table
     /// through its instructions' class ids.
-    fn priced(prices: &PriceTable, routed: &RoutedCircuit, classes: &[ClassId]) -> Metrics {
-        Metrics {
+    fn priced(
+        routed: RoutedCircuit,
+        prices: &PriceTable,
+        classes: &[ClassId],
+        used_vf2: bool,
+    ) -> TranspiledCircuit {
+        let metrics = Metrics {
             depth_estimate: prices.depth_estimate(&routed.circuit, classes),
             total_gate_cost: prices.total_gate_cost(&routed.circuit, classes),
             two_qubit_gates: routed.circuit.two_qubit_gate_count(),
@@ -202,20 +207,10 @@ impl Metrics {
             mirrors_accepted: routed.mirrors_accepted,
             mirror_candidates: routed.mirror_candidates,
             mirror_rate: routed.mirror_rate(),
-            estimated_success: prices.log_success(routed, classes).exp(),
-        }
-    }
-}
-
-impl TranspiledCircuit {
-    fn new(
-        routed: RoutedCircuit,
-        prices: &PriceTable,
-        classes: &[ClassId],
-        used_vf2: bool,
-    ) -> TranspiledCircuit {
+            estimated_success: prices.log_success(&routed, classes).exp(),
+        };
         TranspiledCircuit {
-            metrics: Metrics::priced(prices, &routed, classes),
+            metrics,
             circuit: routed.circuit,
             initial_layout: routed.initial_layout,
             final_layout: routed.final_layout,
@@ -281,7 +276,7 @@ pub fn transpile(
             // placement maps instructions one to one, so the consolidated
             // circuit's class ids are the placed circuit's.
             let prices = engine.price_table(engine.context().snapshot().clone());
-            return Ok(TranspiledCircuit::new(
+            return Ok(TranspiledCircuit::priced(
                 placed,
                 &prices,
                 engine.circuit_classes(),
@@ -300,7 +295,7 @@ pub fn transpile(
         .map(|w| routed.final_layout.phys(wire_perm[w]))
         .collect();
     routed.final_layout = Layout::from_assignment(&adjusted, topo.n_qubits());
-    Ok(TranspiledCircuit::new(
+    Ok(TranspiledCircuit::priced(
         routed,
         &outcome.prices,
         &outcome.classes,
@@ -434,20 +429,14 @@ mod tests {
             (ghz(6), RouterKind::Mirage),
         ] {
             let out = transpile(&c, &target, &TranspileOptions::quick(router, 5)).unwrap();
-            let routed = out.as_routed();
             let m = out.metrics;
-            assert_eq!(
-                m.depth_estimate.to_bits(),
-                target.depth_estimate(&out.circuit).to_bits()
-            );
-            assert_eq!(
-                m.total_gate_cost.to_bits(),
-                target.total_gate_cost(&out.circuit).to_bits()
-            );
-            assert_eq!(
-                m.estimated_success.to_bits(),
-                routed.estimated_success(&target).to_bits()
-            );
+            let matrix_path = [
+                target.depth_estimate(&out.circuit),
+                target.total_gate_cost(&out.circuit),
+                out.as_routed().estimated_success(&target),
+            ];
+            let priced = [m.depth_estimate, m.total_gate_cost, m.estimated_success];
+            assert_eq!(priced.map(f64::to_bits), matrix_path.map(f64::to_bits));
             assert_eq!(out.generation, 0);
         }
     }

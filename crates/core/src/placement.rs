@@ -124,11 +124,12 @@ impl<'a> PlacementContext<'a> {
 
     /// The calibration snapshot proposals rank seats under (taken from the
     /// target when the context was built).
-    pub fn snapshot(&self) -> &Arc<CalibrationSnapshot> {
+    pub(crate) fn snapshot(&self) -> &Arc<CalibrationSnapshot> {
         &self.snapshot
     }
 
-    /// The calibration of [`PlacementContext::snapshot`].
+    /// The calibration proposals rank seats under (taken from the target
+    /// when the context was built).
     pub fn calibration(&self) -> &Calibration {
         self.snapshot.calibration()
     }

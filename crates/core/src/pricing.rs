@@ -2,31 +2,18 @@
 //! calibration snapshot every score is computed under.
 //!
 //! The paper's Fig. 13a lookup table exists so each coordinate class is
-//! priced once, not once per gate. This module carries that idea through
-//! the whole trial engine:
-//!
-//! * [`Classes`] interns a circuit's two-qubit Weyl coordinates into
-//!   compact [`ClassId`]s, closed under [`mirror_coord`] and seeded with the
-//!   SWAP class (whose mirror is the identity class), so every gate the
-//!   router or SWAP absorption can emit — the node itself, its mirror, an
-//!   inserted SWAP, a SWAP fused into any of those — has a class id.
-//! * [`CalibrationSnapshot`] is one published calibration together with
-//!   its generation and the arrays scoring reads: per-edge duration factors
-//!   and 2Q log-survivals, per-qubit 1Q durations, 1Q log-survivals and
-//!   readout log-survivals. A calibration swap publishes a new snapshot; a
-//!   run holds one `Arc` for its whole life, so nothing it computes can
-//!   mix two calibrations.
-//! * [`PriceTable`] is built once per engine run: every class priced once
-//!   through [`Target::gate_cost`] (the Fig. 13a coordinate LRU), plus the
-//!   run's snapshot. The router's mirror decision becomes
-//!   `class_cost[k] * edge_factor[e]`, and post-selection and the final
-//!   metrics read the table through the class ids the router carried.
-//!
-//! The matrix-path scorers ([`Target::depth_estimate`] and friends) derive
-//! class costs with `coords_of` and call the same snapshot methods, so the
-//! two paths agree bit for bit whenever they agree on the class cost.
+//! priced once, not once per gate. [`Classes`] interns a circuit's Weyl
+//! coordinates into compact [`ClassId`]s, closed under [`mirror_coord`] and
+//! seeded with SWAP (whose mirror is the identity), so every gate routing
+//! can emit has a class. A [`PriceTable`] prices each class once per run
+//! through [`Target::gate_cost`] (the Fig. 13a coordinate LRU) under one
+//! [`CalibrationSnapshot`]; the router's mirror decision is then
+//! `class_cost[k] * edge_factor[e]`, and post-selection and metrics read
+//! the table through the class ids the router carried. The matrix-path
+//! scorers ([`Target::depth_estimate`] and friends) derive class costs
+//! with `coords_of` and call the same snapshot methods.
 
-use crate::calibration::Calibration;
+use crate::calibration::{Calibration, EdgeCalibration, QubitCalibration};
 use crate::router::RoutedCircuit;
 use crate::target::Target;
 use mirage_circuit::{Circuit, Gate, Instruction};
@@ -110,53 +97,37 @@ pub struct CalibrationSnapshot {
     calibration: Arc<Calibration>,
     generation: u64,
     n: usize,
-    /// `n × n` pair → index into the edge arrays; index 0 is the nominal
-    /// coupler.
+    /// `n × n` pair → index into `edges`; index 0 is the nominal coupler.
     pair_edge: Vec<u32>,
-    edge_factor: Vec<f64>,
-    edge_log_survival: Vec<f64>,
-    duration_1q: Vec<f64>,
-    log_survival_1q: Vec<f64>,
-    readout_log_survival: Vec<f64>,
+    /// Per edge: duration factor, log-survival per basis application.
+    edges: Vec<(f64, f64)>,
+    /// Per qubit: 1Q duration, 1Q log-survival, readout log-survival.
+    qubits: Vec<(f64, f64, f64)>,
 }
 
 impl CalibrationSnapshot {
-    /// Derive the scoring arrays of `calibration`, published as
+    /// Derive the scoring terms of `calibration`, published as
     /// `generation`.
     pub(crate) fn new(calibration: Arc<Calibration>, generation: u64) -> CalibrationSnapshot {
         let n = calibration.n_qubits();
-        let nominal = crate::calibration::EdgeCalibration::default();
+        let edge_terms = |e: EdgeCalibration| (e.duration_factor, ln_survival(e.error_2q));
         let mut pair_edge = vec![0u32; n * n];
-        let mut edge_factor = vec![nominal.duration_factor];
-        let mut edge_log_survival = vec![ln_survival(nominal.error_2q)];
-        for (&(a, b), e) in calibration.edges() {
-            let id = u32::try_from(edge_factor.len()).expect("edge count fits u32");
+        let mut edges = vec![edge_terms(EdgeCalibration::default())];
+        for (&(a, b), &e) in calibration.edges() {
+            let id = u32::try_from(edges.len()).expect("edge count fits u32");
             pair_edge[a * n + b] = id;
             pair_edge[b * n + a] = id;
-            edge_factor.push(e.duration_factor);
-            edge_log_survival.push(ln_survival(e.error_2q));
+            edges.push(edge_terms(e));
         }
-        let qubits: Vec<_> = (0..n).map(|q| calibration.qubit_or_default(q)).collect();
+        let qubits = (0..n).map(|q| qubit_terms(calibration.qubit_or_default(q)));
         CalibrationSnapshot {
             n,
             pair_edge,
-            edge_factor,
-            edge_log_survival,
-            duration_1q: qubits.iter().map(|q| q.duration_1q).collect(),
-            log_survival_1q: qubits.iter().map(|q| ln_survival(q.error_1q)).collect(),
-            readout_log_survival: qubits
-                .iter()
-                .map(|q| ln_survival(q.readout_error))
-                .collect(),
+            edges,
+            qubits: qubits.collect(),
             calibration,
             generation,
         }
-    }
-
-    /// The same snapshot published as `generation`.
-    pub(crate) fn with_generation(mut self, generation: u64) -> CalibrationSnapshot {
-        self.generation = generation;
-        self
     }
 
     /// The calibration this snapshot publishes.
@@ -170,31 +141,33 @@ impl CalibrationSnapshot {
         self.generation
     }
 
-    /// Edge-array index of the pair `(a, b)` (0 = nominal).
-    fn edge(&self, a: usize, b: usize) -> usize {
-        if a < self.n && b < self.n {
+    fn edge(&self, a: usize, b: usize) -> (f64, f64) {
+        let id = if a < self.n && b < self.n {
             self.pair_edge[a * self.n + b] as usize
         } else {
             0
-        }
+        };
+        self.edges[id]
+    }
+
+    fn qubit(&self, q: usize) -> (f64, f64, f64) {
+        self.qubits
+            .get(q)
+            .copied()
+            .unwrap_or_else(|| qubit_terms(QubitCalibration::default()))
     }
 
     /// Calibrated duration factor of the coupler `(a, b)`.
-    pub fn edge_factor(&self, a: usize, b: usize) -> f64 {
-        self.edge_factor[self.edge(a, b)]
-    }
-
-    fn qubit_term(terms: &[f64], q: usize, ideal: f64) -> f64 {
-        terms.get(q).copied().unwrap_or(ideal)
+    pub(crate) fn edge_factor(&self, a: usize, b: usize) -> f64 {
+        self.edge(a, b).0
     }
 
     /// Duration weight of one instruction whose coordinate class costs
-    /// `class_cost` (ignored for single-qubit gates): the class cost scaled
-    /// by its edge's duration factor, or the qubit's 1Q duration.
+    /// `class_cost` (ignored for 1Q gates): the class cost scaled by its
+    /// edge's duration factor, or the qubit's 1Q duration.
     fn weight(&self, instr: &Instruction, class_cost: f64) -> f64 {
         if !instr.gate.is_two_qubit() {
-            let ideal = crate::calibration::QubitCalibration::default().duration_1q;
-            return Self::qubit_term(&self.duration_1q, instr.qubits[0], ideal);
+            return self.qubit(instr.qubits[0]).0;
         }
         class_cost * self.edge_factor(instr.qubits[0], instr.qubits[1])
     }
@@ -204,10 +177,10 @@ impl CalibrationSnapshot {
     /// error once.
     fn log_success(&self, instr: &Instruction, class_cost: f64, basis_duration: f64) -> f64 {
         if !instr.gate.is_two_qubit() {
-            return Self::qubit_term(&self.log_survival_1q, instr.qubits[0], 0.0);
+            return self.qubit(instr.qubits[0]).1;
         }
         let applications = class_cost / basis_duration;
-        applications * self.edge_log_survival[self.edge(instr.qubits[0], instr.qubits[1])]
+        applications * self.edge(instr.qubits[0], instr.qubits[1]).1
     }
 
     /// Duration-weighted critical path of `c`, given the class cost of each
@@ -221,11 +194,8 @@ impl CalibrationSnapshot {
 
     /// Sum of instruction duration weights of `c`.
     pub(crate) fn total_cost(&self, c: &Circuit, class_costs: impl Iterator<Item = f64>) -> f64 {
-        c.instructions
-            .iter()
-            .zip(class_costs)
-            .map(|(i, cost)| self.weight(i, cost))
-            .sum()
+        let instructions = c.instructions.iter().zip(class_costs);
+        instructions.map(|(i, cost)| self.weight(i, cost)).sum()
     }
 
     /// Summed per-instruction log-survival of `c` (readout excluded).
@@ -235,20 +205,26 @@ impl CalibrationSnapshot {
         class_costs: impl Iterator<Item = f64>,
         basis_duration: f64,
     ) -> f64 {
-        c.instructions
-            .iter()
-            .zip(class_costs)
+        let instructions = c.instructions.iter().zip(class_costs);
+        instructions
             .map(|(i, cost)| self.log_success(i, cost, basis_duration))
             .sum()
     }
 
     /// Log-probability that measuring every qubit of `measured` succeeds.
-    pub fn readout_log_success(&self, measured: &[usize]) -> f64 {
-        measured
-            .iter()
-            .map(|&q| Self::qubit_term(&self.readout_log_survival, q, 0.0))
-            .sum()
+    pub(crate) fn readout_log_success(&self, measured: &[usize]) -> f64 {
+        measured.iter().map(|&q| self.qubit(q).2).sum()
     }
+}
+
+/// A qubit's scoring terms: 1Q duration, 1Q log-survival, readout
+/// log-survival.
+fn qubit_terms(q: QubitCalibration) -> (f64, f64, f64) {
+    (
+        q.duration_1q,
+        ln_survival(q.error_1q),
+        ln_survival(q.readout_error),
+    )
 }
 
 /// One engine run's prices: the cost of every class of a [`Classes`] set,
@@ -264,7 +240,11 @@ pub struct PriceTable {
 impl PriceTable {
     /// Price every class of `classes` once through [`Target::gate_cost`],
     /// under `snapshot`.
-    pub fn new(target: &Target, classes: &Classes, snapshot: Arc<CalibrationSnapshot>) -> Self {
+    pub(crate) fn new(
+        target: &Target,
+        classes: &Classes,
+        snapshot: Arc<CalibrationSnapshot>,
+    ) -> Self {
         PriceTable {
             cost: classes.reps.iter().map(|w| target.gate_cost(w)).collect(),
             mirror: classes.mirror.clone(),
@@ -360,22 +340,18 @@ mod tests {
     fn snapshot_reproduces_calibration_fallbacks() {
         let topo = CouplingMap::line(3);
         let mut cal = Calibration::uniform(&topo);
-        cal.set_edge(
-            1,
-            2,
-            crate::calibration::EdgeCalibration {
-                duration_factor: 4.0,
-                error_2q: 0.1,
-            },
-        )
-        .unwrap();
+        let slow = EdgeCalibration {
+            duration_factor: 4.0,
+            error_2q: 0.1,
+        };
+        cal.set_edge(1, 2, slow).unwrap();
         let snap = CalibrationSnapshot::new(Arc::new(cal), 7);
         assert_eq!(snap.generation(), 7);
         assert_eq!(snap.edge_factor(2, 1), 4.0);
-        assert_eq!(snap.edge_factor(0, 1), 1.0);
         // Uncalibrated and out-of-register pairs price as nominal.
-        assert_eq!(snap.edge_factor(0, 2), 1.0);
-        assert_eq!(snap.edge_factor(0, 9), 1.0);
+        for (a, b) in [(0, 1), (0, 2), (0, 9)] {
+            assert_eq!(snap.edge_factor(a, b), 1.0);
+        }
         assert_eq!(snap.readout_log_success(&[0, 1, 9]), 0.0);
     }
 }

@@ -405,27 +405,20 @@ pub fn route_with_scratch(
 ) -> RoutedCircuit {
     let (classes, node_classes) = Classes::build(coords);
     let prices = PriceTable::new(target, &classes, target.calibration_snapshot());
-    let routable = Routable {
-        dag,
-        classes: &node_classes,
-    };
+    let routable = (dag, &node_classes[..]);
     route_priced(routable, target, &prices, layout, config, rng, scratch).0
 }
 
 /// A DAG ready for class-priced routing: the DAG and the [`ClassId`] of
 /// every node ([`NO_CLASS`] for 1Q nodes).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Routable<'a> {
-    pub(crate) dag: &'a Dag,
-    pub(crate) classes: &'a [ClassId],
-}
+pub(crate) type Routable<'a> = (&'a Dag, &'a [ClassId]);
 
 /// The router core: route `dag` onto `target` from `layout`, pricing the
 /// mirror decision from `prices`. Returns the routed circuit and the class
 /// id of every instruction it emitted ([`NO_CLASS`] for 1Q gates), priced
 /// by the same table.
 pub(crate) fn route_priced(
-    Routable { dag, classes }: Routable<'_>,
+    (dag, classes): Routable<'_>,
     target: &Target,
     prices: &PriceTable,
     layout: Layout,

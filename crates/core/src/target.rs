@@ -291,10 +291,9 @@ impl Target {
     /// calibration, generation, and cache untouched.
     pub fn swap_calibration(&self, calibration: Arc<Calibration>) -> Result<u64, CalibrationError> {
         calibration.validate_for(&self.topo)?;
-        let snapshot = CalibrationSnapshot::new(calibration, 0);
         let mut slot = self.calibration.write().expect("calibration poisoned");
         let generation = slot.generation() + 1;
-        *slot = Arc::new(snapshot.with_generation(generation));
+        *slot = Arc::new(CalibrationSnapshot::new(calibration, generation));
         Ok(generation)
     }
 
@@ -417,7 +416,7 @@ impl Target {
 
     /// Natural log of a circuit's estimated success probability: the sum of
     /// per-instruction log-fidelities (readout excluded; see
-    /// [`Target::readout_log_success`]), all under one calibration
+    /// [`Target::estimated_success`]), all under one calibration
     /// snapshot. Two-qubit gates pay their edge's per-application error
     /// once per basis application (`cost / basis.duration` applications —
     /// a SWAP priced at 3 CNOTs or 3 √iSWAPs pays 3, a mirror only its own
@@ -430,14 +429,8 @@ impl Target {
         )
     }
 
-    /// Natural log of the probability that measuring the given physical
-    /// qubits all succeeds, under the calibrated readout errors.
-    pub fn readout_log_success(&self, measured: &[usize]) -> f64 {
-        self.calibration_snapshot().readout_log_success(measured)
-    }
-
-    /// [`Target::circuit_log_success`] plus [`Target::readout_log_success`]
-    /// of `measured`, both under `snapshot`.
+    /// [`Target::circuit_log_success`] plus the readout log-survival of
+    /// `measured`, both under `snapshot`.
     pub(crate) fn log_success_under(
         &self,
         snapshot: &CalibrationSnapshot,

@@ -230,13 +230,7 @@ fn score(c: &Candidate, metric: Metric, prices: &PriceTable) -> f64 {
 /// does). `None` when `items` is empty.
 fn first_min<T>(items: Vec<T>, score: impl FnMut(&T) -> f64) -> Option<T> {
     let scores: Vec<f64> = items.iter().map(score).collect();
-    let best = (0..scores.len()).reduce(|best, i| {
-        if scores[i].total_cmp(&scores[best]).is_lt() {
-            i
-        } else {
-            best
-        }
-    })?;
+    let best = (0..scores.len()).min_by(|&a, &b| scores[a].total_cmp(&scores[b]))?;
     items.into_iter().nth(best)
 }
 
@@ -368,8 +362,6 @@ struct Run<'r, 'a> {
     /// The placement context under the run's calibration snapshot: the
     /// engine's own when the snapshot is the one it was built under.
     ctx: Cow<'r, PlacementContext<'a>>,
-    /// The VF2 proposal under a snapshot other than the engine's own.
-    vf2: OnceLock<Option<Layout>>,
     prices: PriceTable,
 }
 
@@ -500,18 +492,12 @@ impl<'a> TrialEngine<'a> {
     }
 
     fn fwd(&self) -> Routable<'_> {
-        Routable {
-            dag: &self.routing_state().dag_fwd,
-            classes: self.circuit_classes(),
-        }
+        (&self.routing_state().dag_fwd, self.circuit_classes())
     }
 
     fn bwd(&self) -> Routable<'_> {
         let state = self.routing_state();
-        Routable {
-            dag: &state.dag_bwd,
-            classes: &state.classes_bwd,
-        }
+        (&state.dag_bwd, &state.classes_bwd)
     }
 
     /// Check a scratch out of the pool (or grow the pool by one). The
@@ -586,16 +572,12 @@ impl<'a> TrialEngine<'a> {
         let kind = StrategyKind::for_trial(trial, opts.layout_trials, &opts.strategy_mix);
         let ctx: &PlacementContext<'a> = &run.ctx;
         // Only Vf2Embed can decline (no embedding); fall back to random
-        // seeding so the trial budget is never wasted. Vf2Embed proposals
-        // are computed once (per engine, or per run under another
-        // calibration snapshot) — the strategy is deterministic, so
-        // per-trial re-searches would be pure waste.
+        // seeding so the trial budget is never wasted. Under the engine's
+        // own snapshot, Vf2Embed proposals go through the engine-level
+        // cache — the strategy is deterministic, so per-trial re-searches
+        // would be pure waste.
         let proposed = match (kind, &run.ctx) {
             (StrategyKind::Vf2Embed, Cow::Borrowed(_)) => self.vf2_layout(),
-            (StrategyKind::Vf2Embed, Cow::Owned(ctx)) => run
-                .vf2
-                .get_or_init(|| Vf2Embed.propose(ctx, &mut Rng::new(0)))
-                .clone(),
             _ => kind.strategy().propose(ctx, &mut rng),
         };
         let layout =
@@ -713,7 +695,6 @@ impl<'a> TrialEngine<'a> {
         };
         let run = Run {
             ctx,
-            vf2: OnceLock::new(),
             prices: self.price_table(snapshot),
         };
         let n = opts.layout_trials;
@@ -985,34 +966,6 @@ mod tests {
         assert_eq!(calls, scores.len(), "one score per candidate");
         assert_eq!(best, Some(1), "first of equal minima, NaN never wins");
         assert_eq!(first_min(Vec::<usize>::new(), |_| 0.0), None);
-    }
-
-    #[test]
-    fn run_detailed_selects_the_first_minimum_of_run_candidates() {
-        // The winner is the first candidate, in trial-index order, whose
-        // class-priced score is minimal — exactly what `min_by` over the
-        // same scores (each evaluated twice per comparison) would pick.
-        let topo = CouplingMap::line(5);
-        let cal = crate::calibration::Calibration::synthetic(&topo, &mut Rng::new(0x51));
-        let target = Target::sqrt_iswap(topo).with_calibration(cal).unwrap();
-        let c = consolidate(&two_local_full(5, 1, 8));
-        let engine = TrialEngine::new(&c, &target);
-        for metric in [Metric::SwapCount, Metric::Depth, Metric::EstimatedSuccess] {
-            let opts = TrialOptions::quick(metric, 12);
-            let run = engine.run_candidates(true, &opts).unwrap();
-            let expected = run
-                .candidates
-                .iter()
-                .min_by(|a, b| {
-                    score(a, metric, &run.prices).total_cmp(&score(b, metric, &run.prices))
-                })
-                .unwrap();
-            let outcome = engine.run_detailed(true, &opts).unwrap();
-            assert_eq!(outcome.candidates, run.candidates.len());
-            assert_eq!(outcome.best.circuit, expected.routed.circuit);
-            assert_eq!(outcome.classes, expected.classes);
-            assert_eq!(outcome.strategy, expected.strategy);
-        }
     }
 
     #[test]

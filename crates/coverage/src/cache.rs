@@ -87,16 +87,6 @@ impl CostCache {
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
-
-    /// Hit rate in `[0, 1]` (0 when never queried).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 /// A thread-safe [`CostCache`] behind one mutex.
@@ -156,29 +146,9 @@ impl SharedCostCache {
         self.lock().get_or_insert_with(w, f)
     }
 
-    /// Look up without inserting.
-    pub fn peek(&self, w: &WeylCoord) -> Option<f64> {
-        self.lock().peek(w)
-    }
-
-    /// Number of cached classes.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// True when nothing is cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// `(hits, misses)` counters since construction.
     pub fn stats(&self) -> (u64, u64) {
         self.lock().stats()
-    }
-
-    /// Hit rate in `[0, 1]` (0 when never queried).
-    pub fn hit_rate(&self) -> f64 {
-        self.lock().hit_rate()
     }
 }
 
@@ -239,17 +209,6 @@ mod tests {
     }
 
     #[test]
-    fn hit_rate_reporting() {
-        let mut cache = CostCache::new(8);
-        assert_eq!(cache.hit_rate(), 0.0);
-        let w = WeylCoord::ISWAP;
-        cache.get_or_insert_with(&w, || 1.0);
-        cache.get_or_insert_with(&w, || 1.0);
-        assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
-        assert!(!cache.is_empty());
-    }
-
-    #[test]
     #[should_panic(expected = "capacity")]
     fn zero_capacity_panics() {
         CostCache::new(0);
@@ -268,27 +227,13 @@ mod tests {
                 });
             }
         });
-        let (hits, misses) = cache.stats();
-        assert_eq!(misses, 1);
-        assert_eq!(hits, 4);
-        assert!((cache.hit_rate() - 0.8).abs() < 1e-12);
-        assert_eq!(cache.len(), 1);
-        assert!(!cache.is_empty());
-    }
-
-    #[test]
-    fn shared_cache_peek() {
-        let cache = SharedCostCache::new(8);
-        let w = WeylCoord::ISWAP;
-        assert!(cache.peek(&w).is_none());
-        cache.get_or_insert_with(&w, || 1.5);
-        assert_eq!(cache.peek(&w), Some(1.5));
+        assert_eq!(cache.stats(), (4, 1));
     }
 
     #[test]
     fn capacity_one_holds_a_single_class() {
         // Every new class evicts the previous one.
-        let cache = SharedCostCache::new(1);
+        let mut cache = CostCache::new(1);
         let a = WeylCoord::canonicalize(0.1, 0.0, 0.0);
         let b = WeylCoord::canonicalize(0.2, 0.0, 0.0);
         cache.get_or_insert_with(&a, || 1.0);
@@ -296,6 +241,7 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert!(cache.peek(&a).is_none(), "a must have been evicted");
         assert_eq!(cache.peek(&b), Some(2.0));
+        assert!(!cache.is_empty());
     }
 
     #[test]
