@@ -136,6 +136,34 @@ pub struct TranspiledCircuit {
 }
 
 impl TranspiledCircuit {
+    /// The result for `routed`, its metrics read from its run's price table
+    /// through its instructions' class ids.
+    fn priced(
+        routed: RoutedCircuit,
+        prices: &PriceTable,
+        classes: &[ClassId],
+        used_vf2: bool,
+    ) -> TranspiledCircuit {
+        let metrics = Metrics {
+            depth_estimate: prices.depth_estimate(&routed.circuit, classes),
+            total_gate_cost: prices.total_gate_cost(&routed.circuit, classes),
+            two_qubit_gates: routed.circuit.two_qubit_gate_count(),
+            swaps_inserted: routed.swaps_inserted,
+            mirrors_accepted: routed.mirrors_accepted,
+            mirror_candidates: routed.mirror_candidates,
+            mirror_rate: routed.mirror_rate(),
+            estimated_success: prices.log_success(&routed, classes).exp(),
+        };
+        TranspiledCircuit {
+            metrics,
+            circuit: routed.circuit,
+            initial_layout: routed.initial_layout,
+            final_layout: routed.final_layout,
+            used_vf2,
+            generation: prices.snapshot().generation(),
+        }
+    }
+
     /// View the result as a [`RoutedCircuit`] (the shape the verifier and
     /// router-level tooling consume).
     pub fn as_routed(&self) -> RoutedCircuit {
@@ -189,36 +217,6 @@ impl std::fmt::Display for TranspileError {
 }
 
 impl std::error::Error for TranspileError {}
-
-impl TranspiledCircuit {
-    /// The result for `routed`, its metrics read from its run's price table
-    /// through its instructions' class ids.
-    fn priced(
-        routed: RoutedCircuit,
-        prices: &PriceTable,
-        classes: &[ClassId],
-        used_vf2: bool,
-    ) -> TranspiledCircuit {
-        let metrics = Metrics {
-            depth_estimate: prices.depth_estimate(&routed.circuit, classes),
-            total_gate_cost: prices.total_gate_cost(&routed.circuit, classes),
-            two_qubit_gates: routed.circuit.two_qubit_gate_count(),
-            swaps_inserted: routed.swaps_inserted,
-            mirrors_accepted: routed.mirrors_accepted,
-            mirror_candidates: routed.mirror_candidates,
-            mirror_rate: routed.mirror_rate(),
-            estimated_success: prices.log_success(&routed, classes).exp(),
-        };
-        TranspiledCircuit {
-            metrics,
-            circuit: routed.circuit,
-            initial_layout: routed.initial_layout,
-            final_layout: routed.final_layout,
-            used_vf2,
-            generation: prices.snapshot().generation(),
-        }
-    }
-}
 
 /// Transpile `circuit` onto `target`.
 ///
