@@ -117,6 +117,15 @@ fn banked_queries_match_legacy_on_all_stock_bases() {
 /// checked-in atlases.
 #[test]
 fn banked_queries_match_legacy_on_dense_custom_set() {
+    let set = dense_custom_set();
+    let mut rng = Rng::new(SEED ^ 1);
+    let pts = adversarial_points(&set, &mut rng, 3000);
+    assert_queries_identical(&set, &pts, "dense");
+}
+
+/// The dense mirror-inclusive custom configuration: more levels and more
+/// regions than any stock set.
+fn dense_custom_set() -> CoverageSet {
     let opts = CoverageOptions {
         max_k: 4,
         samples_per_k: 800,
@@ -124,10 +133,88 @@ fn banked_queries_match_legacy_on_dense_custom_set() {
         mirrors: true,
         seed: 0xD05E,
     };
-    let set = CoverageSet::build(BasisGate::iswap_root(2), &opts);
-    let mut rng = Rng::new(SEED ^ 1);
-    let pts = adversarial_points(&set, &mut rng, 3000);
-    assert_queries_identical(&set, &pts, "dense");
+    CoverageSet::build(BasisGate::iswap_root(2), &opts)
+}
+
+/// Pinned FNV-1a fingerprints of the query answers over each set's
+/// adversarial points: `(set, [min_k, cost_or_max bits, level_distance
+/// bits])`. The stock rows use the stock specs; `dense` is
+/// [`dense_custom_set`]. Any change to a query's answer on any point,
+/// down to the last bit of a distance, moves a pin.
+const QUERY_FNV: &[(&str, [u64; 3])] = &[
+    (
+        "sqrt_iswap",
+        [0x4DCE5326333D2F84, 0x35351CC60084DEAD, 0x281FF075F6A216C1],
+    ),
+    (
+        "cnot",
+        [0x8342D0AC2CED0E04, 0xE3C7174F515E88DD, 0xFD2A6E81CAE53A8C],
+    ),
+    (
+        "cz",
+        [0x3FE3072897F93BC4, 0x6AE2FDCDA77F07BD, 0xBCF1334EB827E2EE],
+    ),
+    (
+        "iswap_1_3",
+        [0x9A7B096E9B93FB44, 0x28BCA660DBA143FE, 0x587A320414237128],
+    ),
+    (
+        "dense",
+        [0x4843A8966EA6B465, 0xDA339CB0ECDE8F85, 0xAED8DB34918FC14D],
+    ),
+];
+
+/// Fold `min_k`, `cost_or_max` and `level_distance` (every built level
+/// plus one past the deepest, which must answer `None`) over the set's
+/// adversarial points into three FNV-1a fingerprints. The point stream is
+/// seeded per set label, so each row is independent of the others.
+fn query_fingerprints(label: &str, set: &CoverageSet) -> [u64; 3] {
+    let mut rng = Rng::new(SEED ^ fnv1a(label.as_bytes()));
+    let pts = adversarial_points(set, &mut rng, 2000);
+    let (mut mk, mut cost, mut dist) = (Vec::new(), Vec::new(), Vec::new());
+    for w in &pts {
+        let k = set.min_k(w).map_or(u64::MAX, |k| k as u64);
+        mk.extend_from_slice(&k.to_le_bytes());
+        cost.extend_from_slice(&set.cost_or_max(w).to_bits().to_le_bytes());
+        for k in 1..=set.levels.len() + 1 {
+            let d = set.level_distance(k, w).map(f64::to_bits);
+            dist.extend_from_slice(&d.unwrap_or(u64::MAX).to_le_bytes());
+        }
+    }
+    [fnv1a(&mk), fnv1a(&cost), fnv1a(&dist)]
+}
+
+#[test]
+fn query_answers_match_pins() {
+    let mut sets: Vec<(String, CoverageSet)> = stock_specs()
+        .into_iter()
+        .map(|(basis, opts)| {
+            let set = load_stock(&basis, &opts)
+                .unwrap_or_else(|| panic!("{}: embedded atlas failed to decode", basis.name));
+            (basis.name, set)
+        })
+        .collect();
+    sets.push(("dense".to_owned(), dense_custom_set()));
+    let mut drift = Vec::new();
+    for (label, set) in &sets {
+        let got = query_fingerprints(label, set);
+        let pin = QUERY_FNV
+            .iter()
+            .find(|p| p.0 == label.as_str())
+            .map(|p| p.1);
+        if pin != Some(got) {
+            drift.push(format!(
+                "    (\"{label}\", [0x{:016X}, 0x{:016X}, 0x{:016X}]),",
+                got[0], got[1], got[2]
+            ));
+        }
+    }
+    assert!(
+        drift.is_empty(),
+        "query fingerprints drifted from the pins; current values:\n{}",
+        drift.join("\n")
+    );
+    assert_eq!(QUERY_FNV.len(), sets.len(), "a pinned set has no query row");
 }
 
 /// Bank membership and Dykstra distance agree with the per-polytope
