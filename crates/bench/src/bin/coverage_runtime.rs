@@ -1,9 +1,9 @@
-//! The coverage-geometry perf gate: the banked + atlas query flow vs the
-//! seed-era per-level polytope walk.
+//! The coverage-geometry perf gate: a session that loads the checked-in
+//! atlas against one that builds the coverage set fresh.
 //!
-//! For each stock basis (√iSWAP, CNOT, CZ, and the mirror-inclusive
-//! iSWAP^(1/3) — see `stock_specs`) this bin builds the coverage set,
-//! collects three query suites —
+//! For each stock basis (√iSWAP, CNOT, CZ — see `stock_specs`) this bin
+//! builds the coverage set, decodes its checked-in atlas, collects three
+//! query suites —
 //!
 //! - **hit**: points inside the depth-1 region (jittered gate-class
 //!   coordinates), answered after one polytope's rows;
@@ -11,25 +11,20 @@
 //! - **deep-miss**: Haar points at k ≥ 3 (or uncovered), walking every
 //!   non-full level before the terminal full one —
 //!
-//! and times `CoverageSet::min_k` on the packed [`PolytopeBank`] against
-//! `min_k_legacy_geom` (the retained seed-code walk) over each suite,
-//! best-of-3, reporting ns/query. Every collected point is first asserted
-//! to give the *same* `min_k` and bit-identical `cost_or_max` on both
-//! paths, so a speedup can never hide a semantic drift.
+//! and times `CoverageSet::min_k` over each suite, best-of-3, reporting
+//! ns/query. Every collected point is first asserted to give the same
+//! `min_k` and bit-identical `cost_or_max` on the atlas-loaded set as on
+//! the fresh build, so a stale atlas can never hide behind a fast load.
 //!
-//! **The gated metric is session query throughput.** The seed-era flow
-//! pays `CoverageSet::build` (sampling + quickhull, ~150 ms) at first use
-//! on every fresh process before the first query can be answered; the
-//! banked flow decodes the checked-in atlas instead (~0.1 ms). A *session*
-//! is that setup plus the sweep's own query volume (`target_queries` per
-//! basis), the same shape as a transpile/serve process: setup once, then a
-//! stream of cost-cache-miss queries. Hot per-query ns are reported
-//! per-suite as honest columns — on the dozen-row stock banks both walks
-//! sit within a few ns of the hardware floor, where code-alignment noise
-//! dominates the ratio; which is exactly why the checked-in atlases, not
-//! micro-tier tricks, carry the end-to-end win.
+//! **The gated metric is session query throughput.** A *session* is the
+//! setup a fresh process pays before its first query plus the sweep's own
+//! query volume (`target_queries` per basis), the same shape as a
+//! transpile/serve process: setup once, then a stream of cost-cache-miss
+//! queries. The fresh session pays `CoverageSet::build` (sampling +
+//! quickhull, ~150 ms); the atlas session decodes the checked-in bytes
+//! instead (~0.01 ms). Both answer the queries on the same walk.
 //!
-//! Hard gates (nonzero exit): bank/legacy answer mismatch, pinned atlas
+//! Hard gates (nonzero exit): atlas/fresh answer mismatch, pinned atlas
 //! fingerprint drift, and aggregate session throughput below 2×.
 //!
 //! Usage: `coverage_runtime [--quick] [--out PATH] [--regen-atlases]`
@@ -37,8 +32,6 @@
 //! `--regen-atlases` rebuilds the stock sets and rewrites the checked-in
 //! atlas files (run after an intentional geometry change, then update
 //! `ATLAS_FNV` below from its output).
-//!
-//! [`PolytopeBank`]: mirage_coverage::geom::PolytopeBank
 
 use mirage_bench::print_table;
 use mirage_coverage::atlas::{encode, fnv1a, load_stock, stock_atlas_bytes, stock_specs};
@@ -60,7 +53,6 @@ const ATLAS_FNV: &[(&str, u64)] = &[
     ("sqrt_iswap", 0x6B4813656F018AEE),
     ("cnot", 0x73D34D4A088658C0),
     ("cz", 0x123F5E69DD3B2397),
-    ("iswap_1_3", 0x50E6BA3F58F08303),
 ];
 
 struct Suite {
@@ -71,70 +63,48 @@ struct Suite {
 struct SuiteTiming {
     name: &'static str,
     points: usize,
-    bank_ns: f64,
-    legacy_ns: f64,
-}
-
-impl SuiteTiming {
-    fn speedup(&self) -> f64 {
-        if self.bank_ns <= 0.0 {
-            0.0
-        } else {
-            self.legacy_ns / self.bank_ns
-        }
-    }
+    query_ns: f64,
 }
 
 struct Measured {
     basis: String,
     build_ms: f64,
-    atlas_load_ms: Option<f64>,
-    atlas_fingerprint: Option<u64>,
+    atlas_load_ms: f64,
+    atlas_fingerprint: u64,
     /// Query volume a session is modeled to serve (per basis).
     target_queries: usize,
     suites: Vec<SuiteTiming>,
 }
 
 impl Measured {
-    /// Point-weighted mean ns/query across this basis's suites.
-    fn mean_ns(&self, pick: impl Fn(&SuiteTiming) -> f64) -> f64 {
-        let (mut ns, mut n) = (0.0, 0.0);
-        for s in &self.suites {
-            ns += pick(s) * s.points as f64;
-            n += s.points as f64;
-        }
-        if n <= 0.0 {
-            0.0
-        } else {
-            ns / n
-        }
+    /// Time to answer the session's query volume at the point-weighted
+    /// mean ns/query across this basis's suites.
+    fn queries_ms(&self) -> f64 {
+        let ns: f64 = self
+            .suites
+            .iter()
+            .map(|s| s.query_ns * s.points as f64)
+            .sum();
+        let n: usize = self.suites.iter().map(|s| s.points).sum();
+        self.target_queries as f64 * ns / n.max(1) as f64 / 1e6
     }
 
-    /// Seed-era session: build the set from scratch, then answer the
-    /// query volume on the legacy walk.
-    fn legacy_session_ms(&self) -> f64 {
-        self.build_ms + self.target_queries as f64 * self.mean_ns(|s| s.legacy_ns) / 1e6
+    /// Fresh-process session: build the set, then answer the volume.
+    fn fresh_session_ms(&self) -> f64 {
+        self.build_ms + self.queries_ms()
     }
 
-    /// Banked session: decode the checked-in atlas (fall back to a fresh
-    /// build when none decodes), then answer the volume on the bank.
-    fn banked_session_ms(&self) -> f64 {
-        self.atlas_load_ms.unwrap_or(self.build_ms)
-            + self.target_queries as f64 * self.mean_ns(|s| s.bank_ns) / 1e6
+    /// Atlas session: decode the checked-in atlas, then answer the volume.
+    fn atlas_session_ms(&self) -> f64 {
+        self.atlas_load_ms + self.queries_ms()
     }
 
     fn session_speedup(&self) -> f64 {
-        let b = self.banked_session_ms();
-        if b <= 0.0 {
-            0.0
-        } else {
-            self.legacy_session_ms() / b
-        }
+        self.fresh_session_ms() / self.atlas_session_ms()
     }
 }
 
-/// Collect the hit / miss / deep-miss suites for one coverage set,
-/// classifying with the legacy walk (the reference semantics).
+/// Collect the hit / miss / deep-miss suites for one coverage set.
 fn collect_suites(set: &CoverageSet, basis: &BasisGate, per_suite: usize) -> Vec<Suite> {
     let mut rng = Rng::new(POINT_SEED ^ fnv1a(basis.name.as_bytes()));
     let mut hit = Vec::new();
@@ -155,7 +125,7 @@ fn collect_suites(set: &CoverageSet, basis: &BasisGate, per_suite: usize) -> Vec
             c.b + rng.uniform_range(-j, j),
             c.c + rng.uniform_range(-j, j),
         );
-        if set.min_k_legacy_geom(&w) == Some(1) {
+        if set.min_k(&w) == Some(1) {
             hit.push(w);
         }
     }
@@ -169,7 +139,7 @@ fn collect_suites(set: &CoverageSet, basis: &BasisGate, per_suite: usize) -> Vec
         let l = Mat4::kron(&haar_1q(&mut rng), &haar_1q(&mut rng));
         let u = basis.unitary.mul(&l).mul(&basis.unitary);
         let w = coords_of(&u);
-        if set.min_k_legacy_geom(&w) == Some(2) {
+        if set.min_k(&w) == Some(2) {
             miss.push(w);
         }
     }
@@ -180,7 +150,7 @@ fn collect_suites(set: &CoverageSet, basis: &BasisGate, per_suite: usize) -> Vec
     while deep.len() < per_suite && draws < MAX_DRAWS {
         draws += 1;
         let w = coords_of(&haar_2q(&mut rng));
-        match set.min_k_legacy_geom(&w) {
+        match set.min_k(&w) {
             Some(k) if k >= 3 => deep.push(w),
             None => deep.push(w),
             _ => {}
@@ -212,21 +182,25 @@ fn collect_suites(set: &CoverageSet, basis: &BasisGate, per_suite: usize) -> Vec
     suites
 }
 
-/// Both paths must agree exactly on every point before any timing counts.
-fn assert_identical(set: &CoverageSet, basis: &str, suites: &[Suite]) {
+/// The atlas-loaded set must answer exactly like the fresh build on every
+/// collected point before any timing counts.
+fn assert_identical(fresh: &CoverageSet, loaded: &CoverageSet, suites: &[Suite]) {
+    let basis = &fresh.basis.name;
     for s in suites {
         for w in &s.points {
-            let bank = set.min_k(w);
-            let legacy = set.min_k_legacy_geom(w);
             assert_eq!(
-                bank, legacy,
+                loaded.min_k(w),
+                fresh.min_k(w),
                 "{basis}/{}: min_k diverged at ({}, {}, {})",
-                s.name, w.a, w.b, w.c
+                s.name,
+                w.a,
+                w.b,
+                w.c
             );
-            let (cb, cl) = (set.cost_or_max(w), set.cost_or_max_legacy_geom(w));
+            let (cl, cf) = (loaded.cost_or_max(w), fresh.cost_or_max(w));
             assert!(
-                cb.to_bits() == cl.to_bits(),
-                "{basis}/{name}: cost_or_max diverged ({cb} vs {cl})",
+                cl.to_bits() == cf.to_bits(),
+                "{basis}/{name}: cost_or_max diverged ({cl} vs {cf})",
                 name = s.name
             );
         }
@@ -253,49 +227,38 @@ fn time_queries(points: &[WeylCoord], reps: usize, mut f: impl FnMut(&WeylCoord)
 
 fn measure(basis: &BasisGate, opts: &CoverageOptions, quick: bool) -> Measured {
     let t0 = Instant::now();
-    let set = CoverageSet::build(basis.clone(), opts);
+    let fresh = CoverageSet::build(basis.clone(), opts);
     let build_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    // Atlas load path: decode the embedded bytes and prove the loaded set
-    // is the same geometry (bank rows compare bit-for-bit).
-    let bytes = stock_atlas_bytes(&basis.name);
-    let (atlas_load_ms, atlas_fingerprint) = match bytes {
-        Some(b) if !b.is_empty() => {
-            let t0 = Instant::now();
-            let loaded = load_stock(basis, opts);
-            let dt = t0.elapsed().as_secs_f64() * 1e3;
-            match loaded {
-                Some(l) => {
-                    assert!(
-                        l.bank() == set.bank(),
-                        "{}: atlas-loaded bank differs from freshly built set",
-                        basis.name
-                    );
-                    (Some(dt), Some(fnv1a(b)))
-                }
-                None => (None, Some(fnv1a(b))),
-            }
-        }
-        _ => (None, None),
-    };
+    let bytes = stock_atlas_bytes(&basis.name)
+        .unwrap_or_else(|| panic!("{}: no embedded atlas", basis.name));
+    let t0 = Instant::now();
+    let loaded = load_stock(basis, opts).unwrap_or_else(|| {
+        panic!(
+            "{}: embedded atlas failed to decode (run --regen-atlases)",
+            basis.name
+        )
+    });
+    let atlas_load_ms = t0.elapsed().as_secs_f64() * 1e3;
+    assert!(
+        loaded.levels == fresh.levels,
+        "{}: atlas-loaded levels differ from the freshly built set",
+        basis.name
+    );
 
     let per_suite = if quick { 60 } else { 200 };
     let target_queries = if quick { 20_000 } else { 100_000 };
-    let suites = collect_suites(&set, basis, per_suite);
-    assert_identical(&set, &basis.name, &suites);
+    let suites = collect_suites(&fresh, basis, per_suite);
+    assert_identical(&fresh, &loaded, &suites);
 
     let timings = suites
         .iter()
         .map(|s| {
             let reps = (target_queries / s.points.len()).max(1);
-            let bank_ns = time_queries(&s.points, reps, |w| set.min_k(w).unwrap_or(99));
-            let legacy_ns =
-                time_queries(&s.points, reps, |w| set.min_k_legacy_geom(w).unwrap_or(99));
             SuiteTiming {
                 name: s.name,
                 points: s.points.len(),
-                bank_ns,
-                legacy_ns,
+                query_ns: time_queries(&s.points, reps, |w| loaded.min_k(w).unwrap_or(99)),
             }
         })
         .collect();
@@ -304,7 +267,7 @@ fn measure(basis: &BasisGate, opts: &CoverageOptions, quick: bool) -> Measured {
         basis: basis.name.clone(),
         build_ms,
         atlas_load_ms,
-        atlas_fingerprint,
+        atlas_fingerprint: fnv1a(bytes),
         target_queries,
         suites: timings,
     }
@@ -314,24 +277,17 @@ fn check_atlas_pins(rows: &[Measured]) -> bool {
     let mut ok = true;
     for row in rows {
         let pinned = ATLAS_FNV.iter().find(|(n, _)| *n == row.basis);
-        match (pinned, row.atlas_fingerprint) {
-            (Some(&(_, want)), Some(got)) => {
-                if want != got {
-                    eprintln!(
-                        "ATLAS DRIFT {}: fingerprint 0x{got:016X}, pinned 0x{want:016X}",
-                        row.basis
-                    );
-                    ok = false;
-                }
-            }
-            (Some(_), None) => {
+        let got = row.atlas_fingerprint;
+        match pinned {
+            Some(&(_, want)) if want != got => {
                 eprintln!(
-                    "ATLAS MISSING {}: no embedded atlas decoded (run --regen-atlases)",
+                    "ATLAS DRIFT {}: fingerprint 0x{got:016X}, pinned 0x{want:016X}",
                     row.basis
                 );
                 ok = false;
             }
-            (None, _) => {
+            Some(_) => {}
+            None => {
                 eprintln!("ATLAS: no pinned fingerprint for {}", row.basis);
                 ok = false;
             }
@@ -340,33 +296,12 @@ fn check_atlas_pins(rows: &[Measured]) -> bool {
     ok
 }
 
-/// Point-weighted hot-cache query speedup across every suite — the honest
-/// "both walks sit near the floor on stock banks" column.
-fn aggregate_hot_speedup(rows: &[Measured]) -> f64 {
-    let (mut bank, mut legacy) = (0.0, 0.0);
-    for r in rows {
-        for s in &r.suites {
-            bank += s.bank_ns * s.points as f64;
-            legacy += s.legacy_ns * s.points as f64;
-        }
-    }
-    if bank <= 0.0 {
-        0.0
-    } else {
-        legacy / bank
-    }
-}
-
 /// The gated number: total session time (setup + query volume) across all
-/// stock bases, seed-era flow over banked flow.
+/// stock bases, fresh build over atlas load.
 fn aggregate_session_speedup(rows: &[Measured]) -> f64 {
-    let legacy: f64 = rows.iter().map(Measured::legacy_session_ms).sum();
-    let banked: f64 = rows.iter().map(Measured::banked_session_ms).sum();
-    if banked <= 0.0 {
-        0.0
-    } else {
-        legacy / banked
-    }
+    let fresh: f64 = rows.iter().map(Measured::fresh_session_ms).sum();
+    let atlas: f64 = rows.iter().map(Measured::atlas_session_ms).sum();
+    fresh / atlas
 }
 
 fn write_json(path: &str, mode: &str, rows: &[Measured]) -> std::io::Result<()> {
@@ -379,35 +314,26 @@ fn write_json(path: &str, mode: &str, rows: &[Measured]) -> std::io::Result<()> 
     ));
     s.push_str("  \"cases\": [\n");
     for (i, r) in rows.iter().enumerate() {
-        let load = r
-            .atlas_load_ms
-            .map_or("null".to_owned(), |v| format!("{v:.3}"));
-        let fp = r
-            .atlas_fingerprint
-            .map_or("null".to_owned(), |v| format!("\"0x{v:016X}\""));
         s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"build_ms\": {:.3}, \"atlas_load_ms\": {}, \
-             \"atlas_fingerprint\": {}, \"target_queries\": {}, \
-             \"legacy_session_ms\": {:.3}, \"banked_session_ms\": {:.3}, \
+            "    {{\"name\": \"{}\", \"build_ms\": {:.3}, \"atlas_load_ms\": {:.3}, \
+             \"atlas_fingerprint\": \"0x{:016X}\", \"target_queries\": {}, \
+             \"fresh_session_ms\": {:.3}, \"atlas_session_ms\": {:.3}, \
              \"session_speedup\": {:.1}, \"suites\": [",
             r.basis,
             r.build_ms,
-            load,
-            fp,
+            r.atlas_load_ms,
+            r.atlas_fingerprint,
             r.target_queries,
-            r.legacy_session_ms(),
-            r.banked_session_ms(),
+            r.fresh_session_ms(),
+            r.atlas_session_ms(),
             r.session_speedup()
         ));
         for (j, t) in r.suites.iter().enumerate() {
             s.push_str(&format!(
-                "{{\"suite\": \"{}\", \"points\": {}, \"bank_ns\": {:.1}, \
-                 \"legacy_ns\": {:.1}, \"speedup\": {:.2}}}{}",
+                "{{\"suite\": \"{}\", \"points\": {}, \"query_ns\": {:.1}}}{}",
                 t.name,
                 t.points,
-                t.bank_ns,
-                t.legacy_ns,
-                t.speedup(),
+                t.query_ns,
                 if j + 1 == r.suites.len() { "" } else { ", " }
             ));
         }
@@ -418,8 +344,7 @@ fn write_json(path: &str, mode: &str, rows: &[Measured]) -> std::io::Result<()> 
     }
     s.push_str("  ],\n");
     s.push_str(&format!(
-        "  \"hot_query_speedup\": {:.2},\n  \"session_speedup\": {:.1}\n",
-        aggregate_hot_speedup(rows),
+        "  \"session_speedup\": {:.1}\n",
         aggregate_session_speedup(rows)
     ));
     s.push_str("}\n");
@@ -463,7 +388,7 @@ fn main() {
         .unwrap_or_else(|| "BENCH_coverage.json".to_owned());
 
     let mode = if quick { "quick" } else { "full" };
-    println!("coverage_runtime — banked vs legacy geometry, best-of-{BEST_OF} ({mode})\n");
+    println!("coverage_runtime — atlas load vs fresh build, best-of-{BEST_OF} ({mode})\n");
 
     let rows: Vec<Measured> = stock_specs()
         .iter()
@@ -476,16 +401,11 @@ fn main() {
             table.push(vec![
                 format!("{}/{}", r.basis, t.name),
                 t.points.to_string(),
-                format!("{:.0}", t.bank_ns),
-                format!("{:.0}", t.legacy_ns),
-                format!("{:.2}x", t.speedup()),
+                format!("{:.1}", t.query_ns),
             ]);
         }
     }
-    print_table(
-        &["case", "points", "bank ns/q", "legacy ns/q", "speedup"],
-        &table,
-    );
+    print_table(&["case", "points", "query ns"], &table);
 
     println!();
     let session: Vec<Vec<String>> = rows
@@ -494,11 +414,10 @@ fn main() {
             vec![
                 r.basis.clone(),
                 format!("{:.1}", r.build_ms),
-                r.atlas_load_ms
-                    .map_or("-".to_owned(), |v| format!("{v:.3}")),
+                format!("{:.3}", r.atlas_load_ms),
                 r.target_queries.to_string(),
-                format!("{:.1}", r.legacy_session_ms()),
-                format!("{:.1}", r.banked_session_ms()),
+                format!("{:.1}", r.fresh_session_ms()),
+                format!("{:.1}", r.atlas_session_ms()),
                 format!("{:.0}x", r.session_speedup()),
             ]
         })
@@ -509,17 +428,15 @@ fn main() {
             "build ms",
             "atlas ms",
             "queries",
-            "legacy session ms",
-            "banked session ms",
+            "fresh session ms",
+            "atlas session ms",
             "speedup",
         ],
         &session,
     );
 
-    let hot = aggregate_hot_speedup(&rows);
     let agg = aggregate_session_speedup(&rows);
-    println!("\nhot query speedup (point-weighted): {hot:.2}x");
-    println!("session throughput speedup (gated, >= 2x): {agg:.1}x");
+    println!("\nsession throughput speedup (gated, >= 2x): {agg:.1}x");
 
     let pins_ok = check_atlas_pins(&rows);
     match write_json(&out_path, mode, &rows) {

@@ -527,33 +527,20 @@ mod tests {
         // The shared statics resolve through `atlas::stock_set`; the
         // per-target fallback options built here must describe the same
         // sets, or a custom `Target::new` with these options would diverge
-        // from the atlas-backed stock targets. Only the three bases behind
-        // `Target`'s constructors must match — the dense mirror-inclusive
-        // iswap_1_3 atlas exists to exercise the grid-classifier query
-        // path and deliberately uses deeper, mirror-inclusive options.
+        // from the atlas-backed stock targets.
         let specs = mirage_coverage::atlas::stock_specs();
-        let mut target_backed = 0;
+        let names: Vec<&str> = specs.iter().map(|(b, _)| b.name.as_str()).collect();
+        assert_eq!(names, ["sqrt_iswap", "cnot", "cz"]);
         for (basis, opts) in &specs {
-            match basis.name.as_str() {
-                "sqrt_iswap" | "cnot" | "cz" => {
-                    target_backed += 1;
-                    assert_eq!(
-                        &default_coverage_options(opts.seed),
-                        opts,
-                        "stock spec drifted for {}",
-                        basis.name
-                    );
-                }
-                "iswap_1_3" => assert!(
-                    opts.mirrors && opts.max_k > default_coverage_options(opts.seed).max_k,
-                    "iswap_1_3 exists to cover the dense/grid path"
-                ),
-                other => panic!("unexpected stock spec {other}"),
-            }
+            assert_eq!(
+                &default_coverage_options(opts.seed),
+                opts,
+                "stock spec drifted for {}",
+                basis.name
+            );
         }
-        assert_eq!(target_backed, 3, "a Target-backed stock basis vanished");
         let seeds: Vec<u64> = specs.iter().map(|(_, o)| o.seed).collect();
-        assert_eq!(seeds, [0xC0FFEE, 0xC407, 0xC2, 0xC133]);
+        assert_eq!(seeds, [0xC0FFEE, 0xC407, 0xC2]);
     }
 
     #[test]

@@ -108,8 +108,6 @@ pub fn distance_oracle<'a>(
 ) -> impl Fn(&Mat4, usize) -> Option<f64> + 'a {
     move |target: &Mat4, k: usize| {
         let w = coords_of(target);
-        // Banked distance: same Dykstra iteration as the per-level polytope
-        // walk, on the packed rows (value-identical, allocation-free).
         let d = set.level_distance(k, &w)?;
         Some((1.0 - beta * d * d).max(0.0))
     }

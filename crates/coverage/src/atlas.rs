@@ -18,9 +18,7 @@
 //! ```
 //!
 //! Every `f64` is stored via [`f64::to_bits`], so a decoded set is
-//! bit-identical to the encoded one; the derived [`PolytopeBank`] is then
-//! identical too (bank construction is deterministic in the levels).
-//! [`decode`] verifies the magic, version, checksum, *and* that the header
+//! bit-identical to the encoded one. [`decode`] verifies the magic, version, checksum, *and* that the header
 //! matches the caller's requested basis + options — any mismatch returns
 //! `None` and the caller falls back to a fresh [`CoverageSet::build`], so
 //! a stale or corrupt atlas can never change results, only cost time.
@@ -29,9 +27,8 @@
 //! embedded with `include_bytes!`; regenerate them after any change to the
 //! hull or sampling code with `cargo run --release -p mirage-bench --bin
 //! coverage_runtime -- --regen-atlases` (the pinned-fingerprint test in
-//! `tests/coverage_geometry.rs` fails until the files and pins agree).
-//!
-//! [`PolytopeBank`]: crate::geom::PolytopeBank
+//! `crates/coverage/tests/coverage_geometry.rs` fails until the files and
+//! pins agree).
 
 use crate::geom::{ConvexPolytope, Halfspace};
 use crate::set::{BasisGate, CoverageLevel, CoverageOptions, CoverageSet};
@@ -252,17 +249,19 @@ pub fn decode(bytes: &[u8], basis: &BasisGate, opts: &CoverageOptions) -> Option
     if c.pos != body.len() || levels.is_empty() {
         return None;
     }
-    Some(CoverageSet::from_parts(basis.clone(), levels, mirrors, tol))
+    Some(CoverageSet {
+        basis: basis.clone(),
+        levels,
+        mirrors,
+        tol,
+    })
 }
 
 /// The stock `(basis, build options)` pairs whose coverage sets ship as
 /// checked-in atlases — the sets behind `Target::sqrt_iswap`,
 /// `Target::cnot`, and `Target::cz` (paper-default construction
-/// parameters; seeds match `mirage-core`'s shared statics), plus the
-/// mirror-inclusive `iSWAP^(1/3)` set (paper §III-B): a dense union-of-
-/// polytopes geometry whose bank is large enough to exercise the grid
-/// classifier query path.
-pub fn stock_specs() -> [(BasisGate, CoverageOptions); 4] {
+/// parameters; seeds match `mirage-core`'s shared statics).
+pub fn stock_specs() -> [(BasisGate, CoverageOptions); 3] {
     let opts = |seed: u64| CoverageOptions {
         max_k: 3,
         samples_per_k: 1200,
@@ -274,16 +273,6 @@ pub fn stock_specs() -> [(BasisGate, CoverageOptions); 4] {
         (BasisGate::iswap_root(2), opts(0xC0FFEE)),
         (BasisGate::cnot(), opts(0xC407)),
         (BasisGate::cz(), opts(0xC2)),
-        (
-            BasisGate::iswap_root(3),
-            CoverageOptions {
-                max_k: 5,
-                samples_per_k: 1200,
-                inflation: 0.012,
-                mirrors: true,
-                seed: 0xC133,
-            },
-        ),
     ]
 }
 
@@ -301,10 +290,6 @@ pub fn stock_atlas_bytes(name: &str) -> Option<&'static [u8]> {
         "cz" => Some(include_bytes!(concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/atlases/cz.atlas"
-        ))),
-        "iswap_1_3" => Some(include_bytes!(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/atlases/iswap_1_3.atlas"
         ))),
         _ => None,
     }
@@ -354,7 +339,6 @@ mod tests {
         assert_eq!(loaded.levels, set.levels);
         assert_eq!(loaded.mirrors, set.mirrors);
         assert!(loaded.tol.to_bits() == set.tol.to_bits());
-        assert_eq!(loaded.bank(), set.bank(), "derived banks must match");
     }
 
     #[test]
@@ -387,21 +371,13 @@ mod tests {
     }
 
     #[test]
-    fn stock_specs_cover_target_bases_plus_dense_grid_config() {
+    fn stock_specs_cover_target_bases() {
         let names: Vec<String> = stock_specs().iter().map(|(b, _)| b.name.clone()).collect();
-        assert_eq!(names, ["sqrt_iswap", "cnot", "cz", "iswap_1_3"]);
+        assert_eq!(names, ["sqrt_iswap", "cnot", "cz"]);
         for (basis, opts) in stock_specs() {
-            assert_eq!(opts.samples_per_k, 1200);
-            if basis.name == "iswap_1_3" {
-                // The dense atlas: mirror-inclusive and deep enough to
-                // cross the grid-classifier row threshold.
-                assert!(opts.mirrors);
-                assert_eq!(opts.max_k, 5);
-            } else {
-                // The three `Target`-backed stock sets.
-                assert!(!opts.mirrors);
-                assert_eq!(opts.max_k, 3);
-            }
+            assert_eq!(opts.samples_per_k, 1200, "{}", basis.name);
+            assert!(!opts.mirrors, "{}", basis.name);
+            assert_eq!(opts.max_k, 3, "{}", basis.name);
         }
     }
 }

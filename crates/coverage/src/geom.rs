@@ -12,12 +12,6 @@
 //!   ([`ConvexPolytope::nearest_point`], Dykstra's algorithm), geometric
 //!   volume, and outward inflation (used to absorb the inward bias of
 //!   sampled hulls).
-//! * [`PolytopeBank`] — the query-path representation: every polytope's
-//!   halfspace rows packed into contiguous structure-of-arrays columns,
-//!   fronted by a loose tier (bounding box + a few dominant rows) that
-//!   rejects most points before the strict full-H-rep scan. Queries are
-//!   allocation-free and return answers identical to the `ConvexPolytope`
-//!   they were built from.
 
 /// A closed halfspace `{ x : n·x ≤ d }` with unit normal `n`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -376,16 +370,12 @@ impl ConvexPolytope {
         centroid = scale(centroid, 1.0 / self.vertices.len() as f64);
         let mut vol = 0.0;
         for f in &faces {
-            let a = sub(self.vertices_nearest(f.pa), centroid);
-            let b = sub(self.vertices_nearest(f.pb), centroid);
-            let c = sub(self.vertices_nearest(f.pc), centroid);
+            let a = sub(f.pa, centroid);
+            let b = sub(f.pb, centroid);
+            let c = sub(f.pc, centroid);
             vol += dot(a, cross(b, c)).abs() / 6.0;
         }
         vol
-    }
-
-    fn vertices_nearest(&self, p: [f64; 3]) -> [f64; 3] {
-        p
     }
 
     /// Centroid of the vertex set (not the volumetric centroid).
@@ -684,362 +674,6 @@ fn quickhull3(pts: &[[f64; 3]]) -> Option<Vec<Face>> {
     Some(faces)
 }
 
-/// Largest membership tolerance for which the loose tier (bounding box +
-/// dominant rows) is consulted. The box is inflated by this much, so any
-/// query with `tol ≤ LOOSE_TOL_CAP` that the box rejects is genuinely
-/// outside; larger tolerances skip straight to the strict scan.
-pub(crate) const LOOSE_TOL_CAP: f64 = 1e-4;
-
-/// Extra conservative slack added to the loose bounding box beyond
-/// [`LOOSE_TOL_CAP`], absorbing the rounding of the corner solves.
-const LOOSE_BOX_MARGIN: f64 = 1e-7;
-
-/// Final outward padding of the loose box. Generous on purpose: corner
-/// solves near-singular triples are skipped, and a box that is ~1e-3 too
-/// wide rejects essentially no fewer points at Weyl-chamber scale (~0.8)
-/// while guaranteeing no boundary point is ever wrongly pruned.
-const LOOSE_BOX_PAD: f64 = 1e-3;
-
-/// Maximum number of dominant rows per polytope in the loose tier.
-const MAX_DOMINANT: usize = 4;
-
-/// Per-polytope metadata inside a [`PolytopeBank`]: the row range in the
-/// shared columns, the loose bounding box, and up to [`MAX_DOMINANT`]
-/// dominant rows (indices into the shared columns) tried before the strict
-/// scan.
-#[derive(Debug, Clone, PartialEq)]
-struct BankPoly {
-    /// Half-open row range `[start, end)` in the bank columns, in the
-    /// original `ConvexPolytope::halfspaces` order (Dykstra projection
-    /// results depend on iteration order, so this preserves bit-identical
-    /// distances).
-    rows: (u32, u32),
-    /// Loose bounding box, conservatively outside the `LOOSE_TOL_CAP`
-    /// membership set.
-    lo: [f64; 3],
-    hi: [f64; 3],
-    /// Dominant rows: a subset of this polytope's own rows with the highest
-    /// measured rejection power, tried first. Being a subset of the strict
-    /// rows, rejecting on them is structurally exact.
-    dominant: [u32; MAX_DOMINANT],
-    n_dominant: u8,
-}
-
-/// A flat, cache-friendly bank of halfspace polytopes.
-///
-/// All polytopes' halfspace rows live in four contiguous
-/// structure-of-arrays columns (`nx, ny, nz, offset`); each polytope is a
-/// row range plus a *loose tier* — an axis-aligned bounding box and a few
-/// dominant rows — that rejects most outside points before the strict
-/// full-H-rep scan. [`PolytopeBank::contains`] and
-/// [`PolytopeBank::distance`] answer exactly what the source
-/// [`ConvexPolytope`]s would (`contains` is the same boolean, `distance`
-/// the same Dykstra iteration bit for bit) while performing zero heap
-/// allocation per query.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PolytopeBank {
-    nx: Vec<f64>,
-    ny: Vec<f64>,
-    nz: Vec<f64>,
-    off: Vec<f64>,
-    polys: Vec<BankPoly>,
-}
-
-thread_local! {
-    /// Reusable Dykstra correction buffer: sized to the largest polytope
-    /// seen by this thread, so steady-state `distance` queries allocate
-    /// nothing.
-    static DYKSTRA_SCRATCH: std::cell::RefCell<Vec<[f64; 3]>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-impl PolytopeBank {
-    /// An empty bank.
-    pub fn new() -> PolytopeBank {
-        PolytopeBank::default()
-    }
-
-    /// Number of polytopes in the bank.
-    pub fn poly_count(&self) -> u32 {
-        self.polys.len() as u32
-    }
-
-    /// Number of halfspace rows across all polytopes.
-    pub fn row_count(&self) -> usize {
-        self.off.len()
-    }
-
-    /// The polytope's loose bounding box (conservatively padded — see
-    /// `loose_bbox`). Used to assemble per-level union boxes.
-    pub(crate) fn poly_box(&self, id: u32) -> ([f64; 3], [f64; 3]) {
-        let poly = &self.polys[id as usize];
-        (poly.lo, poly.hi)
-    }
-
-    /// Append a polytope's halfspaces to the bank, computing its loose
-    /// tier. Returns the polytope's bank id.
-    pub fn push(&mut self, poly: &ConvexPolytope) -> u32 {
-        let start = self.off.len() as u32;
-        for h in &poly.halfspaces {
-            self.nx.push(h.n[0]);
-            self.ny.push(h.n[1]);
-            self.nz.push(h.n[2]);
-            self.off.push(h.d);
-        }
-        let end = self.off.len() as u32;
-        let (lo, hi) = loose_bbox(poly);
-        let (dominant, n_dominant) = self.dominant_rows(start, end, lo, hi);
-        let id = self.polys.len() as u32;
-        self.polys.push(BankPoly {
-            rows: (start, end),
-            lo,
-            hi,
-            dominant,
-            n_dominant,
-        });
-        id
-    }
-
-    /// Signed plane excess of row `r` at `p` (same arithmetic order as
-    /// [`Halfspace::excess`], so values are bit-identical).
-    #[inline(always)]
-    fn excess(&self, r: usize, p: [f64; 3]) -> f64 {
-        self.nx[r] * p[0] + self.ny[r] * p[1] + self.nz[r] * p[2] - self.off[r]
-    }
-
-    /// Membership query: true when `p` lies within `tol` of every bounding
-    /// plane. Identical to `ConvexPolytope::contains` on the source
-    /// polytope; the loose tier only ever rejects points the strict scan
-    /// would reject too.
-    #[inline(always)]
-    pub fn contains(&self, id: u32, p: [f64; 3], tol: f64) -> bool {
-        let poly = &self.polys[id as usize];
-        // The loose tier only pays for itself on polytopes with enough rows
-        // to make the strict scan expensive; a handful of rows is already as
-        // cheap as the box test, so go straight to them.
-        let strict_rows = (poly.rows.1 - poly.rows.0) as usize;
-        if tol <= LOOSE_TOL_CAP && strict_rows > 16 {
-            // Branchless in-box predicate: one data-dependent branch total
-            // instead of six (misprediction on random query points costs
-            // more than the five extra compares).
-            let inside = (p[0] >= poly.lo[0]) as u8
-                & (p[0] <= poly.hi[0]) as u8
-                & (p[1] >= poly.lo[1]) as u8
-                & (p[1] <= poly.hi[1]) as u8
-                & (p[2] >= poly.lo[2]) as u8
-                & (p[2] <= poly.hi[2]) as u8;
-            if inside == 0 {
-                return false;
-            }
-            for &r in &poly.dominant[..poly.n_dominant as usize] {
-                if self.excess(r as usize, p) > tol {
-                    return false;
-                }
-            }
-        }
-        // Strict tier: contiguous-slice walk with the same first-violation
-        // early exit as `ConvexPolytope::contains` (equal-length slices
-        // borrowed up front so the per-row bounds checks vanish).
-        let (s, e) = (poly.rows.0 as usize, poly.rows.1 as usize);
-        let (nx, ny) = (&self.nx[s..e], &self.ny[s..e]);
-        let (nz, off) = (&self.nz[s..e], &self.off[s..e]);
-        for i in 0..nx.len() {
-            if nx[i] * p[0] + ny[i] * p[1] + nz[i] * p[2] - off[i] > tol {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Euclidean projection of `p` onto polytope `id` — Dykstra's
-    /// alternating projections over the bank rows in original halfspace
-    /// order, bit-identical to `ConvexPolytope::nearest_point`.
-    pub fn nearest_point(&self, id: u32, p: [f64; 3]) -> [f64; 3] {
-        if self.contains(id, p, 0.0) {
-            return p;
-        }
-        let poly = &self.polys[id as usize];
-        let (s, e) = (poly.rows.0 as usize, poly.rows.1 as usize);
-        DYKSTRA_SCRATCH.with(|cell| {
-            let mut corrections = cell.borrow_mut();
-            corrections.clear();
-            corrections.resize(e - s, [0.0f64; 3]);
-            let mut x = p;
-            for _pass in 0..256 {
-                let mut moved = 0.0f64;
-                for (i, r) in (s..e).enumerate() {
-                    let n = [self.nx[r], self.ny[r], self.nz[r]];
-                    let y = add(x, corrections[i]);
-                    // Project y onto halfspace r.
-                    let ex = dot(n, y) - self.off[r];
-                    let proj = if ex > 0.0 { sub(y, scale(n, ex)) } else { y };
-                    corrections[i] = sub(y, proj);
-                    moved = moved.max(norm(sub(proj, x)));
-                    x = proj;
-                }
-                if moved < 1e-12 {
-                    break;
-                }
-            }
-            x
-        })
-    }
-
-    /// Euclidean distance from `p` to polytope `id` (0 inside).
-    pub fn distance(&self, id: u32, p: [f64; 3]) -> f64 {
-        norm(sub(p, self.nearest_point(id, p)))
-    }
-
-    /// Choose up to [`MAX_DOMINANT`] dominant rows for the polytope whose
-    /// rows span `[start, end)`: greedy max-coverage over a deterministic
-    /// probe lattice spread across the loose box, counting which rows
-    /// reject which outside probes. Build-time only.
-    fn dominant_rows(
-        &self,
-        start: u32,
-        end: u32,
-        lo: [f64; 3],
-        hi: [f64; 3],
-    ) -> ([u32; MAX_DOMINANT], u8) {
-        let m = (end - start) as usize;
-        let mut dominant = [0u32; MAX_DOMINANT];
-        if m <= MAX_DOMINANT + 2 || !lo[0].is_finite() {
-            return (dominant, 0); // strict scan is already cheap
-        }
-        // Probe lattice over the loose box: interior-ish points that pass
-        // the box test are exactly the ones the dominant rows must catch.
-        const STEPS: usize = 5;
-        let mut probes: Vec<[f64; 3]> = Vec::with_capacity(STEPS * STEPS * STEPS);
-        for i in 0..STEPS {
-            for j in 0..STEPS {
-                for l in 0..STEPS {
-                    let f = |t: usize, a: usize| {
-                        lo[a] + (hi[a] - lo[a]) * (t as f64 + 0.5) / STEPS as f64
-                    };
-                    probes.push([f(i, 0), f(j, 1), f(l, 2)]);
-                }
-            }
-        }
-        // rejected[probe] per row, as a bitset over probes.
-        let words = probes.len().div_ceil(64);
-        let mut reject: Vec<u64> = vec![0; m * words];
-        let mut outside: Vec<u64> = vec![0; words];
-        for (pi, &p) in probes.iter().enumerate() {
-            for r in 0..m {
-                if self.excess(start as usize + r, p) > LOOSE_TOL_CAP {
-                    reject[r * words + pi / 64] |= 1 << (pi % 64);
-                    outside[pi / 64] |= 1 << (pi % 64);
-                }
-            }
-        }
-        // Greedy set cover: repeatedly take the row rejecting the most
-        // still-uncovered outside probes (ties → lowest row index).
-        let mut n_dom = 0u8;
-        let mut uncovered = outside;
-        for slot in 0..MAX_DOMINANT {
-            let mut best_row = usize::MAX;
-            let mut best_gain = 0u32;
-            for r in 0..m {
-                let gain: u32 = (0..words)
-                    .map(|w| (reject[r * words + w] & uncovered[w]).count_ones())
-                    .sum();
-                if gain > best_gain {
-                    best_gain = gain;
-                    best_row = r;
-                }
-            }
-            if best_row == usize::MAX {
-                break;
-            }
-            dominant[slot] = start + best_row as u32;
-            n_dom = slot as u8 + 1;
-            for w in 0..words {
-                uncovered[w] &= !reject[best_row * words + w];
-            }
-        }
-        (dominant, n_dom)
-    }
-}
-
-/// Conservative outer bounding box of the `LOOSE_TOL_CAP`-relaxed
-/// membership set of `poly`: corner candidates come from intersecting every
-/// triple of bounding planes pushed out by the cap, keeping the feasible
-/// ones, unioned with the polytope's own vertices. Errors are only ever
-/// outward (a looser box admits more points to the strict scan — never
-/// wrong, just slower).
-fn loose_bbox(poly: &ConvexPolytope) -> ([f64; 3], [f64; 3]) {
-    let hs = &poly.halfspaces;
-    let m = hs.len();
-    let mut lo = [f64::INFINITY; 3];
-    let mut hi = [f64::NEG_INFINITY; 3];
-    let grow = |q: [f64; 3], lo: &mut [f64; 3], hi: &mut [f64; 3]| {
-        for a in 0..3 {
-            lo[a] = lo[a].min(q[a]);
-            hi[a] = hi[a].max(q[a]);
-        }
-    };
-    for &v in &poly.vertices {
-        grow(v, &mut lo, &mut hi);
-    }
-    let mut any_corner = false;
-    for i in 0..m {
-        for j in (i + 1)..m {
-            for k in (j + 1)..m {
-                let Some(x) = solve3(
-                    [hs[i].n, hs[j].n, hs[k].n],
-                    [
-                        hs[i].d + LOOSE_TOL_CAP,
-                        hs[j].d + LOOSE_TOL_CAP,
-                        hs[k].d + LOOSE_TOL_CAP,
-                    ],
-                ) else {
-                    continue;
-                };
-                let feasible = hs
-                    .iter()
-                    .all(|h| h.excess(x) <= LOOSE_TOL_CAP + LOOSE_BOX_MARGIN);
-                if feasible {
-                    any_corner = true;
-                    grow(x, &mut lo, &mut hi);
-                }
-            }
-        }
-    }
-    if !any_corner {
-        // Couldn't establish a bounded relaxed corner set; disable the box
-        // (never prune) rather than risk a wrong rejection.
-        return ([f64::NEG_INFINITY; 3], [f64::INFINITY; 3]);
-    }
-    for a in 0..3 {
-        lo[a] -= LOOSE_BOX_PAD;
-        hi[a] += LOOSE_BOX_PAD;
-    }
-    (lo, hi)
-}
-
-/// Solve the 3×3 linear system `A·x = b` (rows of `a` are the equations)
-/// by Cramer's rule; `None` when the matrix is near-singular.
-fn solve3(a: [[f64; 3]; 3], b: [f64; 3]) -> Option<[f64; 3]> {
-    let det3 = |m: [[f64; 3]; 3]| {
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    };
-    let det = det3(a);
-    if det.abs() < 1e-12 {
-        return None;
-    }
-    let mut x = [0.0f64; 3];
-    for c in 0..3 {
-        let mut mc = a;
-        for (r, row) in mc.iter_mut().enumerate() {
-            row[c] = b[r];
-        }
-        x[c] = det3(mc) / det;
-    }
-    Some(x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1218,109 +852,6 @@ mod tests {
             (0.2, 0.8),
         ]);
         assert_eq!(h.len(), 4);
-    }
-
-    #[test]
-    fn bank_matches_polytope_on_cube() {
-        let p = ConvexPolytope::from_points(&unit_cube_points()).unwrap();
-        let mut bank = PolytopeBank::new();
-        let id = bank.push(&p);
-        let mut rng = Rng::new(77);
-        for _ in 0..2000 {
-            let q = [
-                rng.uniform_range(-0.5, 1.5),
-                rng.uniform_range(-0.5, 1.5),
-                rng.uniform_range(-0.5, 1.5),
-            ];
-            for tol in [0.0, 1e-9, 1e-6, 1e-3] {
-                assert_eq!(
-                    bank.contains(id, q, tol),
-                    p.contains(q, tol),
-                    "{q:?} @ {tol}"
-                );
-            }
-            assert_eq!(bank.nearest_point(id, q), p.nearest_point(q), "{q:?}");
-            assert!(bank.distance(id, q) == p.distance(q), "{q:?}");
-        }
-    }
-
-    #[test]
-    fn bank_matches_on_random_and_degenerate_hulls() {
-        let mut rng = Rng::new(91);
-        let cloud: Vec<[f64; 3]> = (0..200)
-            .map(|_| {
-                [
-                    rng.gaussian() * 0.3,
-                    rng.gaussian() * 0.2,
-                    rng.gaussian() * 0.1,
-                ]
-            })
-            .collect();
-        let solid = ConvexPolytope::from_points(&cloud).unwrap();
-        let planar = ConvexPolytope::from_points(&[
-            [0.0, 0.0, 0.5],
-            [1.0, 0.0, 0.5],
-            [1.0, 1.0, 0.5],
-            [0.0, 1.0, 0.5],
-        ])
-        .unwrap();
-        let segment = ConvexPolytope::from_points(&[[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]).unwrap();
-        let point = ConvexPolytope::from_points(&[[0.3, 0.4, 0.5]]).unwrap();
-        let mut bank = PolytopeBank::new();
-        let polys = [solid, planar, segment, point];
-        let ids: Vec<u32> = polys.iter().map(|p| bank.push(p)).collect();
-        assert_eq!(bank.poly_count(), 4);
-        for _ in 0..1500 {
-            let q = [
-                rng.uniform_range(-1.5, 1.5),
-                rng.uniform_range(-1.5, 1.5),
-                rng.uniform_range(-1.5, 1.5),
-            ];
-            for (id, p) in ids.iter().zip(&polys) {
-                for tol in [0.0, 1e-9, 1e-6, 1e-4, 1e-2] {
-                    assert_eq!(bank.contains(*id, q, tol), p.contains(q, tol));
-                }
-                assert!(bank.distance(*id, q) == p.distance(q));
-            }
-        }
-    }
-
-    #[test]
-    fn bank_matches_on_inflated_hulls() {
-        // Inflated polytopes (membership set extends past the vertices) are
-        // the production case — the loose box must stay conservative.
-        let mut rng = Rng::new(93);
-        let cloud: Vec<[f64; 3]> = (0..150)
-            .map(|_| {
-                [
-                    rng.uniform() * 0.7,
-                    rng.uniform() * 0.5,
-                    rng.gaussian() * 0.2,
-                ]
-            })
-            .collect();
-        let mut p = ConvexPolytope::from_points(&cloud).unwrap();
-        p.inflate(0.012);
-        let mut bank = PolytopeBank::new();
-        let id = bank.push(&p);
-        // Probe specifically near every bounding plane (just inside and
-        // just outside), where a too-tight loose tier would flip answers.
-        for h in p.halfspaces.clone() {
-            for (vi, v) in p.vertices.clone().into_iter().enumerate() {
-                let _ = vi;
-                for off in [-1e-6, -1e-9, 0.0, 1e-9, 1e-6] {
-                    let ex = h.excess(v);
-                    let q = [
-                        v[0] + h.n[0] * (off - ex),
-                        v[1] + h.n[1] * (off - ex),
-                        v[2] + h.n[2] * (off - ex),
-                    ];
-                    for tol in [0.0, 1e-9, 1e-6] {
-                        assert_eq!(bank.contains(id, q, tol), p.contains(q, tol), "{q:?}");
-                    }
-                }
-            }
-        }
     }
 
     #[test]

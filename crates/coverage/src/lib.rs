@@ -12,16 +12,13 @@
 //! Modules:
 //!
 //! * [`geom`] — low-level 3D geometry: convex hulls (quickhull with
-//!   degenerate-rank fallbacks), halfspace polytopes with membership and
-//!   nearest-point queries, and the [`geom::PolytopeBank`] — the packed
-//!   two-tier (loose box + strict H-rep) structure-of-arrays layout that
-//!   query paths run on, allocation-free.
+//!   degenerate-rank fallbacks) and halfspace polytopes with membership
+//!   and nearest-point queries.
 //! * [`set`] — [`set::CoverageSet`]: per-depth regions for a basis gate,
-//!   standard or mirror-inclusive, plus minimum-cost queries (banked fast
-//!   path with `*_legacy_geom` reference twins).
+//!   standard or mirror-inclusive, plus minimum-cost queries answered by
+//!   walking the per-level polytopes.
 //! * [`atlas`] — serialized coverage atlases: checked-in binaries of the
-//!   stock-basis sets (√iSWAP, CNOT, CZ, mirror-inclusive iSWAP^(1/3))
-//!   loaded at `Target` construction instead of re-running quickhull,
+//!   stock-basis sets (√iSWAP, CNOT, CZ) loaded at `Target` construction instead of re-running quickhull,
 //!   checksummed and fingerprint-pinned.
 //! * [`haar`] — Haar scores and average fidelities (paper Tables I/II
 //!   inputs) and the decoherence fidelity model shared with `mirage-synth`.
@@ -31,8 +28,8 @@
 //! * [`cache`] — the LRU coordinate→cost cache of paper Fig. 13a.
 //!
 //! ---
-//! **Owns:** [`set::CoverageSet`]/[`set::BasisGate`], [`geom`] polytopes
-//! and [`geom::PolytopeBank`], [`atlas`] serialization,
+//! **Owns:** [`set::CoverageSet`]/[`set::BasisGate`], [`geom`] polytopes,
+//! [`atlas`] serialization,
 //! [`haar::HaarScore`]/[`haar::FidelityModel`], [`cache::CostCache`].
 //! **Paper:** §III (monodromy coverage, Algorithm 1), Tables I/II,
 //! Figs. 3–6 and 13a.
@@ -45,6 +42,6 @@ pub mod haar;
 pub mod set;
 
 pub use cache::CostCache;
-pub use geom::{ConvexPolytope, Halfspace, PolytopeBank};
+pub use geom::{ConvexPolytope, Halfspace};
 pub use haar::{FidelityModel, HaarScore};
 pub use set::{BasisGate, CoverageLevel, CoverageSet};

@@ -27,7 +27,7 @@
 //! closed under complex conjugation (`z → −z`), regions are built
 //! z-symmetrically, which also absorbs the `x = π/4` boundary seam.
 
-use crate::geom::{ConvexPolytope, PolytopeBank};
+use crate::geom::ConvexPolytope;
 use mirage_gates::{haar_1q, iswap_alpha, oneq};
 use mirage_math::{Mat4, Rng, PI_2, PI_4};
 use mirage_weyl::coords::{coords_of, WeylCoord};
@@ -177,16 +177,11 @@ impl Default for CoverageOptions {
 
 /// Per-depth coverage regions for a basis gate.
 ///
-/// Membership and cost queries (`min_k`, `min_cost`, `cost_or_max`,
-/// `haar_coverage`, `level_distance`) run on a packed [`PolytopeBank`]:
-/// the per-level polytopes' halfspaces flattened into contiguous
-/// structure-of-arrays rows with a loose bounding-box/dominant-row tier in
-/// front, and the `alcove_rep` conversion computed once per lookup. The
-/// `levels` field remains the authoritative geometry (the bank is derived
-/// from it at construction and after atlas loading) and doubles as the
-/// reference implementation behind the `*_legacy_geom` query twins; treat
-/// it as read-only — mutating a level's polytopes would desynchronize the
-/// bank.
+/// `levels` is the whole geometry: every query (`min_k`, `min_cost`,
+/// `cost_or_max`, `level_distance`, `haar_coverage`) walks the per-level
+/// polytopes through [`CoverageLevel::contains`] and
+/// [`CoverageLevel::distance`], so there is no derived state to keep in
+/// sync with it.
 #[derive(Debug, Clone)]
 pub struct CoverageSet {
     /// The basis gate this set describes.
@@ -197,230 +192,6 @@ pub struct CoverageSet {
     pub mirrors: bool,
     /// Membership tolerance used by cost queries.
     pub tol: f64,
-    /// Packed query-path geometry derived from `levels`.
-    bank: PolytopeBank,
-    /// Per-level query plan derived from `levels` and `bank`.
-    plan: Vec<LevelPlan>,
-    /// Precomputed `min_k` grid classifier derived from `levels`. Only
-    /// built for dense sets (bank rows > [`GRID_MIN_ROWS`]): the stock
-    /// mirror-free sets are a dozen rows total, where a flat monotone walk
-    /// over the SoA bank is already at the hardware floor and any extra
-    /// indirection — including a grid lookup — is pure loss.
-    grid: Option<MinKGrid>,
-}
-
-/// Everything the `min_k` walk touches for one level, packed so the hot
-/// loop never dereferences the full [`CoverageLevel`]s: the `k` answer,
-/// the full-chamber flag, the bank polytope-id range, and the union of the
-/// member polytopes' loose bounding boxes (a conservative whole-level
-/// reject for `tol ≤` the loose cap; infinite — never rejecting — when the
-/// set tolerance exceeds it).
-#[derive(Debug, Clone)]
-struct LevelPlan {
-    k: u32,
-    full: bool,
-    s: u32,
-    e: u32,
-    lo: [f64; 3],
-    hi: [f64; 3],
-}
-
-/// Cells per axis of the precomputed `min_k` grid classifier. Sized so
-/// the whole cell array (`GRID_N³` bytes) stays L1-resident — a coarser
-/// grid with a fast load beats a finer one that spills to L2.
-const GRID_N: usize = 16;
-/// Total cell count.
-const GRID_CELLS: usize = GRID_N * GRID_N * GRID_N;
-/// Base of the boundary-cell encoding: value `CELL_WALK_FROM + (li << 3) +
-/// fb` means "the cell straddles the boundary of exactly one level, index
-/// `li`; every earlier level is provably outside the whole cell; and `fb`
-/// pre-resolves what happens when the point misses level `li` too":
-/// `fb = 0` → `None`, `fb = 1..=6` → `Some(fb)` (the first deeper level
-/// containing the whole cell, everything between provably outside),
-/// `fb = 7` → not pre-resolvable, fall back to the banked walk from `li`.
-/// So a boundary query costs one region membership test plus a constant —
-/// never a full level walk — except in the rare `fb = 7` cells.
-const CELL_WALK_FROM: u8 = 200;
-/// `fb` nibble meaning "walk, not pre-resolved".
-const FB_WALK: u8 = 7;
-/// Highest level index encodable in a boundary cell; deeper straddles
-/// clamp down to this with `fb = FB_WALK` (walking from an earlier level
-/// is always correct, merely slower).
-const MAX_ENC_LI: u8 = 5;
-/// Sentinel cell value: every point in the cell is outside all built
-/// levels (`min_k` = `None`).
-const CELL_NONE: u8 = 254;
-/// Safety margin (on the halfspace-excess scale) separating grid-cell
-/// decisions from the membership tolerance: a cell is only decided when it
-/// clears the tolerance by this much on every row, so the rounding of a
-/// per-query excess evaluation (~1e-16 here) can never disagree with a
-/// decided cell.
-const GRID_MARGIN: f64 = 1e-12;
-/// Bank-row threshold above which the grid classifier pays for itself.
-/// Below it (all stock mirror-free sets) the flat walk wins outright.
-const GRID_MIN_ROWS: usize = 24;
-
-/// Precomputed uniform grid over the alcove box `[0, π/4]² × [−π/4, π/4]`:
-/// each cell stores the `min_k` answer shared by *every* point of the cell,
-/// or a [`CELL_WALK_FROM`]-encoded partial decision when the cell straddles
-/// a boundary. Decisions use interval bounds of the halfspace excess over
-/// the closed cell (exact for linear functions, extrema at box corners)
-/// plus [`GRID_MARGIN`], so a decided cell is provably uniform — the grid
-/// changes query cost, never query answers. Boundary cells are a vanishing
-/// fraction (surface × cell width), so almost every lookup is one quantize
-/// + one byte load.
-#[derive(Debug, Clone)]
-struct MinKGrid {
-    lo: [f64; 3],
-    hi: [f64; 3],
-    inv_w: [f64; 3],
-    cells: Box<[u8; GRID_CELLS]>,
-}
-
-impl MinKGrid {
-    fn build(levels: &[CoverageLevel], tol: f64) -> MinKGrid {
-        let lo = [0.0, 0.0, -PI_4];
-        let hi = [PI_4, PI_4, PI_4];
-        let w = [
-            (hi[0] - lo[0]) / GRID_N as f64,
-            (hi[1] - lo[1]) / GRID_N as f64,
-            (hi[2] - lo[2]) / GRID_N as f64,
-        ];
-        let mut cells = Box::new([CELL_WALK_FROM; GRID_CELLS]);
-        for ix in 0..GRID_N {
-            for iy in 0..GRID_N {
-                for iz in 0..GRID_N {
-                    let clo = [
-                        lo[0] + ix as f64 * w[0],
-                        lo[1] + iy as f64 * w[1],
-                        lo[2] + iz as f64 * w[2],
-                    ];
-                    let chi = [clo[0] + w[0], clo[1] + w[1], clo[2] + w[2]];
-                    cells[(ix * GRID_N + iy) * GRID_N + iz] =
-                        Self::classify_cell(levels, tol, clo, chi);
-                }
-            }
-        }
-        MinKGrid {
-            lo,
-            hi,
-            inv_w: [1.0 / w[0], 1.0 / w[1], 1.0 / w[2]],
-            cells,
-        }
-    }
-
-    /// The shared `min_k` answer for the closed cell `[clo, chi]`, or a
-    /// [`CELL_WALK_FROM`] boundary encoding when a level's boundary crosses
-    /// it (see the constant's docs for the `(li, fb)` layout).
-    fn classify_cell(levels: &[CoverageLevel], tol: f64, clo: [f64; 3], chi: [f64; 3]) -> u8 {
-        // Interval verdict per level: Inside (whole cell provably in some
-        // region), Outside (provably in none), Straddle.
-        #[derive(PartialEq)]
-        enum V {
-            Inside,
-            Outside,
-            Straddle,
-        }
-        let verdict = |level: &CoverageLevel| {
-            if level.full {
-                return V::Inside;
-            }
-            let mut all_outside = true;
-            for region in &level.regions {
-                let mut cell_inside = true;
-                let mut cell_outside = false;
-                for h in &region.halfspaces {
-                    let (mn, mx) = Self::excess_interval(h.n, h.d, clo, chi);
-                    if mx > tol - GRID_MARGIN {
-                        cell_inside = false;
-                    }
-                    if mn > tol + GRID_MARGIN {
-                        cell_outside = true;
-                        break;
-                    }
-                }
-                if cell_inside {
-                    return V::Inside;
-                }
-                if !cell_outside {
-                    all_outside = false;
-                }
-            }
-            if all_outside {
-                V::Outside
-            } else {
-                V::Straddle
-            }
-        };
-
-        let mut straddle: Option<usize> = None;
-        for (li, level) in levels.iter().enumerate() {
-            debug_assert!(
-                level.k < CELL_WALK_FROM as usize,
-                "depth overflows grid cell"
-            );
-            match (verdict(level), straddle) {
-                (V::Inside, None) => return level.k as u8,
-                (V::Inside, Some(s)) => {
-                    // One straddling level, then a whole-cell hit: a point
-                    // missing level `s` is answered by this level's k.
-                    let fb = if level.k <= 6 { level.k as u8 } else { FB_WALK };
-                    return Self::encode_boundary(s, fb);
-                }
-                (V::Outside, _) => {}
-                (V::Straddle, None) => straddle = Some(li),
-                (V::Straddle, Some(s)) => return Self::encode_boundary(s, FB_WALK),
-            }
-        }
-        match straddle {
-            // All levels past the straddle are provably outside: a miss of
-            // level `s` is a miss of everything.
-            Some(s) => Self::encode_boundary(s, 0),
-            None => CELL_NONE,
-        }
-    }
-
-    /// Pack a `(straddling level, fallback)` boundary verdict into a cell
-    /// byte, clamping un-encodable level indices down to a safe walk.
-    fn encode_boundary(li: usize, fb: u8) -> u8 {
-        if li > MAX_ENC_LI as usize {
-            return CELL_WALK_FROM + (MAX_ENC_LI << 3) + FB_WALK;
-        }
-        let v = CELL_WALK_FROM + ((li as u8) << 3) + fb;
-        debug_assert!(v < CELL_NONE);
-        v
-    }
-
-    /// Exact `[min, max]` of the linear excess `n·x − d` over the box —
-    /// extrema of a linear function sit at box corners, one axis at a time.
-    fn excess_interval(n: [f64; 3], d: f64, lo: [f64; 3], hi: [f64; 3]) -> (f64, f64) {
-        let mut mn = -d;
-        let mut mx = -d;
-        for a in 0..3 {
-            if n[a] >= 0.0 {
-                mn += n[a] * lo[a];
-                mx += n[a] * hi[a];
-            } else {
-                mn += n[a] * hi[a];
-                mx += n[a] * lo[a];
-            }
-        }
-        (mn, mx)
-    }
-
-    /// The cell value at an alcove point. Alcove coordinates are always
-    /// inside the grid domain (chamber invariants: `π/4 ≥ x ≥ y ≥ |z|`),
-    /// so no range check is needed: the saturating float→int casts clamp
-    /// below and the `min` clamps above, which also folds `p == hi` into
-    /// the last (closed) cell.
-    #[inline(always)]
-    fn lookup(&self, p: [f64; 3]) -> u8 {
-        debug_assert!((0..3).all(|a| p[a] >= self.lo[a] - 1e-12 && p[a] <= self.hi[a] + 1e-12));
-        let ix = (((p[0] - self.lo[0]) * self.inv_w[0]) as usize).min(GRID_N - 1);
-        let iy = (((p[1] - self.lo[1]) * self.inv_w[1]) as usize).min(GRID_N - 1);
-        let iz = (((p[2] - self.lo[2]) * self.inv_w[2]) as usize).min(GRID_N - 1);
-        self.cells[(ix * GRID_N + iy) * GRID_N + iz]
-    }
 }
 
 impl CoverageSet {
@@ -447,168 +218,22 @@ impl CoverageSet {
                 break;
             }
         }
-        Self::from_parts(basis, levels, opts.mirrors, 1e-9)
-    }
-
-    /// Assemble a set from prebuilt levels (used by [`build`](Self::build)
-    /// and by atlas loading), deriving the packed bank.
-    pub(crate) fn from_parts(
-        basis: BasisGate,
-        levels: Vec<CoverageLevel>,
-        mirrors: bool,
-        tol: f64,
-    ) -> CoverageSet {
-        let mut bank = PolytopeBank::new();
-        let mut plan = Vec::with_capacity(levels.len());
-        for level in &levels {
-            let start = bank.poly_count();
-            if !level.full {
-                for region in &level.regions {
-                    bank.push(region);
-                }
-            }
-            let end = bank.poly_count();
-            // Union of the member polytopes' loose boxes. Only valid as a
-            // reject filter for tolerances up to the loose cap; a looser
-            // set tolerance disables it (infinite box).
-            let mut lo = [f64::INFINITY; 3];
-            let mut hi = [f64::NEG_INFINITY; 3];
-            for id in start..end {
-                let (plo, phi) = bank.poly_box(id);
-                for a in 0..3 {
-                    lo[a] = lo[a].min(plo[a]);
-                    hi[a] = hi[a].max(phi[a]);
-                }
-            }
-            if level.full || tol > crate::geom::LOOSE_TOL_CAP {
-                lo = [f64::NEG_INFINITY; 3];
-                hi = [f64::INFINITY; 3];
-            }
-            plan.push(LevelPlan {
-                k: level.k as u32,
-                full: level.full,
-                s: start,
-                e: end,
-                lo,
-                hi,
-            });
-        }
-        let grid = (bank.row_count() > GRID_MIN_ROWS).then(|| MinKGrid::build(&levels, tol));
         CoverageSet {
             basis,
             levels,
-            mirrors,
-            tol,
-            bank,
-            plan,
-            grid,
+            mirrors: opts.mirrors,
+            tol: 1e-9,
         }
-    }
-
-    /// The packed query-path geometry (for benches and equivalence tests).
-    pub fn bank(&self) -> &PolytopeBank {
-        &self.bank
-    }
-
-    /// Banked membership for level index `li` at an alcove point.
-    #[inline]
-    fn level_contains_banked(&self, li: usize, p: [f64; 3], tol: f64) -> bool {
-        let plan = &self.plan[li];
-        if plan.full {
-            return true;
-        }
-        (plan.s..plan.e).any(|id| self.bank.contains(id, p, tol))
     }
 
     /// Minimum number of applications whose region contains `w`, or `None`
-    /// if no built level reaches it.
-    #[inline]
+    /// if no built level reaches it. Levels are monotone in `k`, so the
+    /// first containing level is the answer.
     pub fn min_k(&self, w: &WeylCoord) -> Option<usize> {
-        // One alcove conversion per lookup. Small sets (no grid) take the
-        // flat monotone walk over the SoA bank; dense sets consult the
-        // grid classifier, where almost every query resolves with a
-        // quantize + one byte load and boundary-straddling cells fall back
-        // to a single-level test or the banked walk. This is the router's
-        // innermost cost query.
-        let p = alcove_rep(w);
-        let Some(grid) = &self.grid else {
-            return self.min_k_walk_flat(p);
-        };
-        let cell = grid.lookup(p);
-        if cell < CELL_WALK_FROM {
-            return Some(cell as usize);
-        }
-        if cell == CELL_NONE {
-            return None;
-        }
-        self.min_k_boundary(cell, p)
-    }
-
-    /// Flat monotone walk for small banks: no grid, no per-level box
-    /// filter — on a dozen rows the membership scan itself is cheaper
-    /// than any filtering in front of it.
-    #[inline(always)]
-    fn min_k_walk_flat(&self, p: [f64; 3]) -> Option<usize> {
-        let tol = self.tol;
-        for plan in &self.plan {
-            if plan.full {
-                return Some(plan.k as usize);
-            }
-            for id in plan.s..plan.e {
-                if self.bank.contains(id, p, tol) {
-                    return Some(plan.k as usize);
-                }
-            }
-        }
-        None
-    }
-
-    /// Resolve a boundary cell: test the one straddling level, then use
-    /// the precomputed fallback (see `CELL_WALK_FROM` docs). Kept out of
-    /// [`min_k`](Self::min_k) so the decided-cell fast path stays small
-    /// enough to inline everywhere.
-    fn min_k_boundary(&self, cell: u8, p: [f64; 3]) -> Option<usize> {
-        let v = cell - CELL_WALK_FROM;
-        let (li, fb) = ((v >> 3) as usize, v & 7);
-        if fb == FB_WALK {
-            return self.min_k_walk(p, li);
-        }
-        if self.level_contains_banked(li, p, self.tol) {
-            return Some(self.plan[li].k as usize);
-        }
-        if fb == 0 {
-            None
-        } else {
-            Some(fb as usize)
-        }
-    }
-
-    /// The banked level walk behind [`min_k`](Self::min_k): monotone in
-    /// `k`, so the first containing level exits early; whole-level loose
-    /// box reject before the strict bank rows. `start_li` skips levels the
-    /// grid cell already proved empty.
-    fn min_k_walk(&self, p: [f64; 3], start_li: usize) -> Option<usize> {
-        let tol = self.tol;
-        for plan in &self.plan[start_li..] {
-            if plan.full {
-                return Some(plan.k as usize);
-            }
-            let inside = (p[0] >= plan.lo[0]) as u8
-                & (p[0] <= plan.hi[0]) as u8
-                & (p[1] >= plan.lo[1]) as u8
-                & (p[1] <= plan.hi[1]) as u8
-                & (p[2] >= plan.lo[2]) as u8
-                & (p[2] <= plan.hi[2]) as u8;
-            if inside == 0 {
-                continue;
-            }
-            for id in plan.s..plan.e {
-                if self.bank.contains(id, p, tol) {
-                    return Some(plan.k as usize);
-                }
-            }
-        }
-        None
+        self.levels
+            .iter()
+            .find(|l| l.contains(w, self.tol))
+            .map(|l| l.k)
     }
 
     /// Minimum circuit cost (duration) to reach `w`; `None` if unreachable
@@ -626,54 +251,9 @@ impl CoverageSet {
     }
 
     /// Euclidean distance from `w` to level `k`'s region (0 inside, `None`
-    /// when no such level was built). Runs Dykstra on the packed bank rows
-    /// in original halfspace order — bit-identical to the per-polytope
-    /// [`CoverageLevel::distance`].
+    /// when no such level was built).
     pub fn level_distance(&self, k: usize, w: &WeylCoord) -> Option<f64> {
-        let li = self.levels.iter().position(|l| l.k == k)?;
-        if self.levels[li].full {
-            return Some(0.0);
-        }
-        let p = alcove_rep(w);
-        let plan = &self.plan[li];
-        Some(
-            (plan.s..plan.e)
-                .map(|id| self.bank.distance(id, p))
-                .fold(f64::INFINITY, f64::min),
-        )
-    }
-
-    /// Reference `min_k` on the seed-era per-level polytope walk. Kept as
-    /// the semantic baseline for the banked fast path: property tests and
-    /// the legacy column in the `coverage_runtime` bench compare against
-    /// it. Frozen to the seed code shape — per-level region scan over the
-    /// heap-built `Vec`s, with the seed's branchy alcove fold re-done per
-    /// level — so the bench column times what the seed actually shipped.
-    pub fn min_k_legacy_geom(&self, w: &WeylCoord) -> Option<usize> {
-        let seed_alcove = |w: &WeylCoord| -> [f64; 3] {
-            if w.a <= PI_4 {
-                [w.a, w.b, w.c]
-            } else {
-                [PI_2 - w.a, w.b, -w.c]
-            }
-        };
-        self.levels
-            .iter()
-            .find(|l| {
-                l.full || {
-                    let p = seed_alcove(w);
-                    l.regions.iter().any(|r| r.contains(p, self.tol))
-                }
-            })
-            .map(|l| l.k)
-    }
-
-    /// Reference `cost_or_max` on the seed-era per-level polytope walk
-    /// (see [`min_k_legacy_geom`](Self::min_k_legacy_geom)).
-    pub fn cost_or_max_legacy_geom(&self, w: &WeylCoord) -> f64 {
-        self.min_k_legacy_geom(w)
-            .map(|k| k as f64 * self.basis.duration)
-            .unwrap_or((self.levels.len() as f64 + 1.0) * self.basis.duration)
+        self.levels.iter().find(|l| l.k == k).map(|l| l.distance(w))
     }
 
     /// The deepest built level.
@@ -684,15 +264,14 @@ impl CoverageSet {
     /// Fraction of `n` Haar-random gates whose coordinates land in level
     /// `k`'s region (Haar-weighted coverage volume of that level).
     pub fn haar_coverage(&self, k: usize, n: usize, seed: u64) -> f64 {
-        let li = match self.levels.iter().position(|l| l.k == k) {
-            Some(i) => i,
-            None => return 0.0,
+        let Some(level) = self.levels.iter().find(|l| l.k == k) else {
+            return 0.0;
         };
         let mut rng = Rng::new(seed);
         let mut hits = 0usize;
         for _ in 0..n {
             let w = coords_of(&mirage_gates::haar_2q(&mut rng));
-            if self.level_contains_banked(li, alcove_rep(&w), self.tol) {
+            if level.contains(&w, self.tol) {
                 hits += 1;
             }
         }

@@ -1,21 +1,19 @@
-//! Property suite for the banked coverage geometry: the packed
-//! [`PolytopeBank`] / grid-classifier query path must be indistinguishable
-//! from the seed-era per-level polytope walk on every observable — `min_k`,
-//! `cost_or_max` (bit-identical), membership and distance at any tolerance —
-//! and the checked-in atlases must reproduce a fresh build exactly.
+//! Property suite for the coverage geometry: pinned fingerprints of the
+//! query answers (`min_k`, `cost_or_max`, `level_distance`, down to the
+//! last bit) over adversarial points, atlas round-trips, the checked-in
+//! atlases against a fresh build, and shared-set queries across threads.
 //!
 //! Points come from three adversarial families: Haar-random coordinates
 //! (volume coverage), sub-tolerance jitter around the basis gate class (the
 //! degenerate depth-1 point regions), and jitter straddling region facets at
 //! scales from well inside to well outside the tolerance (where a
-//! misrounded fast path would first diverge).
+//! misrounded membership test would first diverge).
 //!
 //! `concurrent_queries_consistent` honors `MIRAGE_TEST_THREADS` (default 4)
 //! like the golden-routing suite: shared-set queries from `n` threads must
 //! equal the serial answers.
 
 use mirage_coverage::atlas::{decode, encode, fnv1a, load_stock, stock_atlas_bytes, stock_specs};
-use mirage_coverage::geom::PolytopeBank;
 use mirage_coverage::set::{alcove_rep, BasisGate, CoverageOptions, CoverageSet};
 use mirage_gates::haar_2q;
 use mirage_math::Rng;
@@ -30,7 +28,6 @@ const ATLAS_FNV: &[(&str, u64)] = &[
     ("sqrt_iswap", 0x6B4813656F018AEE),
     ("cnot", 0x73D34D4A088658C0),
     ("cz", 0x123F5E69DD3B2397),
-    ("iswap_1_3", 0x50E6BA3F58F08303),
 ];
 
 fn haar_points(rng: &mut Rng, n: usize) -> Vec<WeylCoord> {
@@ -78,54 +75,9 @@ fn adversarial_points(set: &CoverageSet, rng: &mut Rng, haar_n: usize) -> Vec<We
     pts
 }
 
-fn assert_queries_identical(set: &CoverageSet, pts: &[WeylCoord], what: &str) {
-    for w in pts {
-        assert_eq!(
-            set.min_k(w),
-            set.min_k_legacy_geom(w),
-            "{what} ({}): min_k diverged at ({}, {}, {})",
-            set.basis.name,
-            w.a,
-            w.b,
-            w.c
-        );
-        let (b, l) = (set.cost_or_max(w), set.cost_or_max_legacy_geom(w));
-        assert!(
-            b.to_bits() == l.to_bits(),
-            "{what} ({}): cost_or_max diverged ({b} vs {l}) at ({}, {}, {})",
-            set.basis.name,
-            w.a,
-            w.b,
-            w.c
-        );
-    }
-}
-
-#[test]
-fn banked_queries_match_legacy_on_all_stock_bases() {
-    let mut rng = Rng::new(SEED);
-    for (basis, opts) in stock_specs() {
-        let set = CoverageSet::build(basis, &opts);
-        let pts = adversarial_points(&set, &mut rng, 2000);
-        assert_queries_identical(&set, &pts, "stock");
-    }
-}
-
-/// A dense, mirror-inclusive, non-stock configuration — more levels and
-/// more regions than any stock set, so the grid classifier (built only
-/// above the row threshold) is exercised with different geometry than the
-/// checked-in atlases.
-#[test]
-fn banked_queries_match_legacy_on_dense_custom_set() {
-    let set = dense_custom_set();
-    let mut rng = Rng::new(SEED ^ 1);
-    let pts = adversarial_points(&set, &mut rng, 3000);
-    assert_queries_identical(&set, &pts, "dense");
-}
-
 /// The dense mirror-inclusive custom configuration: more levels and more
 /// regions than any stock set.
-fn dense_custom_set() -> CoverageSet {
+fn dense_custom_spec() -> (BasisGate, CoverageOptions) {
     let opts = CoverageOptions {
         max_k: 4,
         samples_per_k: 800,
@@ -133,13 +85,13 @@ fn dense_custom_set() -> CoverageSet {
         mirrors: true,
         seed: 0xD05E,
     };
-    CoverageSet::build(BasisGate::iswap_root(2), &opts)
+    (BasisGate::iswap_root(2), opts)
 }
 
 /// Pinned FNV-1a fingerprints of the query answers over each set's
 /// adversarial points: `(set, [min_k, cost_or_max bits, level_distance
 /// bits])`. The stock rows use the stock specs; `dense` is
-/// [`dense_custom_set`]. Any change to a query's answer on any point,
+/// [`dense_custom_spec`]. Any change to a query's answer on any point,
 /// down to the last bit of a distance, moves a pin.
 const QUERY_FNV: &[(&str, [u64; 3])] = &[
     (
@@ -153,10 +105,6 @@ const QUERY_FNV: &[(&str, [u64; 3])] = &[
     (
         "cz",
         [0x3FE3072897F93BC4, 0x6AE2FDCDA77F07BD, 0xBCF1334EB827E2EE],
-    ),
-    (
-        "iswap_1_3",
-        [0x9A7B096E9B93FB44, 0x28BCA660DBA143FE, 0x587A320414237128],
     ),
     (
         "dense",
@@ -194,7 +142,8 @@ fn query_answers_match_pins() {
             (basis.name, set)
         })
         .collect();
-    sets.push(("dense".to_owned(), dense_custom_set()));
+    let (basis, opts) = dense_custom_spec();
+    sets.push(("dense".to_owned(), CoverageSet::build(basis, &opts)));
     let mut drift = Vec::new();
     for (label, set) in &sets {
         let got = query_fingerprints(label, set);
@@ -217,88 +166,17 @@ fn query_answers_match_pins() {
     assert_eq!(QUERY_FNV.len(), sets.len(), "a pinned set has no query row");
 }
 
-/// Bank membership and Dykstra distance agree with the per-polytope
-/// reference at every tolerance, including tolerances far looser than the
-/// loose-tier cap (where the two-tier filter must disable itself).
-#[test]
-fn bank_matches_polytopes_across_tolerances() {
-    let mut rng = Rng::new(SEED ^ 2);
-    for (basis, opts) in stock_specs() {
-        let set = CoverageSet::build(basis, &opts);
-        let mut bank = PolytopeBank::new();
-        let mut regions = Vec::new();
-        for level in &set.levels {
-            for region in &level.regions {
-                bank.push(region);
-                regions.push(region.clone());
-            }
-        }
-        let pts: Vec<[f64; 3]> = adversarial_points(&set, &mut rng, 300)
-            .iter()
-            .map(alcove_rep)
-            .collect();
-        for (id, region) in regions.iter().enumerate() {
-            let id = id as u32;
-            for p in &pts {
-                for tol in [1e-12, 1e-9, 1e-6, 1e-3, 1.0] {
-                    assert_eq!(
-                        bank.contains(id, *p, tol),
-                        region.contains(*p, tol),
-                        "{}: bank/polytope membership diverged (poly {id}, tol {tol})",
-                        set.basis.name
-                    );
-                }
-                let (db, dl) = (bank.distance(id, *p), region.distance(*p));
-                assert!(
-                    db.to_bits() == dl.to_bits(),
-                    "{}: bank/polytope distance diverged (poly {id}: {db} vs {dl})",
-                    set.basis.name
-                );
-            }
-        }
-    }
-}
-
-/// `level_distance` (banked Dykstra over packed rows) is bit-identical to
-/// the per-level reference distance.
-#[test]
-fn level_distance_matches_reference() {
-    let mut rng = Rng::new(SEED ^ 3);
-    for (basis, opts) in stock_specs() {
-        let set = CoverageSet::build(basis, &opts);
-        let pts = haar_points(&mut rng, 200);
-        for level in &set.levels {
-            for w in &pts {
-                let banked = set
-                    .level_distance(level.k, w)
-                    .expect("built level must have a distance");
-                let reference = level.distance(w);
-                assert!(
-                    banked.to_bits() == reference.to_bits(),
-                    "{} k={}: level_distance diverged ({banked} vs {reference})",
-                    set.basis.name,
-                    level.k
-                );
-            }
-        }
-    }
-}
-
-/// Encode → decode reproduces the exact set: same levels, same packed bank.
+/// Encode → decode reproduces the exact set (same levels, tolerance and
+/// mirror flag) for every stock spec and for the dense multi-region set.
 #[test]
 fn atlas_round_trip_is_exact() {
-    for (basis, opts) in stock_specs() {
+    for (basis, opts) in stock_specs().into_iter().chain([dense_custom_spec()]) {
         let set = CoverageSet::build(basis.clone(), &opts);
         let bytes = encode(&set, &opts);
         let decoded = decode(&bytes, &basis, &opts)
             .unwrap_or_else(|| panic!("{}: round-trip decode failed", basis.name));
         assert_eq!(decoded.levels, set.levels, "{}: levels drifted", basis.name);
-        assert!(
-            decoded.bank() == set.bank(),
-            "{}: packed bank drifted through the atlas",
-            basis.name
-        );
-        assert_eq!(decoded.tol, set.tol);
+        assert!(decoded.tol.to_bits() == set.tol.to_bits());
         assert_eq!(decoded.mirrors, set.mirrors);
     }
 }
@@ -325,11 +203,6 @@ fn stock_atlases_match_pins_and_fresh_build() {
             .unwrap_or_else(|| panic!("{}: embedded atlas failed to decode", basis.name));
         let fresh = CoverageSet::build(basis.clone(), &opts);
         assert_eq!(loaded.levels, fresh.levels, "{}: levels", basis.name);
-        assert!(
-            loaded.bank() == fresh.bank(),
-            "{}: atlas-loaded bank differs from fresh build",
-            basis.name
-        );
     }
 }
 
@@ -376,8 +249,8 @@ fn concurrent_queries_consistent() {
         .ok()
         .map(|s| s.parse().expect("MIRAGE_TEST_THREADS must be an integer"))
         .unwrap_or(4);
-    for (basis, opts) in [&stock_specs()[0], &stock_specs()[3]] {
-        let set = CoverageSet::build(basis.clone(), opts);
+    for (basis, opts) in [stock_specs()[0].clone(), dense_custom_spec()] {
+        let set = CoverageSet::build(basis, &opts);
         let mut rng = Rng::new(SEED ^ 4);
         let pts = haar_points(&mut rng, 2000);
         let serial: Vec<Option<usize>> = pts.iter().map(|w| set.min_k(w)).collect();
