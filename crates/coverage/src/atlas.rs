@@ -18,10 +18,11 @@
 //! ```
 //!
 //! Every `f64` is stored via [`f64::to_bits`], so a decoded set is
-//! bit-identical to the encoded one. [`decode`] verifies the magic, version, checksum, *and* that the header
-//! matches the caller's requested basis + options — any mismatch returns
-//! `None` and the caller falls back to a fresh [`CoverageSet::build`], so
-//! a stale or corrupt atlas can never change results, only cost time.
+//! bit-identical to the encoded one. [`decode`] verifies the magic,
+//! version, checksum, *and* that the header matches the caller's requested
+//! basis + options — any mismatch returns `None` and the caller falls back
+//! to a fresh [`CoverageSet::build`], so a stale or corrupt atlas can never
+//! change results, only cost time.
 //!
 //! Atlases for the stock bases live in `crates/coverage/atlases/` and are
 //! embedded with `include_bytes!`; regenerate them after any change to the
