@@ -34,11 +34,13 @@
 //! `ATLAS_FNV` below from its output).
 
 use mirage_bench::print_table;
+use mirage_bench::report::{self, hex, num, Cli, Json, Verdict};
 use mirage_coverage::atlas::{encode, fnv1a, load_stock, stock_atlas_bytes, stock_specs};
 use mirage_coverage::set::{BasisGate, CoverageOptions, CoverageSet};
 use mirage_gates::{haar_1q, haar_2q};
 use mirage_math::{Mat4, Rng};
 use mirage_weyl::coords::{coords_of, WeylCoord};
+use std::process::ExitCode;
 use std::time::Instant;
 
 const POINT_SEED: u64 = 0xC07E;
@@ -54,6 +56,13 @@ const ATLAS_FNV: &[(&str, u64)] = &[
     ("cnot", 0x73D34D4A088658C0),
     ("cz", 0x123F5E69DD3B2397),
 ];
+
+const CLI: Cli = Cli {
+    bin: "coverage_runtime",
+    default_out: "BENCH_coverage.json",
+    switches: &["--regen-atlases"],
+    valued: &[],
+};
 
 struct Suite {
     name: &'static str,
@@ -102,84 +111,86 @@ impl Measured {
     fn session_speedup(&self) -> f64 {
         self.fresh_session_ms() / self.atlas_session_ms()
     }
+
+    fn json(&self) -> Json {
+        let suites = self
+            .suites
+            .iter()
+            .map(|t| {
+                Json::Obj(vec![
+                    ("suite", t.name.into()),
+                    ("points", t.points.into()),
+                    ("query_ns", num(t.query_ns, 1)),
+                ])
+            })
+            .collect();
+        Json::Obj(vec![
+            ("name", self.basis.as_str().into()),
+            ("build_ms", num(self.build_ms, 3)),
+            ("atlas_load_ms", num(self.atlas_load_ms, 3)),
+            ("atlas_fingerprint", hex(self.atlas_fingerprint)),
+            ("target_queries", self.target_queries.into()),
+            ("fresh_session_ms", num(self.fresh_session_ms(), 3)),
+            ("atlas_session_ms", num(self.atlas_session_ms(), 3)),
+            ("session_speedup", num(self.session_speedup(), 1)),
+            ("suites", Json::Arr(suites)),
+        ])
+    }
 }
 
 /// Collect the hit / miss / deep-miss suites for one coverage set.
 fn collect_suites(set: &CoverageSet, basis: &BasisGate, per_suite: usize) -> Vec<Suite> {
     let mut rng = Rng::new(POINT_SEED ^ fnv1a(basis.name.as_bytes()));
-    let mut hit = Vec::new();
-    let mut miss = Vec::new();
-    let mut deep = Vec::new();
-
-    // Hits: the depth-1 region degenerates to the gate class itself (a
-    // single-vertex polytope), so Haar sampling would never land there —
-    // jitter the gate coordinate *below* the query tolerance instead, the
-    // same perturbation a consolidated-but-numerically-noisy gate carries.
+    // Keep the first `per_suite` drawn points whose depth `wanted` accepts.
+    let mut collect =
+        |name, draw: &dyn Fn(&mut Rng) -> WeylCoord, wanted: fn(Option<usize>) -> bool| {
+            let points: Vec<WeylCoord> = (0..MAX_DRAWS)
+                .map(|_| draw(&mut rng))
+                .filter(|w| wanted(set.min_k(w)))
+                .take(per_suite)
+                .collect();
+            assert!(
+                !points.is_empty(),
+                "{}: could not collect any '{name}' points in {MAX_DRAWS} draws",
+                basis.name
+            );
+            Suite { name, points }
+        };
     let c = basis.coord;
-    let mut draws = 0usize;
-    while hit.len() < per_suite && draws < MAX_DRAWS {
-        draws += 1;
-        let j = 2e-10;
-        let w = WeylCoord::canonicalize(
-            c.a + rng.uniform_range(-j, j),
-            c.b + rng.uniform_range(-j, j),
-            c.c + rng.uniform_range(-j, j),
-        );
-        if set.min_k(&w) == Some(1) {
-            hit.push(w);
-        }
-    }
-
-    // Misses: genuine depth-2 products `B·(l₁⊗l₂)·B` — the k = 2 region
-    // can be measure-zero under Haar (two CNOTs reach only the z = 0
-    // plane), so these are synthesized rather than rejection-sampled.
-    let mut draws = 0usize;
-    while miss.len() < per_suite && draws < MAX_DRAWS {
-        draws += 1;
-        let l = Mat4::kron(&haar_1q(&mut rng), &haar_1q(&mut rng));
-        let u = basis.unitary.mul(&l).mul(&basis.unitary);
-        let w = coords_of(&u);
-        if set.min_k(&w) == Some(2) {
-            miss.push(w);
-        }
-    }
-
-    // Deep misses come from genuine Haar samples: almost all of the
-    // chamber needs k ≥ 3 (or falls off the sampled hulls entirely).
-    let mut draws = 0usize;
-    while deep.len() < per_suite && draws < MAX_DRAWS {
-        draws += 1;
-        let w = coords_of(&haar_2q(&mut rng));
-        match set.min_k(&w) {
-            Some(k) if k >= 3 => deep.push(w),
-            None => deep.push(w),
-            _ => {}
-        }
-    }
-
-    let suites = vec![
-        Suite {
-            name: "hit",
-            points: hit,
-        },
-        Suite {
-            name: "miss",
-            points: miss,
-        },
-        Suite {
-            name: "deep-miss",
-            points: deep,
-        },
-    ];
-    for s in &suites {
-        assert!(
-            !s.points.is_empty(),
-            "{}: could not collect any '{}' points in {MAX_DRAWS} draws",
-            basis.name,
-            s.name
-        );
-    }
-    suites
+    let j = 2e-10;
+    vec![
+        // Hits: the depth-1 region degenerates to the gate class itself (a
+        // single-vertex polytope), so Haar sampling would never land there —
+        // jitter the gate coordinate *below* the query tolerance instead, the
+        // same perturbation a consolidated-but-numerically-noisy gate carries.
+        collect(
+            "hit",
+            &|rng| {
+                WeylCoord::canonicalize(
+                    c.a + rng.uniform_range(-j, j),
+                    c.b + rng.uniform_range(-j, j),
+                    c.c + rng.uniform_range(-j, j),
+                )
+            },
+            |k| k == Some(1),
+        ),
+        // Misses: genuine depth-2 products `B·(l₁⊗l₂)·B` — the k = 2 region
+        // can be measure-zero under Haar (two CNOTs reach only the z = 0
+        // plane), so these are synthesized rather than rejection-sampled.
+        collect(
+            "miss",
+            &|rng| {
+                let l = Mat4::kron(&haar_1q(rng), &haar_1q(rng));
+                coords_of(&basis.unitary.mul(&l).mul(&basis.unitary))
+            },
+            |k| k == Some(2),
+        ),
+        // Deep misses come from genuine Haar samples: almost all of the
+        // chamber needs k ≥ 3 (or falls off the sampled hulls entirely).
+        collect("deep-miss", &|rng| coords_of(&haar_2q(rng)), |k| {
+            k.map_or(true, |k| k >= 3)
+        }),
+    ]
 }
 
 /// The atlas-loaded set must answer exactly like the fresh build on every
@@ -209,20 +220,16 @@ fn assert_identical(fresh: &CoverageSet, loaded: &CoverageSet, suites: &[Suite])
 
 /// Best-of-`BEST_OF` ns/query over `reps` passes of the whole suite.
 fn time_queries(points: &[WeylCoord], reps: usize, mut f: impl FnMut(&WeylCoord) -> usize) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..BEST_OF {
-        let t0 = Instant::now();
+    let ms = report::best_ms(BEST_OF, || {
         let mut acc = 0usize;
         for _ in 0..reps {
             for w in points {
                 acc = acc.wrapping_add(f(w));
             }
         }
-        let dt = t0.elapsed().as_secs_f64();
-        std::hint::black_box(acc);
-        best = best.min(dt * 1e9 / (reps * points.len()) as f64);
-    }
-    best
+        acc
+    });
+    ms * 1e6 / (reps * points.len()) as f64
 }
 
 fn measure(basis: &BasisGate, opts: &CoverageOptions, quick: bool) -> Measured {
@@ -273,82 +280,12 @@ fn measure(basis: &BasisGate, opts: &CoverageOptions, quick: bool) -> Measured {
     }
 }
 
-fn check_atlas_pins(rows: &[Measured]) -> bool {
-    let mut ok = true;
-    for row in rows {
-        let pinned = ATLAS_FNV.iter().find(|(n, _)| *n == row.basis);
-        let got = row.atlas_fingerprint;
-        match pinned {
-            Some(&(_, want)) if want != got => {
-                eprintln!(
-                    "ATLAS DRIFT {}: fingerprint 0x{got:016X}, pinned 0x{want:016X}",
-                    row.basis
-                );
-                ok = false;
-            }
-            Some(_) => {}
-            None => {
-                eprintln!("ATLAS: no pinned fingerprint for {}", row.basis);
-                ok = false;
-            }
-        }
-    }
-    ok
-}
-
 /// The gated number: total session time (setup + query volume) across all
 /// stock bases, fresh build over atlas load.
 fn aggregate_session_speedup(rows: &[Measured]) -> f64 {
     let fresh: f64 = rows.iter().map(Measured::fresh_session_ms).sum();
     let atlas: f64 = rows.iter().map(Measured::atlas_session_ms).sum();
     fresh / atlas
-}
-
-fn write_json(path: &str, mode: &str, rows: &[Measured]) -> std::io::Result<()> {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"coverage_runtime\",\n");
-    s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    s.push_str(&format!(
-        "  \"config\": {{\"seed\": {POINT_SEED}, \"best_of\": {BEST_OF}}},\n"
-    ));
-    s.push_str("  \"cases\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"build_ms\": {:.3}, \"atlas_load_ms\": {:.3}, \
-             \"atlas_fingerprint\": \"0x{:016X}\", \"target_queries\": {}, \
-             \"fresh_session_ms\": {:.3}, \"atlas_session_ms\": {:.3}, \
-             \"session_speedup\": {:.1}, \"suites\": [",
-            r.basis,
-            r.build_ms,
-            r.atlas_load_ms,
-            r.atlas_fingerprint,
-            r.target_queries,
-            r.fresh_session_ms(),
-            r.atlas_session_ms(),
-            r.session_speedup()
-        ));
-        for (j, t) in r.suites.iter().enumerate() {
-            s.push_str(&format!(
-                "{{\"suite\": \"{}\", \"points\": {}, \"query_ns\": {:.1}}}{}",
-                t.name,
-                t.points,
-                t.query_ns,
-                if j + 1 == r.suites.len() { "" } else { ", " }
-            ));
-        }
-        s.push_str(&format!(
-            "]}}{}",
-            if i + 1 == rows.len() { "\n" } else { ",\n" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"session_speedup\": {:.1}\n",
-        aggregate_session_speedup(rows)
-    ));
-    s.push_str("}\n");
-    std::fs::write(path, s)
 }
 
 fn regen_atlases() {
@@ -373,26 +310,20 @@ fn regen_atlases() {
     println!("atlases rewritten; update ATLAS_FNV with the lines above");
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--regen-atlases") {
+fn main() -> ExitCode {
+    let args = CLI.parse_env();
+    if args.switch("--regen-atlases") {
         regen_atlases();
-        return;
+        return ExitCode::SUCCESS;
     }
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_coverage.json".to_owned());
-
-    let mode = if quick { "quick" } else { "full" };
-    println!("coverage_runtime — atlas load vs fresh build, best-of-{BEST_OF} ({mode})\n");
+    println!(
+        "coverage_runtime — atlas load vs fresh build, best-of-{BEST_OF} ({})\n",
+        args.mode()
+    );
 
     let rows: Vec<Measured> = stock_specs()
         .iter()
-        .map(|(basis, opts)| measure(basis, opts, quick))
+        .map(|(basis, opts)| measure(basis, opts, args.quick))
         .collect();
 
     let mut table: Vec<Vec<String>> = Vec::new();
@@ -408,51 +339,24 @@ fn main() {
     print_table(&["case", "points", "query ns"], &table);
 
     println!();
-    let session: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.basis.clone(),
-                format!("{:.1}", r.build_ms),
-                format!("{:.3}", r.atlas_load_ms),
-                r.target_queries.to_string(),
-                format!("{:.1}", r.fresh_session_ms()),
-                format!("{:.1}", r.atlas_session_ms()),
-                format!("{:.0}x", r.session_speedup()),
-            ]
-        })
-        .collect();
-    print_table(
-        &[
-            "basis",
-            "build ms",
-            "atlas ms",
-            "queries",
-            "fresh session ms",
-            "atlas session ms",
-            "speedup",
-        ],
-        &session,
-    );
+    let cases: Vec<Json> = rows.iter().map(Measured::json).collect();
+    report::print_cases(&cases);
 
     let agg = aggregate_session_speedup(&rows);
-    println!("\nsession throughput speedup (gated, >= 2x): {agg:.1}x");
+    let mut verdict = Verdict::default();
+    println!();
+    verdict.at_least("session throughput speedup", agg, 2.0);
+    let pins: Vec<_> = rows
+        .iter()
+        .map(|r| (r.basis.as_str(), r.atlas_fingerprint))
+        .collect();
+    verdict.pins("ATLAS_FNV", ATLAS_FNV, &pins);
 
-    let pins_ok = check_atlas_pins(&rows);
-    match write_json(&out_path, mode, &rows) {
-        Ok(()) => println!("wrote {out_path}"),
-        Err(e) => {
-            eprintln!("failed to write {out_path}: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    if !pins_ok {
-        eprintln!("coverage_runtime: atlas fingerprints drifted from the pins");
-        std::process::exit(1);
-    }
-    if agg < 2.0 {
-        eprintln!("coverage_runtime: session throughput speedup {agg:.2}x is below the 2x gate");
-        std::process::exit(1);
-    }
+    let config = Json::Obj(vec![
+        ("seed", POINT_SEED.into()),
+        ("best_of", BEST_OF.into()),
+    ]);
+    let extra = vec![("session_speedup", num(agg, 1))];
+    let doc = report::document(CLI.bin, &args, config, cases, extra);
+    report::finish(CLI.bin, &args.out, &doc, verdict)
 }

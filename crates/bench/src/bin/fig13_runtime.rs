@@ -1,11 +1,12 @@
 //! Regenerates **Figure 13b**: transpiler runtime scaling on QFT circuits
 //! (n = 16 … 64).
 //!
-//! Substitution note (DESIGN.md): the paper compares its Python MIRAGE
-//! against Python Qiskit and reports a 47.9% speedup at QFT-64 thanks to
-//! the caching of Fig. 13a. Both sides here are Rust, so we report the
-//! reproducible part of the claim — the effect of pricing each coordinate
-//! class once — plus MIRAGE vs the SABRE baseline at equal trial counts.
+//! Substitution note: the paper compares its Python MIRAGE against Python
+//! Qiskit and reports a 47.9% speedup at QFT-64 thanks to the caching of
+//! Fig. 13a. Both sides here are Rust, so we report the reproducible part
+//! of the claim — the effect of pricing each coordinate class once (the
+//! price table, ARCHITECTURE.md "Router hot path") — plus MIRAGE vs the
+//! SABRE baseline at equal trial counts.
 //!
 //! The router realizes Fig. 13a's saving with a per-run price table: every
 //! coordinate class of the circuit (closed under mirroring) is priced once

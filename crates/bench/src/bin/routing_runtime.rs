@@ -18,7 +18,7 @@
 //!
 //! Usage: `routing_runtime [--quick] [--out PATH] [--print-fingerprints]`
 
-use mirage_bench::print_table;
+use mirage_bench::report::{self, hex, num, CacheStats, Cli, Json, Sanity, Verdict};
 use mirage_circuit::consolidate::consolidate;
 use mirage_circuit::generators::{qft, two_local_full, two_local_linear};
 use mirage_circuit::{Circuit, Dag};
@@ -29,7 +29,7 @@ use mirage_core::router::{
 use mirage_core::Target;
 use mirage_math::Rng;
 use mirage_topology::CouplingMap;
-use std::time::Instant;
+use std::process::ExitCode;
 
 const ROUTE_SEED: u64 = 0x1313;
 const BEST_OF: usize = 3;
@@ -37,73 +37,41 @@ const BEST_OF: usize = 3;
 /// name, fingerprint, swaps, mirrors — pinned to the pre-rewrite router's
 /// output (bit-identical by construction; regenerate with
 /// `--print-fingerprints` after an intentional behavior change).
-const SANITY: &[(&str, u64, usize, usize)] = &[
-    ("qft-16", 0xC4736293D5E6AFA8, 27, 91),
-    ("qft-24", 0xEDCA2F0A70B12FE9, 33, 241),
-    ("qft-32", 0x831BAE8487AD27B8, 39, 455),
-    ("qft-48", 0xDF9CFA2B7FE470CB, 51, 1075),
-    ("qft-64", 0x3FFF2B7904DD1A08, 63, 1951),
-    ("twolocal-full-12", 0xF1F44696F4BB94A2, 7, 127),
-    ("twolocal-full-16", 0xCE22E0695E2D8363, 3, 237),
-    ("twolocal-linear-24", 0x551A34CDC86E5D27, 0, 1),
+const SANITY: &[(&str, Sanity)] = &[
+    ("qft-16", (0xC4736293D5E6AFA8, 27, 91)),
+    ("qft-24", (0xEDCA2F0A70B12FE9, 33, 241)),
+    ("qft-32", (0x831BAE8487AD27B8, 39, 455)),
+    ("qft-48", (0xDF9CFA2B7FE470CB, 51, 1075)),
+    ("qft-64", (0x3FFF2B7904DD1A08, 63, 1951)),
+    ("twolocal-full-12", (0xF1F44696F4BB94A2, 7, 127)),
+    ("twolocal-full-16", (0xCE22E0695E2D8363, 3, 237)),
+    ("twolocal-linear-24", (0x551A34CDC86E5D27, 0, 1)),
 ];
 
-struct Case {
-    name: &'static str,
-    n_qubits: usize,
-    circuit: Circuit,
-}
+const CLI: Cli = Cli {
+    bin: "routing_runtime",
+    default_out: "BENCH_routing.json",
+    switches: &["--print-fingerprints"],
+    valued: &[],
+};
 
-fn cases(quick: bool) -> Vec<Case> {
-    if quick {
-        return vec![Case {
-            name: "qft-32",
-            n_qubits: 32,
-            circuit: qft(32, false),
-        }];
-    }
-    vec![
-        Case {
-            name: "qft-16",
-            n_qubits: 16,
-            circuit: qft(16, false),
-        },
-        Case {
-            name: "qft-24",
-            n_qubits: 24,
-            circuit: qft(24, false),
-        },
-        Case {
-            name: "qft-32",
-            n_qubits: 32,
-            circuit: qft(32, false),
-        },
-        Case {
-            name: "qft-48",
-            n_qubits: 48,
-            circuit: qft(48, false),
-        },
-        Case {
-            name: "qft-64",
-            n_qubits: 64,
-            circuit: qft(64, false),
-        },
-        Case {
-            name: "twolocal-full-12",
-            n_qubits: 12,
-            circuit: two_local_full(12, 2, 0xB12),
-        },
-        Case {
-            name: "twolocal-full-16",
-            n_qubits: 16,
-            circuit: two_local_full(16, 2, 0xB16),
-        },
-        Case {
-            name: "twolocal-linear-24",
-            n_qubits: 24,
-            circuit: two_local_linear(24, 4, 0xB24),
-        },
-    ]
+/// The benchmark circuits, each routed on a line as wide as itself;
+/// `--quick` keeps qft-32 only.
+fn cases(quick: bool) -> Vec<(&'static str, Circuit)> {
+    let cases = vec![
+        ("qft-16", qft(16, false)),
+        ("qft-24", qft(24, false)),
+        ("qft-32", qft(32, false)),
+        ("qft-48", qft(48, false)),
+        ("qft-64", qft(64, false)),
+        ("twolocal-full-12", two_local_full(12, 2, 0xB12)),
+        ("twolocal-full-16", two_local_full(16, 2, 0xB16)),
+        ("twolocal-linear-24", two_local_linear(24, 4, 0xB24)),
+    ];
+    cases
+        .into_iter()
+        .filter(|&(name, _)| !quick || name == "qft-32")
+        .collect()
 }
 
 struct Measured {
@@ -114,9 +82,7 @@ struct Measured {
     swaps: usize,
     mirrors: usize,
     fingerprint: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_contention: u64,
+    cache: CacheStats,
 }
 
 impl Measured {
@@ -127,6 +93,25 @@ impl Measured {
         } else {
             self.twoq_gates as f64 / (self.optimized_ms / 1e3)
         }
+    }
+
+    fn pin(&self) -> (&str, Sanity) {
+        (self.name, (self.fingerprint, self.swaps, self.mirrors))
+    }
+
+    fn json(&self) -> Json {
+        let mut fields = vec![
+            ("name", self.name.into()),
+            ("n_qubits", self.n_qubits.into()),
+            ("twoq_gates", self.twoq_gates.into()),
+            ("optimized_ms", num(self.optimized_ms, 3)),
+            ("gates_per_s", num(self.gates_per_s(), 0)),
+            ("swaps", self.swaps.into()),
+            ("mirrors", self.mirrors.into()),
+            ("fingerprint", hex(self.fingerprint)),
+        ];
+        fields.extend(self.cache.fields());
+        Json::Obj(fields)
     }
 }
 
@@ -142,11 +127,11 @@ fn route_optimized(
     route_with_scratch(dag, coords, target, layout, config, &mut rng, scratch)
 }
 
-fn measure(case: &Case) -> Measured {
-    let cc = consolidate(&case.circuit);
+fn measure((name, circuit): &(&'static str, Circuit)) -> Measured {
+    let cc = consolidate(circuit);
     let dag = Dag::from_circuit(&cc);
     let coords = node_coords(&dag);
-    let target = Target::sqrt_iswap(CouplingMap::line(case.n_qubits));
+    let target = Target::sqrt_iswap(CouplingMap::line(circuit.n_qubits));
     let config = RouterConfig {
         aggression: Some(Aggression::A2),
         ..RouterConfig::default()
@@ -157,175 +142,48 @@ fn measure(case: &Case) -> Measured {
     // the timed runs are steady-state; its output feeds the fingerprint pin.
     let routed = route_optimized(&dag, &coords, &target, &config, &mut scratch);
 
-    let time_best_of = |f: &mut dyn FnMut() -> RoutedCircuit| -> f64 {
-        (0..BEST_OF)
-            .map(|_| {
-                let t0 = Instant::now();
-                let r = f();
-                let dt = t0.elapsed().as_secs_f64() * 1e3;
-                std::hint::black_box(r.swaps_inserted);
-                dt
-            })
-            .fold(f64::INFINITY, f64::min)
-    };
-    let optimized_ms =
-        time_best_of(&mut || route_optimized(&dag, &coords, &target, &config, &mut scratch));
+    let optimized_ms = report::best_ms(BEST_OF, || {
+        route_optimized(&dag, &coords, &target, &config, &mut scratch)
+    });
 
-    let (cache_hits, cache_misses) = target.cache_stats();
     Measured {
-        name: case.name,
-        n_qubits: case.n_qubits,
+        name,
+        n_qubits: circuit.n_qubits,
         twoq_gates: cc.two_qubit_gate_count(),
         optimized_ms,
         swaps: routed.swaps_inserted,
         mirrors: routed.mirrors_accepted,
         fingerprint: routed.circuit.fingerprint(),
-        cache_hits,
-        cache_misses,
-        cache_contention: target.cache().contention(),
+        cache: CacheStats::of(&target),
     }
 }
 
-fn check_sanity(rows: &[Measured]) -> bool {
-    let mut ok = true;
-    for row in rows {
-        match SANITY.iter().find(|(name, ..)| *name == row.name) {
-            Some(&(_, fp, swaps, mirrors)) => {
-                if (row.fingerprint, row.swaps, row.mirrors) != (fp, swaps, mirrors) {
-                    eprintln!(
-                        "SANITY DRIFT {}: got fingerprint 0x{:016X} / {} swaps / {} mirrors, \
-                         pinned 0x{fp:016X} / {swaps} / {mirrors}",
-                        row.name, row.fingerprint, row.swaps, row.mirrors
-                    );
-                    ok = false;
-                }
-            }
-            None => {
-                eprintln!("SANITY: no pinned entry for {}", row.name);
-                ok = false;
-            }
-        }
-    }
-    ok
-}
-
-fn json_escape_free(name: &str) -> &str {
-    // Case names are static identifiers; keep the emitter honest anyway.
-    assert!(
-        name.chars().all(|c| c.is_ascii_alphanumeric() || c == '-'),
-        "case name needs JSON escaping: {name}"
-    );
-    name
-}
-
-fn write_json(path: &str, mode: &str, rows: &[Measured]) -> std::io::Result<()> {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"routing_runtime\",\n");
-    s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    s.push_str(&format!(
-        "  \"config\": {{\"topology\": \"line\", \"aggression\": \"A2\", \"seed\": {ROUTE_SEED}, \"best_of\": {BEST_OF}}},\n"
-    ));
-    s.push_str("  \"cases\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"n_qubits\": {}, \"twoq_gates\": {}, \
-             \"optimized_ms\": {:.3}, \"gates_per_s\": {:.0}, \
-             \"swaps\": {}, \"mirrors\": {}, \"fingerprint\": \"0x{:016X}\", \
-             \"cache_hits\": {}, \"cache_misses\": {}, \"cache_contention\": {}}}{}",
-            json_escape_free(r.name),
-            r.n_qubits,
-            r.twoq_gates,
-            r.optimized_ms,
-            r.gates_per_s(),
-            r.swaps,
-            r.mirrors,
-            r.fingerprint,
-            r.cache_hits,
-            r.cache_misses,
-            r.cache_contention,
-            if i + 1 == rows.len() { "\n" } else { ",\n" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(path, s)
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let print_fingerprints = args.iter().any(|a| a == "--print-fingerprints");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_routing.json".to_owned());
-
-    let mode = if quick { "quick" } else { "full" };
-    println!("routing_runtime — line topology, A2, best-of-{BEST_OF} ({mode})\n");
-
-    let rows: Vec<Measured> = cases(quick).iter().map(measure).collect();
-
-    if print_fingerprints {
-        println!("const SANITY: &[(&str, u64, usize, usize)] = &[");
-        for r in &rows {
-            println!(
-                "    (\"{}\", 0x{:016X}, {}, {}),",
-                r.name, r.fingerprint, r.swaps, r.mirrors
-            );
-        }
-        println!("];");
-        return;
-    }
-
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.name.to_owned(),
-                r.n_qubits.to_string(),
-                r.twoq_gates.to_string(),
-                format!("{:.2}", r.optimized_ms),
-                format!("{:.0}", r.gates_per_s()),
-                r.swaps.to_string(),
-                r.mirrors.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        &[
-            "case",
-            "qubits",
-            "2q",
-            "ms",
-            "2q-gates/s",
-            "swaps",
-            "mirrors",
-        ],
-        &table,
+fn main() -> ExitCode {
+    let args = CLI.parse_env();
+    println!(
+        "routing_runtime — line topology, A2, best-of-{BEST_OF} ({})\n",
+        args.mode()
     );
 
-    let (h, m, c) = rows.iter().fold((0u64, 0u64, 0u64), |acc, r| {
-        (
-            acc.0 + r.cache_hits,
-            acc.1 + r.cache_misses,
-            acc.2 + r.cache_contention,
-        )
-    });
-    println!("\ncache_stats: hits={h} misses={m} contention={c} (shared cost cache, all cases)");
-
-    let sanity_ok = check_sanity(&rows);
-    match write_json(&out_path, mode, &rows) {
-        Ok(()) => println!("\nwrote {out_path}"),
-        Err(e) => {
-            eprintln!("failed to write {out_path}: {e}");
-            std::process::exit(1);
-        }
+    let rows: Vec<Measured> = cases(args.quick).iter().map(measure).collect();
+    let pins: Vec<_> = rows.iter().map(Measured::pin).collect();
+    if args.switch("--print-fingerprints") {
+        report::print_pins("SANITY", &pins);
+        return ExitCode::SUCCESS;
     }
 
-    if !sanity_ok {
-        eprintln!("routing_runtime: sanity columns drifted from the pinned fingerprints");
-        std::process::exit(1);
-    }
+    let cases: Vec<Json> = rows.iter().map(Measured::json).collect();
+    report::print_cases(&cases);
+    CacheStats::print_total(rows.iter().map(|r| r.cache));
+
+    let mut verdict = Verdict::default();
+    verdict.pins("SANITY", SANITY, &pins);
+    let config = Json::Obj(vec![
+        ("topology", "line".into()),
+        ("aggression", "A2".into()),
+        ("seed", ROUTE_SEED.into()),
+        ("best_of", BEST_OF.into()),
+    ]);
+    let doc = report::document(CLI.bin, &args, config, cases, vec![]);
+    report::finish(CLI.bin, &args.out, &doc, verdict)
 }

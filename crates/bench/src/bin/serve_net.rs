@@ -1,20 +1,23 @@
-//! `serve_net` — loopback throughput and fault behaviour of the
-//! framed-TCP network front, and emits the machine-readable
-//! `BENCH_serve.json`.
+//! `serve_net` — pool scaling of the batch service, in-process and over
+//! the framed-TCP network front, plus its fault behaviour; emits the
+//! machine-readable `BENCH_serve.json`.
 //!
-//! Two experiments over a seed-deterministic workload:
+//! Three experiments over a seed-deterministic workload:
 //!
-//! 1. **Loopback scaling** — the fixed batch is pushed through a real
-//!    `NetServer` on 127.0.0.1 by concurrent client connections, with 1,
-//!    2, then 4 pool workers. Every run's results (fingerprint AND the
-//!    returned QASM text) must be bit-identical to an in-process
-//!    `TranspileService::run_batch` with the same seeds — the wire is a
-//!    transport, never a perturbation; the run **exits nonzero** on any
-//!    divergence. On hosts with at least 4 hardware threads the 4-worker
-//!    pool must also beat the single worker by 1.5× in `--quick` (the CI
-//!    smoke gate) and 2.0× in the full run; hosts with fewer threads
-//!    report the numbers but skip the speedup gate. Each pool size is
-//!    measured twice and the better run kept.
+//! 1. **Pool scaling** — the fixed batch (serial in-job trials, so any
+//!    speedup is pool-level parallelism) runs with 1, 2, then 4 pool
+//!    workers, twice per pool size: in-process through
+//!    `TranspileService::run_batch`, and through a real `NetServer` on
+//!    127.0.0.1 by concurrent client connections. Every run's results
+//!    (fingerprint AND the returned QASM text) must be bit-identical to
+//!    the 1-worker in-process run — neither the pool size nor the wire may
+//!    perturb a result; the run **exits nonzero** on any divergence. On
+//!    hosts with at least 4 hardware threads the 4-worker pool must also
+//!    beat the single worker in-process by 2.0× in `--quick` (the CI smoke
+//!    gate, tolerant of shared runners) and 2.5× in the full run, and
+//!    over loopback by 1.5× / 2.0×; hosts with fewer threads report the
+//!    numbers but skip the speedup gates. Each measurement keeps the
+//!    better of two runs, so one noisy-neighbor window cannot fail a gate.
 //! 2. **Fault smoke** — the protocol-hardening claims, re-checked from
 //!    outside the test suite: garbage bytes get a typed `ProtocolError`,
 //!    an oversized frame is refused from its header alone, a client that
@@ -30,8 +33,9 @@
 //!    bit-identical to the fault-free reference; verdicts land in the
 //!    JSON next to the fault smoke.
 //!
-//! Usage: `serve_net [--quick] [--workers N] [--chaos] [--out BENCH_serve.json]`
+//! Usage: `serve_net [--quick] [--out PATH] [--workers N] [--chaos]`
 
+use mirage_bench::report::{self, num, Cli, Json, Verdict};
 use mirage_circuit::generators::{portfolio_qaoa, qft, two_local_full};
 use mirage_circuit::qasm::to_qasm;
 use mirage_core::{RouterKind, Target};
@@ -45,10 +49,18 @@ use mirage_serve::{InjectedFault, Lane, TranspileJob, TranspileService};
 use mirage_topology::CouplingMap;
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpStream};
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
 const SEED: u64 = 0x5EA1;
+
+const CLI: Cli = Cli {
+    bin: "serve_net",
+    default_out: "BENCH_serve.json",
+    switches: &["--chaos"],
+    valued: &[("--workers", "N")],
+};
 
 struct Config {
     quick: bool,
@@ -109,32 +121,38 @@ fn requests(cfg: &Config) -> Vec<SubmitRequest> {
 /// What each job must come back as, regardless of transport or pool size.
 type Results = BTreeMap<String, (u64, String)>;
 
-/// The in-process reference: the same jobs through `run_batch` directly,
-/// no sockets anywhere.
-fn reference(cfg: &Config) -> Results {
-    let service = TranspileService::new(fresh_target(cfg), 1);
-    let jobs: Vec<TranspileJob> = requests(cfg)
-        .into_iter()
+/// Run `batch` in-process through `run_batch` on a fresh `workers`-worker
+/// service, no sockets anywhere; returns (jobs/sec, per-label results).
+fn in_process_once(cfg: &Config, batch: &[SubmitRequest], workers: usize) -> (f64, Results) {
+    let service = TranspileService::new(fresh_target(cfg), workers);
+    let jobs: Vec<TranspileJob> = batch
+        .iter()
         .map(|r| {
             let circuit = mirage_circuit::qasm::from_qasm(&r.qasm).expect("workload parses");
-            TranspileJob::new(r.label, circuit, r.options.to_options(r.seed))
+            TranspileJob::new(r.label.clone(), circuit, r.options.to_options(r.seed))
         })
         .collect();
+    let start = Instant::now();
     let results = service.run_batch(jobs).expect("service is live");
+    let elapsed = start.elapsed();
     service.shutdown();
-    results
+    let results: Results = results
         .into_iter()
         .map(|r| {
             let out = r.outcome.expect("benchmark jobs succeed");
             (r.label, (out.circuit.fingerprint(), to_qasm(&out.circuit)))
         })
-        .collect()
+        .collect();
+    (
+        batch.len() as f64 / elapsed.as_secs_f64().max(1e-9),
+        results,
+    )
 }
 
 /// Push the workload through a loopback server once and return (jobs/sec,
 /// per-label results). `clients` concurrent connections each carry a
 /// strided share of the batch.
-fn measure_once(cfg: &Config, workers: usize, clients: usize) -> (f64, Results) {
+fn loopback_once(cfg: &Config, workers: usize, clients: usize) -> (f64, Results) {
     let server = NetServer::bind(fresh_target(cfg), "127.0.0.1:0", &ServeConfig::new(workers))
         .expect("loopback bind");
     let addr = server.local_addr();
@@ -176,86 +194,64 @@ fn measure_once(cfg: &Config, workers: usize, clients: usize) -> (f64, Results) 
 
 /// Best of two runs: a throughput gate on shared CI runners must not fail
 /// because a noisy neighbor landed on exactly one measurement window.
-fn measure(cfg: &Config, workers: usize, clients: usize) -> (f64, Results) {
-    let (t1, results) = measure_once(cfg, workers, clients);
-    let (t2, again) = measure_once(cfg, workers, clients);
+fn best_of_two(run: impl Fn() -> (f64, Results)) -> (f64, Results) {
+    let (t1, results) = run();
+    let (t2, again) = run();
     assert_eq!(results, again, "same batch, same seeds, same results");
     (t1.max(t2), results)
 }
 
-struct Case {
-    workers: usize,
-    jobs_per_sec: f64,
-    speedup: f64,
-    bit_identical: bool,
-}
-
-fn scaling_experiment(cfg: &Config, cases: &mut Vec<Case>) -> bool {
-    let parallelism = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let batch_len = requests(cfg).len();
-    let clients = 4.min(batch_len);
+fn scaling_experiment(cfg: &Config, verdict: &mut Verdict) -> Vec<Json> {
+    let batch = requests(cfg);
+    let clients = 4.min(batch.len());
     println!(
-        "== serve_net — loopback scaling ({batch_len} jobs over {clients} connections, \
-         host parallelism {parallelism}) ==\n"
+        "== serve_net — pool scaling ({} jobs; loopback over {clients} connections; \
+         host parallelism {}) ==\n",
+        batch.len(),
+        report::host_cores()
     );
-    let expected = reference(cfg);
     let mut pool_sizes = vec![1usize, 2, 4];
     pool_sizes.retain(|&w| w <= cfg.max_workers);
-    let mut baseline = 0.0;
-    let mut identical = true;
-    let mut quad_speedup = None;
-    println!(
-        "{:>8} {:>10} {:>9}  vs in-process",
-        "workers", "jobs/sec", "speedup"
-    );
+    let mut expected: Option<Results> = None;
+    let (mut base_in_process, mut base_wire) = (0.0, 0.0);
+    let mut cases = Vec::new();
+    let mut quad = None;
     for &workers in &pool_sizes {
-        let (throughput, results) = measure(cfg, workers, clients);
-        if workers == 1 {
-            baseline = throughput;
-        }
-        let same = results == expected;
-        identical &= same;
-        let speedup = throughput / baseline;
-        if workers == 4 {
-            quad_speedup = Some(speedup);
-        }
-        println!(
-            "{workers:>8} {throughput:>10.2} {speedup:>8.2}x  {}",
-            if same { "bit-identical" } else { "DIVERGED" }
+        let (in_process, results) = best_of_two(|| in_process_once(cfg, &batch, workers));
+        let (wire, wire_results) = best_of_two(|| loopback_once(cfg, workers, clients));
+        let expected = expected.get_or_insert_with(|| results.clone());
+        let same = results == *expected && wire_results == *expected;
+        verdict.require(
+            same,
+            format!("{workers}-worker results diverged from the 1-worker in-process run"),
         );
-        cases.push(Case {
-            workers,
-            jobs_per_sec: throughput,
-            speedup,
-            bit_identical: same,
-        });
-    }
-    println!();
-    if !identical {
-        println!("FAIL: loopback results diverged from the in-process service");
-        return false;
-    }
-    match quad_speedup {
-        Some(speedup) if parallelism >= 4 => {
-            let required = if cfg.quick { 1.5 } else { 2.0 };
-            let ok = speedup >= required;
-            println!(
-                "4-worker loopback speedup {speedup:.2}x vs required {required:.2}x -> {}",
-                if ok { "ok" } else { "FAIL" }
-            );
-            ok
+        if workers == 1 {
+            (base_in_process, base_wire) = (in_process, wire);
         }
-        Some(speedup) => {
-            println!(
-                "4-worker loopback speedup {speedup:.2}x (host has {parallelism} threads; \
-                 scaling gate skipped — nothing to scale onto)"
-            );
-            true
+        let (in_process_speedup, speedup) = (in_process / base_in_process, wire / base_wire);
+        if workers == 4 {
+            quad = Some((in_process_speedup, speedup));
         }
-        None => true,
+        cases.push(Json::Obj(vec![
+            ("workers", workers.into()),
+            ("jobs_per_sec", num(wire, 2)),
+            ("speedup", num(speedup, 2)),
+            ("in_process_jobs_per_sec", num(in_process, 2)),
+            ("bit_identical", same.into()),
+        ]));
     }
+    report::print_cases(&cases);
+    if let Some((in_process_speedup, speedup)) = quad {
+        let (in_process_required, wire_required) = if cfg.quick { (2.0, 1.5) } else { (2.5, 2.0) };
+        println!();
+        verdict.scaling(
+            "4-worker in-process speedup",
+            in_process_speedup,
+            in_process_required,
+        );
+        verdict.scaling("4-worker loopback speedup", speedup, wire_required);
+    }
+    cases
 }
 
 /// A request slow enough (full-device QFT, elevated trial budget) to keep
@@ -306,17 +302,15 @@ fn occupy_worker(addr: SocketAddr, cfg: &Config) -> TcpStream {
     stream
 }
 
-struct FaultVerdicts {
-    garbage: bool,
-    oversized: bool,
-    busy: bool,
-    deadline: bool,
-    panic: bool,
-}
-
-fn fault_smoke(cfg: &Config) -> FaultVerdicts {
+/// Each fault probe's name and whether it came back as expected.
+fn fault_smoke(cfg: &Config) -> Vec<(&'static str, bool)> {
     use std::io::Write;
     println!("\n== serve_net — fault smoke (1 worker, 1 job/lane) ==\n");
+    let mut verdicts = Vec::new();
+    let mut record = |key, what: &str, ok: bool| {
+        println!("{what:<40} : {}", if ok { "ok" } else { "FAIL" });
+        verdicts.push((key, ok));
+    };
 
     // Garbage bytes: a typed ProtocolError, not a hang or a crash.
     let garbage = {
@@ -328,10 +322,7 @@ fn fault_smoke(cfg: &Config) -> FaultVerdicts {
         server.shutdown();
         verdict
     };
-    println!(
-        "garbage bytes     -> typed ProtocolError : {}",
-        if garbage { "ok" } else { "FAIL" }
-    );
+    record("garbage", "garbage bytes -> typed ProtocolError", garbage);
 
     // Oversized frame: refused from the 14-byte header alone.
     let oversized = {
@@ -344,9 +335,10 @@ fn fault_smoke(cfg: &Config) -> FaultVerdicts {
         server.shutdown();
         verdict
     };
-    println!(
-        "oversized frame   -> refused from header : {}",
-        if oversized { "ok" } else { "FAIL" }
+    record(
+        "oversized",
+        "oversized frame -> refused from header",
+        oversized,
     );
 
     // Full per-client budget: a typed Busy answer for the flooder,
@@ -383,10 +375,7 @@ fn fault_smoke(cfg: &Config) -> FaultVerdicts {
         server.shutdown();
         verdict
     };
-    println!(
-        "full client budget -> typed Busy, fair   : {}",
-        if busy { "ok" } else { "FAIL" }
-    );
+    record("busy", "full client budget -> typed Busy, fair", busy);
 
     // Expired deadline: enforced at dequeue, reported as a typed failure.
     let deadline = {
@@ -408,10 +397,7 @@ fn fault_smoke(cfg: &Config) -> FaultVerdicts {
         server.shutdown();
         verdict
     };
-    println!(
-        "expired deadline  -> typed failure       : {}",
-        if deadline { "ok" } else { "FAIL" }
-    );
+    record("deadline", "expired deadline -> typed failure", deadline);
 
     // Injected worker panic: exactly its own job fails, typed; the same
     // connection (and the respawned pool) keeps serving.
@@ -435,35 +421,16 @@ fn fault_smoke(cfg: &Config) -> FaultVerdicts {
         server.shutdown();
         failed_typed && survived
     };
-    println!(
-        "worker panic      -> typed, job-isolated : {}",
-        if panic { "ok" } else { "FAIL" }
-    );
+    record("panic", "worker panic -> typed, job-isolated", panic);
 
-    FaultVerdicts {
-        garbage,
-        oversized,
-        busy,
-        deadline,
-        panic,
-    }
-}
-
-/// One chaos-seed verdict for the JSON report.
-struct ChaosCase {
-    seed: u64,
-    frames: u64,
-    faults: u64,
-    retries: u64,
-    terminal: bool,
-    bit_identical: bool,
+    verdicts
 }
 
 /// Push a slice of the workload through a fault-injecting transport under
 /// several plan seeds. The gate: every job reaches a terminal state (no
 /// hangs, no unanswered submissions) and every result is bit-identical to
 /// the fault-free reference.
-fn chaos_experiment(cfg: &Config) -> (Vec<ChaosCase>, bool) {
+fn chaos_experiment(cfg: &Config, verdict: &mut Verdict) -> Vec<Json> {
     println!("\n== serve_net — chaos transport smoke (2 workers, retrying client) ==\n");
     let server = NetServer::bind(fresh_target(cfg), "127.0.0.1:0", &ServeConfig::new(2))
         .expect("loopback bind");
@@ -471,31 +438,9 @@ fn chaos_experiment(cfg: &Config) -> (Vec<ChaosCase>, bool) {
     let batch: Vec<SubmitRequest> = requests(cfg).into_iter().take(6).collect();
 
     // Fault-free reference over the same slice, in-process.
-    let service = TranspileService::new(fresh_target(cfg), 1);
-    let jobs: Vec<TranspileJob> = batch
-        .iter()
-        .map(|r| {
-            let circuit = mirage_circuit::qasm::from_qasm(&r.qasm).expect("workload parses");
-            TranspileJob::new(r.label.clone(), circuit, r.options.to_options(r.seed))
-        })
-        .collect();
-    let expected: Results = service
-        .run_batch(jobs)
-        .expect("service is live")
-        .into_iter()
-        .map(|r| {
-            let out = r.outcome.expect("benchmark jobs succeed");
-            (r.label, (out.circuit.fingerprint(), to_qasm(&out.circuit)))
-        })
-        .collect();
-    service.shutdown();
+    let (_, expected) = in_process_once(cfg, &batch, 1);
 
-    println!(
-        "{:>12} {:>7} {:>7} {:>8}  verdict",
-        "seed", "frames", "faults", "retries"
-    );
     let mut cases = Vec::new();
-    let mut all_ok = true;
     for seed in [0xC4A0_5EEDu64, 7, 1234] {
         let plan = ChaosPlan::new(ChaosConfig::new(seed));
         let connector =
@@ -522,149 +467,66 @@ fn chaos_experiment(cfg: &Config) -> (Vec<ChaosCase>, bool) {
             }
         }
         let stats = plan.stats();
-        let ok = terminal && identical;
-        all_ok &= ok;
-        println!(
-            "{:>12} {:>7} {:>7} {:>8}  {}",
-            seed,
-            stats.frames,
-            stats.faults(),
-            client.retries(),
-            if ok { "bit-identical" } else { "FAIL" }
+        verdict.require(
+            terminal && identical,
+            format!("chaos seed {seed}: terminal {terminal}, bit-identical {identical}"),
         );
-        cases.push(ChaosCase {
-            seed,
-            frames: stats.frames,
-            faults: stats.faults(),
-            retries: client.retries(),
-            terminal,
-            bit_identical: identical,
-        });
+        cases.push(Json::Obj(vec![
+            ("seed", seed.into()),
+            ("frames", stats.frames.into()),
+            ("faults", stats.faults().into()),
+            ("retries", client.retries().into()),
+            ("terminal", terminal.into()),
+            ("bit_identical", identical.into()),
+        ]));
     }
     server.shutdown();
-    (cases, all_ok)
+    report::print_cases(&cases);
+    cases
 }
 
-fn verdict_str(ok: bool) -> &'static str {
-    if ok {
-        "ok"
-    } else {
-        "FAIL"
-    }
-}
-
-fn write_json(
-    path: &str,
-    cfg: &Config,
-    cases: &[Case],
-    faults: &FaultVerdicts,
-    chaos: Option<&[ChaosCase]>,
-) -> std::io::Result<()> {
-    let topo = topology(cfg);
-    let mode = if cfg.quick { "quick" } else { "full" };
-    let jobs = requests(cfg).len();
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"serve_net\",\n");
-    s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    s.push_str(&format!(
-        "  \"config\": {{\"n_qubits\": {}, \"router\": \"mirage\", \"seed\": {SEED}, \
-         \"jobs\": {jobs}, \"clients\": {}}},\n",
-        topo.n_qubits(),
-        4.min(jobs)
-    ));
-    s.push_str("  \"cases\": [\n");
-    for (i, c) in cases.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"workers\": {}, \"jobs_per_sec\": {:.2}, \"speedup\": {:.2}, \
-             \"bit_identical\": {}}}{}",
-            c.workers,
-            c.jobs_per_sec,
-            c.speedup,
-            c.bit_identical,
-            if i + 1 == cases.len() { "\n" } else { ",\n" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"faults\": {{\"garbage\": \"{}\", \"oversized\": \"{}\", \"busy\": \"{}\", \
-         \"deadline\": \"{}\", \"panic\": \"{}\"}},\n",
-        verdict_str(faults.garbage),
-        verdict_str(faults.oversized),
-        verdict_str(faults.busy),
-        verdict_str(faults.deadline),
-        verdict_str(faults.panic)
-    ));
-    match chaos {
-        None => s.push_str("  \"chaos\": \"skipped\"\n"),
-        Some(cases) => {
-            s.push_str("  \"chaos\": [\n");
-            for (i, c) in cases.iter().enumerate() {
-                s.push_str(&format!(
-                    "    {{\"seed\": {}, \"frames\": {}, \"faults\": {}, \"retries\": {}, \
-                     \"terminal\": {}, \"bit_identical\": {}}}{}",
-                    c.seed,
-                    c.frames,
-                    c.faults,
-                    c.retries,
-                    c.terminal,
-                    c.bit_identical,
-                    if i + 1 == cases.len() { "\n" } else { ",\n" }
-                ));
-            }
-            s.push_str("  ]\n");
-        }
-    }
-    s.push_str("}\n");
-    std::fs::write(path, s)
-}
-
-fn main() {
-    let mut cfg = Config {
-        quick: false,
-        max_workers: 4,
+fn main() -> ExitCode {
+    let args = CLI.parse_env();
+    let max_workers = match args.value("--workers") {
+        None => 4,
+        Some(w) => w
+            .parse()
+            .ok()
+            .filter(|&w| w >= 1)
+            .unwrap_or_else(|| CLI.usage_error("--workers needs an integer >= 1")),
     };
-    let mut out_path = "BENCH_serve.json".to_owned();
-    let mut run_chaos = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => cfg.quick = true,
-            "--chaos" => run_chaos = true,
-            "--workers" => {
-                cfg.max_workers = args
-                    .next()
-                    .and_then(|w| w.parse().ok())
-                    .filter(|&w| w >= 1)
-                    .expect("--workers needs an integer >= 1");
-            }
-            "--out" => out_path = args.next().expect("--out needs a path"),
-            other => panic!("unknown argument '{other}'"),
-        }
-    }
+    let cfg = Config {
+        quick: args.quick,
+        max_workers,
+    };
     // Build the shared coverage set once, outside every timed region.
     let _ = fresh_target(&cfg).gate_cost(&mirage_weyl::coords::WeylCoord::CNOT);
 
-    let mut cases = Vec::new();
-    let scaling_ok = scaling_experiment(&cfg, &mut cases);
+    let mut verdict = Verdict::default();
+    let cases = scaling_experiment(&cfg, &mut verdict);
     let faults = fault_smoke(&cfg);
-    let faults_ok =
-        faults.garbage && faults.oversized && faults.busy && faults.deadline && faults.panic;
-    let (chaos_cases, chaos_ok) = if run_chaos {
-        let (cases, ok) = chaos_experiment(&cfg);
-        (Some(cases), ok)
+    for &(name, ok) in &faults {
+        verdict.require(ok, format!("fault smoke '{name}'"));
+    }
+    let chaos = if args.switch("--chaos") {
+        Json::Arr(chaos_experiment(&cfg, &mut verdict))
     } else {
-        (None, true)
+        "skipped".into()
     };
 
-    match write_json(&out_path, &cfg, &cases, &faults, chaos_cases.as_deref()) {
-        Ok(()) => println!("\nwrote {out_path}"),
-        Err(e) => {
-            println!("\nFAIL: cannot write {out_path}: {e}");
-            std::process::exit(1);
-        }
-    }
-    if !(scaling_ok && faults_ok && chaos_ok) {
-        std::process::exit(1);
-    }
+    let jobs = requests(&cfg).len();
+    let config = Json::Obj(vec![
+        ("n_qubits", topology(&cfg).n_qubits().into()),
+        ("router", "mirage".into()),
+        ("seed", SEED.into()),
+        ("jobs", jobs.into()),
+        ("clients", 4.min(jobs).into()),
+    ]);
+    let faults = faults
+        .into_iter()
+        .map(|(name, ok)| (name, (if ok { "ok" } else { "FAIL" }).into()))
+        .collect();
+    let extra = vec![("faults", Json::Obj(faults)), ("chaos", chaos)];
+    let doc = report::document(CLI.bin, &args, config, cases, extra);
+    report::finish(CLI.bin, &args.out, &doc, verdict)
 }

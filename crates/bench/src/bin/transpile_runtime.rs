@@ -23,12 +23,12 @@
 //!
 //! Usage: `transpile_runtime [--quick] [--out PATH] [--print-fingerprints]`
 
-use mirage_bench::print_table;
+use mirage_bench::report::{self, hex, num, CacheStats, Cli, Json, Sanity, Verdict};
 use mirage_circuit::generators::{qft, two_local_full};
 use mirage_circuit::Circuit;
 use mirage_core::{transpile, RouterKind, Target, TranspileOptions, TranspiledCircuit};
 use mirage_topology::CouplingMap;
-use std::time::Instant;
+use std::process::ExitCode;
 
 const TRANSPILE_SEED: u64 = 0x7147;
 const BEST_OF: usize = 3;
@@ -37,49 +37,33 @@ const BEST_OF: usize = 3;
 /// engine's output (the parallel engine must reproduce it bit for bit;
 /// regenerate with `--print-fingerprints` after an intentional behavior
 /// change).
-const SANITY: &[(&str, u64, usize, usize)] = &[
-    ("qft-16", 0x7FEEB09EE195ADB8, 3, 122),
-    ("qft-32", 0x0279BCF79D3CA2A6, 3, 498),
-    ("qft-48", 0xE1B2F216BF88B649, 138, 988),
-    ("twolocal-full-16", 0x97A40200E0C12FD6, 2, 242),
+const SANITY: &[(&str, Sanity)] = &[
+    ("qft-16", (0x7FEEB09EE195ADB8, 3, 122)),
+    ("qft-32", (0x0279BCF79D3CA2A6, 3, 498)),
+    ("qft-48", (0xE1B2F216BF88B649, 138, 988)),
+    ("twolocal-full-16", (0x97A40200E0C12FD6, 2, 242)),
 ];
 
-struct Case {
-    name: &'static str,
-    n_qubits: usize,
-    circuit: Circuit,
-}
+const CLI: Cli = Cli {
+    bin: "transpile_runtime",
+    default_out: "BENCH_transpile.json",
+    switches: &["--print-fingerprints"],
+    valued: &[],
+};
 
-fn cases(quick: bool) -> Vec<Case> {
-    if quick {
-        return vec![Case {
-            name: "qft-32",
-            n_qubits: 32,
-            circuit: qft(32, false),
-        }];
-    }
-    vec![
-        Case {
-            name: "qft-16",
-            n_qubits: 16,
-            circuit: qft(16, false),
-        },
-        Case {
-            name: "qft-32",
-            n_qubits: 32,
-            circuit: qft(32, false),
-        },
-        Case {
-            name: "qft-48",
-            n_qubits: 48,
-            circuit: qft(48, false),
-        },
-        Case {
-            name: "twolocal-full-16",
-            n_qubits: 16,
-            circuit: two_local_full(16, 2, 0xB16),
-        },
-    ]
+/// The benchmark circuits, each transpiled onto a line as wide as itself;
+/// `--quick` keeps qft-32 only.
+fn cases(quick: bool) -> Vec<(&'static str, Circuit)> {
+    let cases = vec![
+        ("qft-16", qft(16, false)),
+        ("qft-32", qft(32, false)),
+        ("qft-48", qft(48, false)),
+        ("twolocal-full-16", two_local_full(16, 2, 0xB16)),
+    ];
+    cases
+        .into_iter()
+        .filter(|&(name, _)| !quick || name == "qft-32")
+        .collect()
 }
 
 fn options(parallel: bool) -> TranspileOptions {
@@ -101,9 +85,7 @@ struct Measured {
     swaps: usize,
     mirrors: usize,
     fingerprint: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_contention: u64,
+    cache: CacheStats,
 }
 
 impl Measured {
@@ -114,23 +96,42 @@ impl Measured {
             self.serial_ms / self.parallel_ms
         }
     }
+
+    fn pin(&self) -> (&str, Sanity) {
+        (self.name, (self.fingerprint, self.swaps, self.mirrors))
+    }
+
+    fn json(&self) -> Json {
+        let mut fields = vec![
+            ("name", self.name.into()),
+            ("n_qubits", self.n_qubits.into()),
+            ("twoq_gates", self.twoq_gates.into()),
+            ("serial_ms", num(self.serial_ms, 3)),
+            ("parallel_ms", num(self.parallel_ms, 3)),
+            ("speedup", num(self.speedup(), 2)),
+            ("swaps", self.swaps.into()),
+            ("mirrors", self.mirrors.into()),
+            ("fingerprint", hex(self.fingerprint)),
+        ];
+        fields.extend(self.cache.fields());
+        Json::Obj(fields)
+    }
 }
 
 fn run(circuit: &Circuit, target: &Target, parallel: bool) -> TranspiledCircuit {
     transpile(circuit, target, &options(parallel)).expect("bench case transpiles")
 }
 
-fn measure(case: &Case) -> Measured {
-    let target = Target::sqrt_iswap(CouplingMap::line(case.n_qubits));
+fn measure((name, circuit): &(&'static str, Circuit)) -> Measured {
+    let target = Target::sqrt_iswap(CouplingMap::line(circuit.n_qubits));
 
     // Bit-identity gate (also warms the shared cost cache and the
     // engine-pooled scratches, so both timed modes run steady-state).
-    let serial = run(&case.circuit, &target, false);
-    let parallel = run(&case.circuit, &target, true);
+    let serial = run(circuit, &target, false);
+    let parallel = run(circuit, &target, true);
     assert_eq!(
         serial.circuit, parallel.circuit,
-        "{}: parallel trial engine diverged from serial",
-        case.name
+        "{name}: parallel trial engine diverged from serial"
     );
     assert_eq!(
         serial.metrics.swaps_inserted,
@@ -141,203 +142,58 @@ fn measure(case: &Case) -> Measured {
         parallel.metrics.mirrors_accepted
     );
 
-    let time_best_of = |parallel: bool| -> f64 {
-        (0..BEST_OF)
-            .map(|_| {
-                let t0 = Instant::now();
-                let r = run(&case.circuit, &target, parallel);
-                let dt = t0.elapsed().as_secs_f64() * 1e3;
-                std::hint::black_box(r.metrics.swaps_inserted);
-                dt
-            })
-            .fold(f64::INFINITY, f64::min)
-    };
-    let serial_ms = time_best_of(false);
-    let parallel_ms = time_best_of(true);
+    let serial_ms = report::best_ms(BEST_OF, || run(circuit, &target, false));
+    let parallel_ms = report::best_ms(BEST_OF, || run(circuit, &target, true));
 
-    let (cache_hits, cache_misses) = target.cache_stats();
     Measured {
-        name: case.name,
-        n_qubits: case.n_qubits,
+        name,
+        n_qubits: circuit.n_qubits,
         twoq_gates: serial.metrics.two_qubit_gates,
         serial_ms,
         parallel_ms,
         swaps: serial.metrics.swaps_inserted,
         mirrors: serial.metrics.mirrors_accepted,
         fingerprint: serial.circuit.fingerprint(),
-        cache_hits,
-        cache_misses,
-        cache_contention: target.cache().contention(),
+        cache: CacheStats::of(&target),
     }
 }
 
-fn check_sanity(rows: &[Measured]) -> bool {
-    let mut ok = true;
-    for row in rows {
-        match SANITY.iter().find(|(name, ..)| *name == row.name) {
-            Some(&(_, fp, swaps, mirrors)) => {
-                if (row.fingerprint, row.swaps, row.mirrors) != (fp, swaps, mirrors) {
-                    eprintln!(
-                        "SANITY DRIFT {}: got fingerprint 0x{:016X} / {} swaps / {} mirrors, \
-                         pinned 0x{fp:016X} / {swaps} / {mirrors}",
-                        row.name, row.fingerprint, row.swaps, row.mirrors
-                    );
-                    ok = false;
-                }
-            }
-            None => {
-                eprintln!("SANITY: no pinned entry for {}", row.name);
-                ok = false;
-            }
-        }
-    }
-    ok
-}
-
-fn json_escape_free(name: &str) -> &str {
-    // Case names are static identifiers; keep the emitter honest anyway.
-    assert!(
-        name.chars().all(|c| c.is_ascii_alphanumeric() || c == '-'),
-        "case name needs JSON escaping: {name}"
-    );
-    name
-}
-
-fn write_json(path: &str, mode: &str, threads: usize, rows: &[Measured]) -> std::io::Result<()> {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"transpile_runtime\",\n");
-    s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    s.push_str(&format!(
-        "  \"config\": {{\"topology\": \"line\", \"router\": \"mirage\", \"seed\": {TRANSPILE_SEED}, \
-         \"best_of\": {BEST_OF}, \"threads\": {threads}}},\n"
-    ));
-    s.push_str("  \"cases\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"n_qubits\": {}, \"twoq_gates\": {}, \
-             \"serial_ms\": {:.3}, \"parallel_ms\": {:.3}, \"speedup\": {:.2}, \
-             \"swaps\": {}, \"mirrors\": {}, \"fingerprint\": \"0x{:016X}\", \
-             \"cache_hits\": {}, \"cache_misses\": {}, \"cache_contention\": {}}}{}",
-            json_escape_free(r.name),
-            r.n_qubits,
-            r.twoq_gates,
-            r.serial_ms,
-            r.parallel_ms,
-            r.speedup(),
-            r.swaps,
-            r.mirrors,
-            r.fingerprint,
-            r.cache_hits,
-            r.cache_misses,
-            r.cache_contention,
-            if i + 1 == rows.len() { "\n" } else { ",\n" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(path, s)
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let print_fingerprints = args.iter().any(|a| a == "--print-fingerprints");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_transpile.json".to_owned());
-
-    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let mode = if quick { "quick" } else { "full" };
+fn main() -> ExitCode {
+    let args = CLI.parse_env();
     println!(
         "transpile_runtime — line topology, mirage quick trials, best-of-{BEST_OF} \
-         ({mode}, {threads} threads)\n"
+         ({}, {} threads)\n",
+        args.mode(),
+        report::host_cores()
     );
 
-    let rows: Vec<Measured> = cases(quick).iter().map(measure).collect();
-
-    if print_fingerprints {
-        println!("const SANITY: &[(&str, u64, usize, usize)] = &[");
-        for r in &rows {
-            println!(
-                "    (\"{}\", 0x{:016X}, {}, {}),",
-                r.name, r.fingerprint, r.swaps, r.mirrors
-            );
-        }
-        println!("];");
-        return;
+    let rows: Vec<Measured> = cases(args.quick).iter().map(measure).collect();
+    let pins: Vec<_> = rows.iter().map(Measured::pin).collect();
+    if args.switch("--print-fingerprints") {
+        report::print_pins("SANITY", &pins);
+        return ExitCode::SUCCESS;
     }
 
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.name.to_owned(),
-                r.n_qubits.to_string(),
-                r.twoq_gates.to_string(),
-                format!("{:.2}", r.serial_ms),
-                format!("{:.2}", r.parallel_ms),
-                format!("{:.2}x", r.speedup()),
-                r.swaps.to_string(),
-                r.mirrors.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        &[
-            "case",
-            "qubits",
-            "2q",
-            "serial-ms",
-            "parallel-ms",
-            "speedup",
-            "swaps",
-            "mirrors",
-        ],
-        &table,
-    );
+    let cases: Vec<Json> = rows.iter().map(Measured::json).collect();
+    report::print_cases(&cases);
+    CacheStats::print_total(rows.iter().map(|r| r.cache));
 
-    let (h, m, c) = rows.iter().fold((0u64, 0u64, 0u64), |acc, r| {
-        (
-            acc.0 + r.cache_hits,
-            acc.1 + r.cache_misses,
-            acc.2 + r.cache_contention,
-        )
-    });
-    println!("\ncache_stats: hits={h} misses={m} contention={c} (shared cost cache, all cases)");
-
-    let sanity_ok = check_sanity(&rows);
-    match write_json(&out_path, mode, threads, &rows) {
-        Ok(()) => println!("\nwrote {out_path}"),
-        Err(e) => {
-            eprintln!("failed to write {out_path}: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    if !sanity_ok {
-        eprintln!("transpile_runtime: sanity columns drifted from the pinned fingerprints");
-        std::process::exit(1);
-    }
-    if quick {
-        if threads < 4 {
-            println!(
-                "\nCI gate: skipped (host parallelism {threads} < 4 — the gate would \
-                 measure the machine, not the code)"
-            );
-            return;
-        }
+    let mut verdict = Verdict::default();
+    verdict.pins("SANITY", SANITY, &pins);
+    if args.quick {
         let qft32 = rows
             .iter()
             .find(|r| r.name == "qft-32")
             .expect("quick mode runs qft-32");
-        let speedup = qft32.speedup();
-        println!("\nCI gate: parallel vs serial at qft-32 = {speedup:.2}x (needs >= 1.5x)");
-        if speedup < 1.5 {
-            eprintln!("transpile_runtime: parallel trials are not >= 1.5x faster than serial");
-            std::process::exit(1);
-        }
+        println!();
+        verdict.scaling("parallel vs serial at qft-32", qft32.speedup(), 1.5);
     }
+    let config = Json::Obj(vec![
+        ("topology", "line".into()),
+        ("router", "mirage".into()),
+        ("seed", TRANSPILE_SEED.into()),
+        ("best_of", BEST_OF.into()),
+    ]);
+    let doc = report::document(CLI.bin, &args, config, cases, vec![]);
+    report::finish(CLI.bin, &args.out, &doc, verdict)
 }

@@ -1,8 +1,8 @@
 //! Ablation harness: sweep the mirror-decision weight λ (how strongly the
 //! lookahead distance term counts against the decomposition-cost delta) and
 //! the front-term normalization, printing depth/SWAPs/acceptance for
-//! representative circuits. Used to pick the shipped default (DESIGN.md
-//! ablation notes).
+//! representative circuits. Used to pick the shipped default (the mirror
+//! decision is described in ARCHITECTURE.md, "Router hot path").
 
 use mirage_bench::eval_options;
 use mirage_circuit::generators::{portfolio_qaoa, qft, seca, swap_test};

@@ -1,13 +1,18 @@
 //! Shared harness utilities for the experiment-regeneration binaries.
 //!
-//! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper (see `DESIGN.md` §3 for the index). This library holds the pieces
-//! they share: full-quality coverage-set construction, the benchmark-suite
-//! runner, and plain-text table rendering.
+//! Each figure/table binary under `src/bin/` regenerates one table or
+//! figure of the paper (README.md, "Experiments", has the index); the four
+//! perf-gate binaries (`routing_runtime`, `transpile_runtime`,
+//! `coverage_runtime`, `serve_net`) hold the workspace to its checked-in
+//! `BENCH_*.json` numbers and pinned fingerprints. This library holds the
+//! pieces they share: full-quality coverage-set construction, the
+//! benchmark-suite runner, plain-text table rendering, and the gate
+//! harness.
 //!
 //! ---
 //! **Owns:** [`coverage_for`], [`eval_options`], [`run_one`]/[`SuiteRow`],
-//! [`timing::bench`], and the `src/bin/` experiment binaries.
+//! [`timing::bench`], the gate harness in [`report`] (arguments, pins,
+//! `BENCH_*.json` writer, verdict), and the `src/bin/` binaries.
 //! **Paper:** §§V–VI experiments — Figs. 3–13, Tables I–III, plus the
 //! calibration-skew sweep (`calibration_skew`) that extends Table III to
 //! noisy heterogeneous devices.
@@ -16,6 +21,7 @@ use mirage_circuit::Circuit;
 use mirage_core::{transpile, RouterKind, Target, TranspileOptions};
 use mirage_coverage::set::{BasisGate, CoverageOptions, CoverageSet};
 
+pub mod report;
 pub mod timing;
 
 /// Build a full-quality coverage set for `iSWAP^(1/n)`.

@@ -7,7 +7,8 @@
 //! Monodromy theory guarantees these regions are (unions of) convex
 //! polytopes in canonical coordinates; the paper computes them with the
 //! `monodromy` package, and we reconstruct them by sampling the ansatz and
-//! taking convex hulls (see `DESIGN.md` for the validation anchors).
+//! taking convex hulls (ARCHITECTURE.md, "Coverage geometry: one walk and
+//! stock atlases", names the suites and pins that validate them).
 //!
 //! Modules:
 //!
