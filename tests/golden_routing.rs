@@ -15,6 +15,13 @@
 //! on duration-weighted depth (MIRAGE's headline metric) under the uniform
 //! and the skewed calibration.
 //!
+//! `PAPER_GOLDEN` pins whole `transpile` calls at paper scale: a subset of
+//! the Table III suite on the 6×6 lattice and the 57-qubit heavy-hex under
+//! quick MIRAGE with the VF2 pre-pass on, plus one calibrated 4×4 lattice
+//! call that post-selects on estimated success. `CANDIDATES_FNV` folds the
+//! fingerprint of every candidate `TrialEngine::run_candidates` returns,
+//! so the non-winning candidates stay pinned too.
+//!
 //! To re-pin after an *intentional* behavior change:
 //!
 //! ```text
@@ -24,14 +31,14 @@
 //! and paste the printed table over `GOLDEN`.
 
 use mirage::circuit::consolidate::consolidate;
-use mirage::circuit::generators::{qft, two_local_full};
+use mirage::circuit::generators::{paper_suite, qft, two_local_full};
 use mirage::circuit::{Circuit, Dag};
 use mirage::core::calibration::Calibration;
 use mirage::core::layout::Layout;
 use mirage::core::router::{node_coords, route, Aggression, RouterConfig};
 use mirage::core::trials::{Metric, TrialEngine, TrialOptions};
 use mirage::core::verify::verify_routed;
-use mirage::core::Target;
+use mirage::core::{transpile, RouterKind, Target, TranspileOptions};
 use mirage::math::Rng;
 use mirage::topology::CouplingMap;
 
@@ -398,4 +405,350 @@ fn routed_circuits_match_pinned_fingerprints() {
             case.mirrors
         );
     }
+}
+
+/// label, fingerprint, swaps, mirrors, `depth_estimate` bits,
+/// `estimated_success` bits.
+type PaperGolden = (&'static str, u64, usize, usize, u64, u64);
+
+/// Pinned before the router core stopped building circuits for every
+/// route. Do not edit by hand.
+const PAPER_GOLDEN: &[PaperGolden] = &[
+    (
+        "grid-6x6/wstate_n27",
+        0xCB025BC9AA88379A,
+        0,
+        0,
+        0x403A000000000000,
+        0x3FF0000000000000,
+    ),
+    (
+        "grid-6x6/qftentangled_n16",
+        0x55DDC75616B6B3A4,
+        65,
+        53,
+        0x405A200000000000,
+        0x3FF0000000000000,
+    ),
+    (
+        "grid-6x6/qpeexact_n16",
+        0x18ABE5D56B0517EC,
+        40,
+        49,
+        0x4056200000000000,
+        0x3FF0000000000000,
+    ),
+    (
+        "grid-6x6/qft_n18",
+        0xCEF54544CE22E1A8,
+        54,
+        164,
+        0x405D000000000000,
+        0x3FF0000000000000,
+    ),
+    (
+        "grid-6x6/multiplier_n15",
+        0xD0FF558B2CEC0C6B,
+        88,
+        38,
+        0x4067900000000000,
+        0x3FF0000000000000,
+    ),
+    (
+        "grid-6x6/seca_n11",
+        0xB6EDA8663D0FD984,
+        31,
+        18,
+        0x404E000000000000,
+        0x3FF0000000000000,
+    ),
+    (
+        "grid-6x6/qram_n20",
+        0x0DC6BB8084E50B27,
+        32,
+        0,
+        0x4053400000000000,
+        0x3FF0000000000000,
+    ),
+    (
+        "grid-6x6/sat_n11",
+        0x757D43256AA8B997,
+        80,
+        0,
+        0x4068400000000000,
+        0x3FF0000000000000,
+    ),
+    (
+        "grid-6x6/knn_n25",
+        0x6F2FC52B65ECA50C,
+        34,
+        0,
+        0x4053E00000000000,
+        0x3FF0000000000000,
+    ),
+    (
+        "heavy-hex-5/wstate_n27",
+        0x4CB3869C4B88119E,
+        0,
+        0,
+        0x403A000000000000,
+        0x3FF0000000000000,
+    ),
+    (
+        "heavy-hex-5/qftentangled_n16",
+        0x8B9AD6AF5B2B16F0,
+        55,
+        149,
+        0x405CA00000000000,
+        0x3FF0000000000000,
+    ),
+    (
+        "heavy-hex-5/qpeexact_n16",
+        0x8C0C182A11BCC685,
+        68,
+        118,
+        0x405C800000000000,
+        0x3FF0000000000000,
+    ),
+    (
+        "heavy-hex-5/qft_n18",
+        0xE5212FB39279E95E,
+        109,
+        163,
+        0x4060B00000000000,
+        0x3FF0000000000000,
+    ),
+    (
+        "heavy-hex-5/multiplier_n15",
+        0x4DA9F1FFF661E206,
+        110,
+        51,
+        0x406B800000000000,
+        0x3FF0000000000000,
+    ),
+    (
+        "heavy-hex-5/seca_n11",
+        0x55950A3FA92A39E3,
+        50,
+        27,
+        0x4054400000000000,
+        0x3FF0000000000000,
+    ),
+    (
+        "heavy-hex-5/qram_n20",
+        0xDB1629814B9D59B6,
+        44,
+        20,
+        0x4056400000000000,
+        0x3FF0000000000000,
+    ),
+    (
+        "heavy-hex-5/sat_n11",
+        0x05F134FEDB917F13,
+        125,
+        45,
+        0x406DD00000000000,
+        0x3FF0000000000000,
+    ),
+    (
+        "heavy-hex-5/knn_n25",
+        0x4628760CE0788B6F,
+        41,
+        6,
+        0x4057200000000000,
+        0x3FF0000000000000,
+    ),
+    (
+        "grid-4x4/success/qft_n12",
+        0x1490549AEA5FD793,
+        19,
+        24,
+        0x4050D3A186EB06C2,
+        0x3FC08695DF93356A,
+    ),
+];
+
+/// The FNV-1a fold over the fingerprints of every `run_candidates`
+/// candidate of [`candidate_runs`], and the candidate count.
+const CANDIDATES_FNV: (u64, usize) = (0xD137F3AFEB9FEC50, 32);
+
+/// The Table III circuits pinned at paper scale: one VF2 embedding
+/// (`wstate_n27` is a chain) and routed circuits of several shapes.
+const PAPER_SUBSET: [&str; 9] = [
+    "wstate_n27",
+    "qftentangled_n16",
+    "qpeexact_n16",
+    "qft_n18",
+    "multiplier_n15",
+    "seca_n11",
+    "qram_n20",
+    "sat_n11",
+    "knn_n25",
+];
+
+/// The calibrated 4×4 lattice of the estimated-success case.
+fn calibrated_grid() -> Target {
+    let topo = CouplingMap::grid(4, 4);
+    let cal = Calibration::synthetic(&topo, &mut Rng::new(0x4A11));
+    Target::sqrt_iswap(topo)
+        .with_calibration(cal)
+        .expect("synthetic covers the map")
+}
+
+/// Quick MIRAGE transpile options under `MIRAGE_TEST_THREADS`.
+fn paper_opts(seed: u64) -> TranspileOptions {
+    let mut opts = TranspileOptions::quick(RouterKind::Mirage, seed);
+    if let Some(n) = env_threads() {
+        opts.trials.parallel = true;
+        opts.trials.threads = n;
+    }
+    opts
+}
+
+fn paper_case(
+    label: String,
+    circuit: &Circuit,
+    target: &Target,
+    opts: &TranspileOptions,
+) -> PaperCase {
+    let out = transpile(circuit, target, opts).expect("paper circuit transpiles");
+    // Too wide to simulate: check that every two-qubit gate sits on a
+    // coupler instead.
+    for instr in &out.circuit.instructions {
+        if instr.gate.is_two_qubit() {
+            assert!(
+                target
+                    .topology()
+                    .are_adjacent(instr.qubits[0], instr.qubits[1]),
+                "{label}: two-qubit gate off the coupling map"
+            );
+        }
+    }
+    PaperCase {
+        label,
+        fingerprint: out.circuit.fingerprint(),
+        swaps: out.metrics.swaps_inserted,
+        mirrors: out.metrics.mirrors_accepted,
+        depth: out.metrics.depth_estimate.to_bits(),
+        success: out.metrics.estimated_success.to_bits(),
+    }
+}
+
+struct PaperCase {
+    label: String,
+    fingerprint: u64,
+    swaps: usize,
+    mirrors: usize,
+    depth: u64,
+    success: u64,
+}
+
+fn run_paper() -> Vec<PaperCase> {
+    let suite = paper_suite();
+    let mut out = Vec::new();
+    for (d, topo) in [CouplingMap::grid(6, 6), CouplingMap::heavy_hex(5)]
+        .into_iter()
+        .enumerate()
+    {
+        let target = Target::sqrt_iswap(topo.clone());
+        for (i, name) in PAPER_SUBSET.iter().enumerate() {
+            let (_, circuit) = suite.iter().find(|(n, _)| n == name).expect("suite member");
+            let opts = paper_opts(0x7AB3 + (d * PAPER_SUBSET.len() + i) as u64);
+            out.push(paper_case(
+                format!("{}/{name}", topo.name()),
+                circuit,
+                &target,
+                &opts,
+            ));
+        }
+    }
+    let target = calibrated_grid();
+    let opts = paper_opts(0x5CC5).with_metric(Metric::EstimatedSuccess);
+    out.push(paper_case(
+        "grid-4x4/success/qft_n12".to_owned(),
+        &qft(12, false),
+        &target,
+        &opts,
+    ));
+    out
+}
+
+/// The engine runs whose candidates `CANDIDATES_FNV` pins: a paper circuit
+/// on the 6×6 lattice under depth post-selection and the calibrated 4×4
+/// case under estimated success.
+fn candidate_runs() -> (u64, usize) {
+    let suite = paper_suite();
+    let (_, qfte) = suite
+        .iter()
+        .find(|(n, _)| *n == "qftentangled_n16")
+        .expect("suite member");
+    let grid = Target::sqrt_iswap(CouplingMap::grid(6, 6));
+    let noisy = calibrated_grid();
+    let runs = [
+        (consolidate(qfte), &grid, Metric::Depth, 0xCA4D),
+        (
+            consolidate(&qft(12, false)),
+            &noisy,
+            Metric::EstimatedSuccess,
+            0xCA4E,
+        ),
+    ];
+    let mut fold = 0xCBF2_9CE4_8422_2325u64;
+    let mut count = 0;
+    for (circuit, target, metric, seed) in &runs {
+        let mut opts = TrialOptions::quick(*metric, *seed);
+        if let Some(n) = env_threads() {
+            opts.parallel = true;
+            opts.threads = n;
+        }
+        let run = TrialEngine::new(circuit, target)
+            .run_candidates(true, &opts)
+            .expect("valid mix");
+        for c in &run.candidates {
+            for byte in c.routed.circuit.fingerprint().to_le_bytes() {
+                fold ^= u64::from(byte);
+                fold = fold.wrapping_mul(0x0100_0000_01B3);
+            }
+            count += 1;
+        }
+    }
+    (fold, count)
+}
+
+#[test]
+fn paper_scale_transpiles_match_pins() {
+    let actual = run_paper();
+    let candidates = candidate_runs();
+    if std::env::var("MIRAGE_REGEN_GOLDEN").is_ok() {
+        println!("const PAPER_GOLDEN: &[PaperGolden] = &[");
+        for c in &actual {
+            println!(
+                "    (\"{}\", 0x{:016X}, {}, {}, 0x{:016X}, 0x{:016X}),",
+                c.label, c.fingerprint, c.swaps, c.mirrors, c.depth, c.success
+            );
+        }
+        println!("];");
+        println!(
+            "const CANDIDATES_FNV: (u64, usize) = (0x{:016X}, {});",
+            candidates.0, candidates.1
+        );
+        panic!("MIRAGE_REGEN_GOLDEN set: paste the tables above over the pins");
+    }
+    assert_eq!(
+        actual.len(),
+        PAPER_GOLDEN.len(),
+        "paper case matrix changed shape"
+    );
+    for (c, &(label, fp, swaps, mirrors, depth, success)) in actual.iter().zip(PAPER_GOLDEN) {
+        assert_eq!(c.label, label, "case order changed");
+        assert_eq!(
+            (c.fingerprint, c.swaps, c.mirrors, c.depth, c.success),
+            (fp, swaps, mirrors, depth, success),
+            "{label}: transpile output drifted from the pinned behavior"
+        );
+    }
+    assert_eq!(
+        candidates, CANDIDATES_FNV,
+        "run_candidates fingerprints drifted from the pinned fold"
+    );
 }
