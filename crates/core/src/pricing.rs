@@ -78,6 +78,12 @@ impl Classes {
     pub fn is_empty(&self) -> bool {
         self.reps.is_empty()
     }
+
+    /// The quantized coordinate that identifies class `k`.
+    #[cfg(test)]
+    pub(crate) fn key(&self, k: ClassId) -> (u16, u16, u16) {
+        self.reps[k as usize].quantized()
+    }
 }
 
 /// `ln(1 − e)`, clamped so pathological error rates (`e → 1`) stay finite
@@ -165,49 +171,58 @@ impl CalibrationSnapshot {
     /// Duration weight of one instruction whose coordinate class costs
     /// `class_cost` (ignored for 1Q gates): the class cost scaled by its
     /// edge's duration factor, or the qubit's 1Q duration.
-    fn weight(&self, instr: &Instruction, class_cost: f64) -> f64 {
-        if !instr.gate.is_two_qubit() {
-            return self.qubit(instr.qubits[0]).0;
+    fn weight(&self, (a, b): Operands, class_cost: f64) -> f64 {
+        match b {
+            None => self.qubit(a).0,
+            Some(b) => class_cost * self.edge_factor(a, b),
         }
-        class_cost * self.edge_factor(instr.qubits[0], instr.qubits[1])
     }
 
     /// Log-survival of one instruction: `class_cost / basis_duration` basis
     /// applications at the edge's per-application error, or the qubit's 1Q
     /// error once.
-    fn log_success(&self, instr: &Instruction, class_cost: f64, basis_duration: f64) -> f64 {
-        if !instr.gate.is_two_qubit() {
-            return self.qubit(instr.qubits[0]).1;
+    fn log_success(&self, (a, b): Operands, class_cost: f64, basis_duration: f64) -> f64 {
+        match b {
+            None => self.qubit(a).1,
+            Some(b) => {
+                let applications = class_cost / basis_duration;
+                applications * self.edge(a, b).1
+            }
         }
-        let applications = class_cost / basis_duration;
-        applications * self.edge(instr.qubits[0], instr.qubits[1]).1
     }
 
-    /// Duration-weighted critical path of `c`, given the class cost of each
-    /// instruction in order.
-    pub(crate) fn depth(&self, c: &Circuit, mut class_costs: impl Iterator<Item = f64>) -> f64 {
-        c.weighted_depth(|i| {
-            let cost = class_costs.next().expect("one class cost per instruction");
-            self.weight(i, cost)
-        })
+    /// Duration-weighted critical path over `n_qubits` of the instructions
+    /// `items` (operands and class cost, in order). The same operations as
+    /// [`Circuit::weighted_depth`].
+    pub(crate) fn depth(&self, n_qubits: usize, items: impl Iterator<Item = Priced>) -> f64 {
+        let mut ready = vec![0.0f64; n_qubits];
+        for ((a, b), cost) in items {
+            let start = match b {
+                None => 0.0f64.max(ready[a]),
+                Some(b) => 0.0f64.max(ready[a]).max(ready[b]),
+            };
+            let end = start + self.weight((a, b), cost);
+            ready[a] = end;
+            if let Some(b) = b {
+                ready[b] = end;
+            }
+        }
+        ready.iter().copied().fold(0.0, f64::max)
     }
 
-    /// Sum of instruction duration weights of `c`.
-    pub(crate) fn total_cost(&self, c: &Circuit, class_costs: impl Iterator<Item = f64>) -> f64 {
-        let instructions = c.instructions.iter().zip(class_costs);
-        instructions.map(|(i, cost)| self.weight(i, cost)).sum()
+    /// Sum of the duration weights of `items`.
+    pub(crate) fn total_cost(&self, items: impl Iterator<Item = Priced>) -> f64 {
+        items.map(|(ops, cost)| self.weight(ops, cost)).sum()
     }
 
-    /// Summed per-instruction log-survival of `c` (readout excluded).
+    /// Summed log-survival of `items` (readout excluded).
     pub(crate) fn circuit_log_success(
         &self,
-        c: &Circuit,
-        class_costs: impl Iterator<Item = f64>,
+        items: impl Iterator<Item = Priced>,
         basis_duration: f64,
     ) -> f64 {
-        let instructions = c.instructions.iter().zip(class_costs);
-        instructions
-            .map(|(i, cost)| self.log_success(i, cost, basis_duration))
+        items
+            .map(|(ops, cost)| self.log_success(ops, cost, basis_duration))
             .sum()
     }
 
@@ -268,36 +283,88 @@ impl PriceTable {
         self.cost[k as usize] * self.snapshot.edge_factor(a, b)
     }
 
-    fn class_costs<'c>(&'c self, classes: &'c [ClassId]) -> impl Iterator<Item = f64> + 'c {
-        classes.iter().map(|&k| match k {
+    /// The cost of class `k` (`0.0` for [`NO_CLASS`]).
+    fn cost_of(&self, k: ClassId) -> f64 {
+        match k {
             NO_CLASS => 0.0,
             k => self.cost[k as usize],
-        })
+        }
+    }
+
+    fn priced<'a>(
+        &'a self,
+        items: impl Iterator<Item = (Operands, ClassId)> + 'a,
+    ) -> impl Iterator<Item = Priced> + 'a {
+        items.map(|(ops, k)| (ops, self.cost_of(k)))
+    }
+
+    /// Duration-weighted critical path over `n_qubits` of the instructions
+    /// `items` (operands and class id, in order).
+    pub(crate) fn depth_of(
+        &self,
+        n_qubits: usize,
+        items: impl Iterator<Item = (Operands, ClassId)>,
+    ) -> f64 {
+        self.snapshot.depth(n_qubits, self.priced(items))
+    }
+
+    /// Natural log of the estimated success probability of the
+    /// instructions `items` with the logical qubits finally on `measured`.
+    pub(crate) fn log_success_of(
+        &self,
+        items: impl Iterator<Item = (Operands, ClassId)>,
+        measured: &[usize],
+    ) -> f64 {
+        self.snapshot
+            .circuit_log_success(self.priced(items), self.basis_duration)
+            + self.snapshot.readout_log_success(measured)
     }
 
     /// Duration-weighted critical path of `c`, whose instructions carry the
     /// class ids `classes` (MIRAGE-Depth's post-selection metric, §IV-B).
     pub fn depth_estimate(&self, c: &Circuit, classes: &[ClassId]) -> f64 {
-        self.snapshot.depth(c, self.class_costs(classes))
+        self.depth_of(c.n_qubits, circuit_items(c, classes))
     }
 
     /// Total decomposition cost of `c` (sum over all instructions).
     pub fn total_gate_cost(&self, c: &Circuit, classes: &[ClassId]) -> f64 {
-        self.snapshot.total_cost(c, self.class_costs(classes))
+        self.snapshot
+            .total_cost(self.priced(circuit_items(c, classes)))
     }
 
     /// Natural log of a routed circuit's estimated success probability:
     /// the per-instruction log-survivals plus readout on the logical
     /// qubits' final homes (see [`RoutedCircuit::log_success`]).
     pub fn log_success(&self, r: &RoutedCircuit, classes: &[ClassId]) -> f64 {
-        self.snapshot.circuit_log_success(
-            &r.circuit,
-            self.class_costs(classes),
-            self.basis_duration,
-        ) + self
-            .snapshot
-            .readout_log_success(r.final_layout.real_assignment())
+        self.log_success_of(
+            circuit_items(&r.circuit, classes),
+            r.final_layout.real_assignment(),
+        )
     }
+}
+
+/// The operands of one scored instruction: its first qubit and, for a
+/// two-qubit gate, its second.
+pub(crate) type Operands = (usize, Option<usize>);
+
+/// One scored instruction: its operands and its class cost (ignored for
+/// single-qubit gates).
+pub(crate) type Priced = (Operands, f64);
+
+/// The operands of an instruction.
+pub(crate) fn operands(i: &Instruction) -> Operands {
+    (i.qubits[0], i.qubits.get(1).copied())
+}
+
+/// `c`'s instructions paired with their class ids.
+fn circuit_items<'c>(
+    c: &'c Circuit,
+    classes: &'c [ClassId],
+) -> impl Iterator<Item = (Operands, ClassId)> + 'c {
+    c.instructions
+        .iter()
+        .map(operands)
+        .zip(classes.iter().copied())
 }
 
 #[cfg(test)]

@@ -60,7 +60,7 @@
 //! ```
 
 use crate::calibration::{Calibration, CalibrationError, QubitCalibration};
-use crate::pricing::{ln_survival, CalibrationSnapshot};
+use crate::pricing::{ln_survival, operands, CalibrationSnapshot, Priced};
 use mirage_circuit::Circuit;
 use mirage_coverage::cache::SharedCostCache;
 use mirage_coverage::set::{BasisGate, CoverageOptions, CoverageSet};
@@ -385,17 +385,18 @@ impl Target {
         self.cache.get_or_insert_with(w, || coverage.cost_or_max(w))
     }
 
-    /// The class cost of every instruction of `c`, derived from its matrix
+    /// Every instruction of `c` with its class cost derived from its matrix
     /// (`0.0` for single-qubit gates): the input of the matrix-path
     /// scorers, which hand it to the same [`CalibrationSnapshot`] pricing
     /// core the engine's class-priced path uses.
-    fn matrix_class_costs<'c>(&'c self, c: &'c Circuit) -> impl Iterator<Item = f64> + 'c {
+    fn matrix_items<'c>(&'c self, c: &'c Circuit) -> impl Iterator<Item = Priced> + 'c {
         c.instructions.iter().map(|i| {
-            if i.gate.is_two_qubit() {
+            let cost = if i.gate.is_two_qubit() {
                 self.gate_cost(&coords_of(&i.gate.matrix2()))
             } else {
                 0.0
-            }
+            };
+            (operands(i), cost)
         })
     }
 
@@ -404,14 +405,13 @@ impl Target {
     /// calibration snapshot.
     pub fn depth_estimate(&self, c: &Circuit) -> f64 {
         self.calibration_snapshot()
-            .depth(c, self.matrix_class_costs(c))
+            .depth(c.n_qubits, self.matrix_items(c))
     }
 
     /// Total decomposition cost (sum over all gates), under one
     /// calibration snapshot.
     pub fn total_gate_cost(&self, c: &Circuit) -> f64 {
-        self.calibration_snapshot()
-            .total_cost(c, self.matrix_class_costs(c))
+        self.calibration_snapshot().total_cost(self.matrix_items(c))
     }
 
     /// Natural log of a circuit's estimated success probability: the sum of
@@ -422,11 +422,8 @@ impl Target {
     /// a SWAP priced at 3 CNOTs or 3 √iSWAPs pays 3, a mirror only its own
     /// cost); single-qubit gates pay their qubit's 1Q error once.
     pub fn circuit_log_success(&self, c: &Circuit) -> f64 {
-        self.calibration_snapshot().circuit_log_success(
-            c,
-            self.matrix_class_costs(c),
-            self.basis.duration,
-        )
+        self.calibration_snapshot()
+            .circuit_log_success(self.matrix_items(c), self.basis.duration)
     }
 
     /// [`Target::circuit_log_success`] plus the readout log-survival of
@@ -437,7 +434,7 @@ impl Target {
         c: &Circuit,
         measured: &[usize],
     ) -> f64 {
-        snapshot.circuit_log_success(c, self.matrix_class_costs(c), self.basis.duration)
+        snapshot.circuit_log_success(self.matrix_items(c), self.basis.duration)
             + snapshot.readout_log_success(measured)
     }
 

@@ -22,7 +22,8 @@ use crate::pipeline::TranspileError;
 use crate::placement::{LayoutStrategy, PlacementContext, StrategyKind, Vf2Embed};
 use crate::pricing::{ClassId, Classes, PriceTable};
 use crate::router::{
-    absorb_swaps, route_priced, Aggression, Routable, RoutedCircuit, RouterConfig, RouterScratch,
+    absorb_swaps, materialize, route_trace, Aggression, Op, RouteCounts, RouteDag, RoutedCircuit,
+    RouterConfig, RouterScratch,
 };
 use crate::target::Target;
 use mirage_circuit::{Circuit, Dag};
@@ -213,15 +214,29 @@ fn validate_mix(which: &'static str, mix: &[f64]) -> Result<(), TranspileError> 
     Ok(())
 }
 
-/// The post-selection score of a candidate (lower is better), read from
-/// the run's price table through the candidate's class ids.
-fn score(c: &Candidate, metric: Metric, prices: &PriceTable) -> f64 {
+/// A routed candidate before it is a [`Circuit`]: its op trace, layouts
+/// and counters.
+struct Traced {
+    strategy: StrategyKind,
+    ops: Vec<Op>,
+    initial_layout: Layout,
+    final_layout: Layout,
+    counts: RouteCounts,
+}
+
+/// The post-selection score of a traced candidate on `n_qubits` physical
+/// qubits (lower is better), read from the run's price table through the
+/// trace's class ids.
+fn score(t: &Traced, metric: Metric, prices: &PriceTable, n_qubits: usize) -> f64 {
+    let items = || t.ops.iter().map(|op| (op.operands(), op.class));
     match metric {
-        Metric::SwapCount => c.routed.swaps_inserted as f64,
-        Metric::Depth => prices.depth_estimate(&c.routed.circuit, &c.classes),
+        Metric::SwapCount => t.counts.swaps_inserted as f64,
+        Metric::Depth => prices.depth_of(n_qubits, items()),
         // Trials minimize the score, so the negated log-success ranks the
         // most-likely-to-succeed candidate first.
-        Metric::EstimatedSuccess => -prices.log_success(&c.routed, &c.classes),
+        Metric::EstimatedSuccess => {
+            -prices.log_success_of(items(), t.final_layout.real_assignment())
+        }
     }
 }
 
@@ -346,15 +361,14 @@ pub struct TrialOutcome {
     pub prices: PriceTable,
 }
 
-/// The routing precompute: forward/backward DAGs and the class id of every
-/// backward node (forward node `i` is instruction `i`, whose class id the
-/// engine's class precompute holds). Built lazily — a transpile that takes
-/// the VF2 fast path never routes, so it never pays for this.
+/// The routing precompute: the compact forward and backward DAGs (forward
+/// node `i` is instruction `i`; the backward DAG routes the reversed
+/// instruction list). Built lazily — a transpile that takes the VF2 fast
+/// path never routes, so it never pays for this.
 #[derive(Debug)]
 struct RoutingState {
-    dag_fwd: Dag,
-    dag_bwd: Dag,
-    classes_bwd: Vec<ClassId>,
+    fwd: RouteDag,
+    bwd: RouteDag,
 }
 
 /// What one run shares across its layout trials.
@@ -479,25 +493,15 @@ impl<'a> TrialEngine<'a> {
     fn routing_state(&self) -> &RoutingState {
         self.routing.get_or_init(|| {
             let circuit = self.ctx.circuit();
-            // The backward DAG routes the reversed instruction list, so its
-            // node `i` is instruction `len - 1 - i`.
-            let mut classes_bwd = self.circuit_classes().to_vec();
+            let classes = self.circuit_classes();
+            // The backward DAG's node `i` is instruction `len - 1 - i`.
+            let mut classes_bwd = classes.to_vec();
             classes_bwd.reverse();
             RoutingState {
-                dag_fwd: Dag::from_circuit(circuit),
-                dag_bwd: Dag::from_circuit(&circuit.reversed()),
-                classes_bwd,
+                fwd: RouteDag::new(&Dag::from_circuit(circuit), classes),
+                bwd: RouteDag::new(&Dag::from_circuit(&circuit.reversed()), &classes_bwd),
             }
         })
-    }
-
-    fn fwd(&self) -> Routable<'_> {
-        (&self.routing_state().dag_fwd, self.circuit_classes())
-    }
-
-    fn bwd(&self) -> Routable<'_> {
-        let state = self.routing_state();
-        (&state.dag_bwd, &state.classes_bwd)
     }
 
     /// Check a scratch out of the pool (or grow the pool by one). The
@@ -519,7 +523,8 @@ impl<'a> TrialEngine<'a> {
     }
 
     /// SABRE layout refinement: route forward, then backward over the
-    /// reversed circuit, feeding each final layout into the next pass.
+    /// reversed circuit, feeding each final layout into the next pass. Only
+    /// the final layouts are read; the traces are left in the scratch.
     /// Prices come from the run's table; working storage from the caller's
     /// scratch.
     fn refine_layout(
@@ -531,26 +536,12 @@ impl<'a> TrialEngine<'a> {
         prices: &PriceTable,
         scratch: &mut RouterScratch,
     ) -> Layout {
+        let state = self.routing_state();
+        let topo = self.target.topology();
         for _ in 0..iters {
-            let (fwd, _) = route_priced(
-                self.fwd(),
-                self.target,
-                prices,
-                layout,
-                config,
-                rng,
-                scratch,
-            );
-            let (bwd, _) = route_priced(
-                self.bwd(),
-                self.target,
-                prices,
-                fwd.final_layout,
-                config,
-                rng,
-                scratch,
-            );
-            layout = bwd.final_layout;
+            for dag in [&state.fwd, &state.bwd] {
+                route_trace(dag, topo, prices, &mut layout, config, rng, scratch);
+            }
         }
         layout
     }
@@ -567,7 +558,7 @@ impl<'a> TrialEngine<'a> {
         opts: &TrialOptions,
         run: &Run<'_, 'a>,
         scratch: &mut RouterScratch,
-    ) -> Vec<Candidate> {
+    ) -> Vec<Traced> {
         let mut rng = Rng::new(SeedSchedule::new(opts.seed).trial_seed(trial));
         let kind = StrategyKind::for_trial(trial, opts.layout_trials, &opts.strategy_mix);
         let ctx: &PlacementContext<'a> = &run.ctx;
@@ -637,42 +628,57 @@ impl<'a> TrialEngine<'a> {
                 // A0 trials anchor on the mirror-free placement; the rest
                 // alternate between the two refinements.
                 let start = if aggression == Some(Aggression::A0) || t % 2 == 0 {
-                    plain.clone()
+                    &plain
                 } else {
-                    mirrored.clone()
+                    &mirrored
                 };
-                let (mut routed, mut classes) = route_priced(
-                    self.fwd(),
-                    self.target,
+                let topo = self.target.topology();
+                let mut final_layout = start.clone();
+                let mut counts = route_trace(
+                    &self.routing_state().fwd,
+                    topo,
                     prices,
-                    start,
+                    &mut final_layout,
                     &config,
                     &mut trial_rng,
                     scratch,
                 );
+                let mut ops = scratch.trace().to_vec();
                 if mirage && aggression != Some(Aggression::A0) {
                     // Mirage-SWAP absorption: fold leftover SWAPs that sit
                     // next to a same-pair gate into mirror blocks.
-                    let (fused_circuit, fused) =
-                        absorb_swaps(&routed.circuit, Some((&mut classes, prices)));
-                    routed.circuit = fused_circuit;
-                    routed.swaps_inserted -= fused;
-                    routed.mirrors_accepted += fused;
-                    routed.mirror_candidates += fused;
+                    let fused = absorb_swaps(&mut ops, topo.n_qubits(), |k| prices.mirror(k));
+                    counts.absorb(fused);
                 }
-                Candidate {
+                Traced {
                     strategy: kind,
-                    routed,
-                    classes,
+                    ops,
+                    initial_layout: start.clone(),
+                    final_layout,
+                    counts,
                 }
             })
             .collect()
     }
 
+    /// Materialize a traced candidate from the engine's circuit (forward
+    /// node `i` is instruction `i`).
+    fn candidate(&self, t: Traced) -> Candidate {
+        let gates = &self.ctx.circuit().instructions;
+        let (circuit, classes) = materialize(&t.ops, self.target.n_qubits(), |i| &gates[i].gate);
+        Candidate {
+            strategy: t.strategy,
+            routed: t.counts.routed(circuit, t.initial_layout, t.final_layout),
+            classes,
+        }
+    }
+
     /// Route every candidate of the trial loop without post-selecting:
     /// layout trials in index order, each contributing its routing trials
     /// in order, all priced by one [`PriceTable`] under one calibration
-    /// snapshot taken when the run starts.
+    /// snapshot taken when the run starts. Every candidate is materialized
+    /// into a [`Circuit`] — the only path that builds the ones
+    /// post-selection would discard.
     ///
     /// # Errors
     ///
@@ -683,6 +689,20 @@ impl<'a> TrialEngine<'a> {
         mirage: bool,
         opts: &TrialOptions,
     ) -> Result<TrialRun, TranspileError> {
+        let (traced, prices) = self.run_traces(mirage, opts)?;
+        Ok(TrialRun {
+            candidates: traced.into_iter().map(|t| self.candidate(t)).collect(),
+            prices,
+        })
+    }
+
+    /// Route every candidate of the trial loop as a trace, with the run's
+    /// price table (see [`TrialEngine::run_candidates`]).
+    fn run_traces(
+        &self,
+        mirage: bool,
+        opts: &TrialOptions,
+    ) -> Result<(Vec<Traced>, PriceTable), TranspileError> {
         opts.validate()?;
         let snapshot = self.target.calibration_snapshot();
         // Placement sees the run's snapshot too: the engine's own context
@@ -705,7 +725,7 @@ impl<'a> TrialEngine<'a> {
         };
         // Trial-indexed result slots: whatever order workers finish in,
         // they are read back in trial order.
-        let mut slots: Vec<Option<Vec<Candidate>>> = (0..n).map(|_| None).collect();
+        let mut slots: Vec<Option<Vec<Traced>>> = (0..n).map(|_| None).collect();
         if workers > 1 {
             // Warm the lazy precomputes on this thread so workers never
             // race to build them (OnceLock would dedupe anyway; this just
@@ -713,7 +733,7 @@ impl<'a> TrialEngine<'a> {
             let _ = self.routing_state();
             let next = std::sync::atomic::AtomicUsize::new(0);
             let run = &run;
-            let per_worker: Vec<Vec<(usize, Vec<Candidate>)>> = std::thread::scope(|s| {
+            let per_worker: Vec<Vec<(usize, Vec<Traced>)>> = std::thread::scope(|s| {
                 let next = &next;
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {
@@ -752,14 +772,11 @@ impl<'a> TrialEngine<'a> {
             }
             self.return_scratch(scratch);
         }
-        let candidates = slots
+        let traced = slots
             .into_iter()
             .flat_map(|slot| slot.expect("every trial index was claimed by a worker"))
             .collect();
-        Ok(TrialRun {
-            candidates,
-            prices: run.prices,
-        })
+        Ok((traced, run.prices))
     }
 
     /// Run the full trial loop; like [`TrialEngine::run`] but also reports
@@ -778,9 +795,9 @@ impl<'a> TrialEngine<'a> {
     ///    runs a trial (and when) cannot influence its stream.
     /// 2. **Fixed reduction order.** Results land in trial-indexed slots
     ///    and are flattened in index order; post-selection scores each
-    ///    candidate exactly once and keeps the *first* of equal minima, so
-    ///    ties break by trial index, never by completion order or pool
-    ///    size.
+    ///    candidate's op trace exactly once and keeps the *first* of equal
+    ///    minima, so ties break by trial index, never by completion order
+    ///    or pool size. Only the winner is materialized into a circuit.
     ///
     /// # Errors
     ///
@@ -791,10 +808,12 @@ impl<'a> TrialEngine<'a> {
         mirage: bool,
         opts: &TrialOptions,
     ) -> Result<TrialOutcome, TranspileError> {
-        let TrialRun { candidates, prices } = self.run_candidates(mirage, opts)?;
-        let n = candidates.len();
-        let best = first_min(candidates, |c| score(c, opts.metric, &prices))
+        let (traced, prices) = self.run_traces(mirage, opts)?;
+        let n = traced.len();
+        let n_qubits = self.target.n_qubits();
+        let best = first_min(traced, |t| score(t, opts.metric, &prices, n_qubits))
             .expect("at least one trial ran");
+        let best = self.candidate(best);
         Ok(TrialOutcome {
             best: best.routed,
             strategy: best.strategy,

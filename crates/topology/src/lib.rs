@@ -33,7 +33,8 @@ pub struct CouplingMap {
     n: usize,
     edges: Vec<(usize, usize)>,
     adjacency: Vec<Vec<usize>>,
-    dist: Vec<Vec<u32>>,
+    /// All-pairs hop distances, row-major `n × n`.
+    dist: Vec<u32>,
     name: String,
 }
 
@@ -184,14 +185,16 @@ impl CouplingMap {
         &self.adjacency[q]
     }
 
-    /// True when `a` and `b` are directly coupled.
+    /// True when `a` and `b` are directly coupled (one hop apart: the map
+    /// has no self-loops).
     pub fn are_adjacent(&self, a: usize, b: usize) -> bool {
-        self.adjacency[a].binary_search(&b).is_ok()
+        self.distance(a, b) == 1
     }
 
     /// Shortest-path distance in hops (`u32::MAX` when disconnected).
     pub fn distance(&self, a: usize, b: usize) -> u32 {
-        self.dist[a][b]
+        assert!(b < self.n, "qubit {b} out of range for n={}", self.n);
+        self.dist[a * self.n + b]
     }
 
     /// The topology's display name.
@@ -201,7 +204,7 @@ impl CouplingMap {
 
     /// True when every qubit can reach every other.
     pub fn is_connected(&self) -> bool {
-        self.n == 0 || self.dist[0].iter().all(|&d| d != u32::MAX)
+        self.dist[..self.n].iter().all(|&d| d != u32::MAX)
     }
 
     /// Graph degree statistics `(min, max)`.
@@ -220,10 +223,10 @@ impl CouplingMap {
     }
 }
 
-fn all_pairs_bfs(n: usize, adjacency: &[Vec<usize>]) -> Vec<Vec<u32>> {
-    let mut dist = vec![vec![u32::MAX; n]; n];
+fn all_pairs_bfs(n: usize, adjacency: &[Vec<usize>]) -> Vec<u32> {
+    let mut dist = vec![u32::MAX; n * n];
     let mut queue = std::collections::VecDeque::new();
-    for (s, row) in dist.iter_mut().enumerate() {
+    for (s, row) in dist.chunks_exact_mut(n.max(1)).enumerate() {
         row[s] = 0;
         queue.clear();
         queue.push_back(s);
