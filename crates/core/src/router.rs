@@ -16,17 +16,17 @@
 //! those routes is ever output. So the core **routes without building a
 //! circuit**:
 //!
-//! * It walks a [`RouteDag`]: per node two `u32` operands, a class id and
+//! * It walks a `RouteDag`: per node two `u32` operands, a class id and
 //!   an in-degree, with successors in one CSR array. The engine builds its
 //!   forward and backward `RouteDag` once; the large [`Dag`] nodes (gate
 //!   plus three `Vec`s) never enter the loop.
-//! * It writes an **op trace** ([`Op`]): per emitted gate the node it came
+//! * It writes an **op trace** (`Op`): per emitted gate the node it came
 //!   from (or a SWAP sentinel), its physical operands, its class id and its
 //!   count of mirror steps. No `Gate` clone, no matrix product, no
 //!   per-instruction `Vec`. Refinement reads only the final layout;
-//!   routing trials keep their traces, SWAP absorption ([`absorb_swaps`])
+//!   routing trials keep their traces, SWAP absorption (`absorb_swaps`)
 //!   and the class-priced post-selection run on traces, and
-//!   [`materialize`] turns only the winner into a [`Circuit`].
+//!   `materialize` turns only the winner into a [`Circuit`].
 //! * All working storage lives in a reusable [`RouterScratch`]
 //!   (epoch-stamped mark arrays, front/extended-set/candidate buffers,
 //!   decay table, the trace). [`route_with_scratch`] threads one through
@@ -46,13 +46,13 @@
 //! test-only `legacy` fixture): residual distances are small integers, so
 //! front/extended sums are exact in `f64` regardless of summation order,
 //! the score expressions reproduce the original floating-point operations,
-//! and [`materialize`] applies `SWAP·` once per mirror step in the order
+//! and `materialize` applies `SWAP·` once per mirror step in the order
 //! the old per-route circuits did. The golden tests
 //! (`tests/golden_routing.rs`) and a randomized `route == legacy::route`
 //! sweep pin this.
 
 use crate::layout::Layout;
-use crate::pricing::{ClassId, Classes, Operands, PriceTable, NO_CLASS};
+use crate::pricing::{operands, ClassId, Classes, Operands, PriceTable, NO_CLASS};
 use crate::target::Target;
 use mirage_circuit::{Circuit, Dag, Gate, Instruction};
 use mirage_math::{Mat4, Rng};
@@ -297,7 +297,7 @@ pub(crate) struct Op {
 }
 
 impl Op {
-    fn on(source: u32, a: usize, b: Option<usize>, class: ClassId) -> Op {
+    fn new(source: u32, (a, b): Operands, class: ClassId) -> Op {
         let q = |x: usize| u32::try_from(x).expect("device fits u32 indices");
         Op {
             source,
@@ -564,7 +564,7 @@ pub fn route(
 ///
 /// A thin wrapper: it interns `coords` into classes, prices them in a
 /// fresh [`PriceTable`] under the target's current calibration, builds the
-/// [`RouteDag`], routes, and materializes the trace from `dag`'s gates.
+/// `RouteDag`, routes, and materializes the trace from `dag`'s gates.
 /// [`crate::trials::TrialEngine`] builds its classes and DAGs once per
 /// engine and its table once per run instead.
 pub fn route_with_scratch(
@@ -691,7 +691,7 @@ pub(crate) fn route_trace(
 
             if let Some((p1, p2)) = pair {
                 let k = node.class;
-                let mut op = Op::on(node.source, p1, Some(p2), k);
+                let mut op = Op::new(node.source, (p1, Some(p2)), k);
                 if let Some(aggr) = config.aggression {
                     counts.mirror_candidates += 1;
                     let accepted = match aggr {
@@ -770,7 +770,7 @@ pub(crate) fn route_trace(
                 trace.push(op);
             } else {
                 let p = layout.phys(node.qubits[0] as usize);
-                trace.push(Op::on(node.source, p, None, NO_CLASS));
+                trace.push(Op::new(node.source, (p, None), NO_CLASS));
             }
 
             // Release successors into the front layer.
@@ -955,7 +955,7 @@ pub(crate) fn route_trace(
             (p1, p2)
         };
 
-        trace.push(Op::on(SWAP_OP, p1, Some(p2), Classes::SWAP));
+        trace.push(Op::new(SWAP_OP, (p1, Some(p2)), Classes::SWAP));
         layout.swap_physical(p1, p2);
         counts.swaps_inserted += 1;
         for p in [p1, p2] {
@@ -1067,10 +1067,13 @@ pub(crate) fn absorb_swaps(
     fused
 }
 
-/// Peephole "mirage SWAP" absorption on a circuit: [`absorb_swaps`] on the
-/// trace whose op `i` is instruction `i`, materialized from the circuit's
-/// own gates. Returns the rewritten circuit and the number of SWAPs
-/// absorbed.
+/// Peephole "mirage SWAP" absorption on a circuit (paper §I): every SWAP
+/// that immediately follows a two-qubit gate on the same pair fuses into
+/// it as the mirror block `SWAP·U`; chains fuse too. Returns the rewritten
+/// circuit and the number of SWAPs absorbed.
+///
+/// The engine's trace absorption, run on the trace whose op `i` is
+/// instruction `i` and materialized from the circuit's own gates.
 pub fn absorb_adjacent_swaps(c: &Circuit) -> (Circuit, usize) {
     let mut ops: Vec<Op> = c
         .instructions
@@ -1082,12 +1085,7 @@ pub fn absorb_adjacent_swaps(c: &Circuit) -> (Circuit, usize) {
             } else {
                 u32::try_from(i).expect("circuit fits u32 indices")
             };
-            let operands = match instr.qubits[..] {
-                [a] => (a, None),
-                [a, b] => (a, Some(b)),
-                _ => unreachable!("gates act on one or two qubits"),
-            };
-            Op::on(source, operands.0, operands.1, NO_CLASS)
+            Op::new(source, operands(instr), NO_CLASS)
         })
         .collect();
     let fused = absorb_swaps(&mut ops, c.n_qubits, |k| k);
