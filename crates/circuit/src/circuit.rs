@@ -12,6 +12,14 @@ pub struct Instruction {
     pub qubits: Vec<usize>,
 }
 
+impl Instruction {
+    /// The operands as a pair: the first qubit and, for a two-qubit gate,
+    /// the second.
+    pub fn operands(&self) -> (usize, Option<usize>) {
+        (self.qubits[0], self.qubits.get(1).copied())
+    }
+}
+
 /// A quantum circuit: a number of qubits plus an ordered instruction list.
 ///
 /// ```
@@ -185,19 +193,8 @@ impl Circuit {
     /// (paper §IV-B). `weight` is called exactly once per instruction, in
     /// order.
     pub fn weighted_depth<F: FnMut(&Instruction) -> f64>(&self, mut weight: F) -> f64 {
-        let mut ready = vec![0.0f64; self.n_qubits];
-        for instr in &self.instructions {
-            let start = instr
-                .qubits
-                .iter()
-                .map(|&q| ready[q])
-                .fold(0.0f64, f64::max);
-            let end = start + weight(instr);
-            for &q in &instr.qubits {
-                ready[q] = end;
-            }
-        }
-        ready.iter().copied().fold(0.0, f64::max)
+        let timed = self.instructions.iter().map(|i| (i.operands(), weight(i)));
+        critical_path(self.n_qubits, timed)
     }
 
     /// Concatenate another circuit (must have the same qubit count).
@@ -360,6 +357,26 @@ impl Fnv1a {
     fn finish(&self) -> u64 {
         self.0
     }
+}
+
+/// Longest path over `n_qubits` wires through `timed` operations, each its
+/// operands (the first qubit and, for a two-qubit gate, the second) and
+/// its duration, in program order: the critical-path duration behind
+/// [`Circuit::weighted_depth`] and the router's class-priced depth.
+pub fn critical_path(
+    n_qubits: usize,
+    timed: impl IntoIterator<Item = ((usize, Option<usize>), f64)>,
+) -> f64 {
+    let mut ready = vec![0.0f64; n_qubits];
+    for ((a, b), duration) in timed {
+        let start = b.map_or(0.0f64.max(ready[a]), |b| 0.0f64.max(ready[a]).max(ready[b]));
+        let end = start + duration;
+        ready[a] = end;
+        if let Some(b) = b {
+            ready[b] = end;
+        }
+    }
+    ready.iter().copied().fold(0.0, f64::max)
 }
 
 #[cfg(test)]

@@ -16,6 +16,7 @@
 use crate::calibration::{Calibration, EdgeCalibration, QubitCalibration};
 use crate::router::RoutedCircuit;
 use crate::target::Target;
+use mirage_circuit::circuit::critical_path;
 use mirage_circuit::{Circuit, Gate, Instruction};
 use mirage_weyl::coords::{coords_of, WeylCoord};
 use mirage_weyl::mirror::mirror_coord;
@@ -192,22 +193,10 @@ impl CalibrationSnapshot {
     }
 
     /// Duration-weighted critical path over `n_qubits` of the instructions
-    /// `items` (operands and class cost, in order). The same operations as
-    /// [`Circuit::weighted_depth`].
+    /// `items` (operands and class cost, in order).
     pub(crate) fn depth(&self, n_qubits: usize, items: impl Iterator<Item = Priced>) -> f64 {
-        let mut ready = vec![0.0f64; n_qubits];
-        for ((a, b), cost) in items {
-            let start = match b {
-                None => 0.0f64.max(ready[a]),
-                Some(b) => 0.0f64.max(ready[a]).max(ready[b]),
-            };
-            let end = start + self.weight((a, b), cost);
-            ready[a] = end;
-            if let Some(b) = b {
-                ready[b] = end;
-            }
-        }
-        ready.iter().copied().fold(0.0, f64::max)
+        let timed = items.map(|(ops, cost)| (ops, self.weight(ops, cost)));
+        critical_path(n_qubits, timed)
     }
 
     /// Sum of the duration weights of `items`.
@@ -344,17 +333,12 @@ impl PriceTable {
 }
 
 /// The operands of one scored instruction: its first qubit and, for a
-/// two-qubit gate, its second.
+/// two-qubit gate, its second (as [`Instruction::operands`]).
 pub(crate) type Operands = (usize, Option<usize>);
 
 /// One scored instruction: its operands and its class cost (ignored for
 /// single-qubit gates).
 pub(crate) type Priced = (Operands, f64);
-
-/// The operands of an instruction.
-pub(crate) fn operands(i: &Instruction) -> Operands {
-    (i.qubits[0], i.qubits.get(1).copied())
-}
 
 /// `c`'s instructions paired with their class ids.
 fn circuit_items<'c>(
@@ -363,7 +347,7 @@ fn circuit_items<'c>(
 ) -> impl Iterator<Item = (Operands, ClassId)> + 'c {
     c.instructions
         .iter()
-        .map(operands)
+        .map(Instruction::operands)
         .zip(classes.iter().copied())
 }
 

@@ -52,7 +52,7 @@
 //! sweep pin this.
 
 use crate::layout::Layout;
-use crate::pricing::{operands, ClassId, Classes, Operands, PriceTable, NO_CLASS};
+use crate::pricing::{ClassId, Classes, Operands, PriceTable, NO_CLASS};
 use crate::target::Target;
 use mirage_circuit::{Circuit, Dag, Gate, Instruction};
 use mirage_math::{Mat4, Rng};
@@ -195,6 +195,16 @@ pub(crate) const NO_QUBIT: u32 = u32::MAX;
 /// node whose gate is [`Gate::Swap`].
 pub(crate) const SWAP_OP: u32 = u32::MAX;
 
+/// The trace source of gate `i`: [`SWAP_OP`] when the gate is a bare SWAP,
+/// which absorption then treats like an inserted one.
+fn source(gate: &Gate, i: usize) -> u32 {
+    if matches!(gate, Gate::Swap) {
+        SWAP_OP
+    } else {
+        u32::try_from(i).expect("gate index fits u32")
+    }
+}
+
 /// One [`RouteDag`] node: what the router reads of a gate.
 #[derive(Debug, Clone, Copy)]
 struct RouteNode {
@@ -238,15 +248,10 @@ impl RouteDag {
                 [a, b] => [index(a), index(b)],
                 _ => panic!("the router handles one- and two-qubit gates only"),
             };
-            let source = if matches!(n.gate, Gate::Swap) {
-                SWAP_OP
-            } else {
-                index(n.id)
-            };
             nodes.push(RouteNode {
                 qubits,
                 class,
-                source,
+                source: source(&n.gate, n.id),
                 indeg: index(n.preds.len()),
             });
             succ.extend(n.succs.iter().map(|&s| index(s)));
@@ -1079,14 +1084,7 @@ pub fn absorb_adjacent_swaps(c: &Circuit) -> (Circuit, usize) {
         .instructions
         .iter()
         .enumerate()
-        .map(|(i, instr)| {
-            let source = if matches!(instr.gate, Gate::Swap) {
-                SWAP_OP
-            } else {
-                u32::try_from(i).expect("circuit fits u32 indices")
-            };
-            Op::new(source, operands(instr), NO_CLASS)
-        })
+        .map(|(i, instr)| Op::new(source(&instr.gate, i), instr.operands(), NO_CLASS))
         .collect();
     let fused = absorb_swaps(&mut ops, c.n_qubits, |k| k);
     let (circuit, _) = materialize(&ops, c.n_qubits, |i| &c.instructions[i].gate);

@@ -60,7 +60,7 @@
 //! ```
 
 use crate::calibration::{Calibration, CalibrationError, QubitCalibration};
-use crate::pricing::{ln_survival, operands, CalibrationSnapshot, Priced};
+use crate::pricing::{ln_survival, CalibrationSnapshot, Priced};
 use mirage_circuit::Circuit;
 use mirage_coverage::cache::SharedCostCache;
 use mirage_coverage::set::{BasisGate, CoverageOptions, CoverageSet};
@@ -396,7 +396,7 @@ impl Target {
             } else {
                 0.0
             };
-            (operands(i), cost)
+            (i.operands(), cost)
         })
     }
 
