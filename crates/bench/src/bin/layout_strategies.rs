@@ -12,15 +12,16 @@
 //! [`TranspileOptions::paper`] at seeds 0–2.
 //!
 //! Each (device, calibration, lane) cell reports the geo-mean estimated
-//! success over the suite, per seed and overall, and is pinned by the
-//! FNV-1a fold of its output fingerprints plus its SWAP and mirror totals.
-//! The gates (nonzero exit on failure):
+//! success over the suite, overall and for its worst and best seed, and is
+//! pinned per mode by the FNV-1a fold of its output fingerprints plus its
+//! SWAP and mirror totals. The gates (nonzero exit on failure):
 //!
 //! * **Pins** — every cell matches [`SANITY`].
 //! * **Keep rule** — each calibration-aware lane beats `random` beyond the
-//!   seed spread (its worst seed above random's best) on at least one cell.
-//! * **Per cell** — on every cell, the better of `noise-aware` and
-//!   `degree-noise` is no worse than `random`.
+//!   seed spread (its worst seed above random's best) on at least one
+//!   (device, calibration) pair.
+//! * **Per pair** — on every (device, calibration) pair, the better of
+//!   `noise-aware` and `degree-noise` is no worse than `random`.
 //!
 //! Usage: `layout_strategies [--quick] [--out PATH] [--print-fingerprints]`
 

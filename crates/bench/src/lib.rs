@@ -1,9 +1,9 @@
 //! Shared harness utilities for the experiment-regeneration binaries.
 //!
 //! Each figure/table binary under `src/bin/` regenerates one table or
-//! figure of the paper (README.md, "Experiments", has the index); the four
-//! perf-gate binaries (`routing_runtime`, `transpile_runtime`,
-//! `coverage_runtime`, `serve_net`) hold the workspace to its checked-in
+//! figure of the paper (README.md, "Experiments", has the index); the gate
+//! binaries (`routing_runtime`, `transpile_runtime`, `coverage_runtime`,
+//! `serve_net`, `layout_strategies`) hold the workspace to its checked-in
 //! `BENCH_*.json` numbers and pinned fingerprints. This library holds the
 //! pieces they share: full-quality coverage-set construction, the
 //! benchmark-suite runner, plain-text table rendering, and the gate

@@ -1,5 +1,6 @@
-//! The gate harness shared by the perf-gate bins (`routing_runtime`,
-//! `transpile_runtime`, `coverage_runtime`, `serve_net`). Each bin owns
+//! The gate harness shared by the gate bins (`routing_runtime`,
+//! `transpile_runtime`, `coverage_runtime`, `serve_net`,
+//! `layout_strategies`). Each bin owns
 //! its cases, its measurement, its pins and its thresholds; this module
 //! owns argument parsing ([`Cli`]), the pin check and its
 //! `--print-fingerprints` dump ([`Pin`]), the `BENCH_*.json` writer

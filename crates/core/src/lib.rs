@@ -67,7 +67,7 @@ pub mod verify;
 pub use calibration::{Calibration, CalibrationError, EdgeCalibration, QubitCalibration};
 pub use layout::Layout;
 pub use pipeline::{transpile, RouterKind, TranspileError, TranspileOptions, TranspiledCircuit};
-pub use placement::{LayoutStrategy, PlacementContext, StrategyKind, BALANCED_STRATEGY_MIX};
+pub use placement::{LayoutStrategy, PlacementContext, StrategyKind};
 pub use router::{Aggression, RoutedCircuit, RouterConfig};
 pub use target::{DurationModel, Target};
 pub use trials::{Metric, TrialEngine, TrialOptions, TrialOutcome};

@@ -11,20 +11,21 @@
 //! Strategies:
 //!
 //! * [`Random`] — the paper's uniform seeding ([`Layout::random`]).
-//! * [`DegreeMatched`] — high-interaction logical qubits onto high-degree
-//!   physical qubits, packing interaction partners close together.
 //! * [`NoiseAware`] — grows a low-error region of the device (ranked by
 //!   [`Target::qubit_quality`]) and places the circuit inside it; on a
 //!   uniform calibration there is nothing to rank, so it falls back to
 //!   [`Random`].
-//! * [`DegreeNoise`] — the hybrid: degree-greedy assignment seeded into a
-//!   low-error region (with head-room), so hubs land on well-connected
-//!   seats *of the quiet part* of the device; degrades to [`DegreeMatched`]
-//!   on uniform calibrations.
+//! * [`DegreeNoise`] — degree-greedy assignment seeded into a low-error
+//!   region (with head-room), so hubs land on well-connected seats *of the
+//!   quiet part* of the device; on a uniform calibration the whole device
+//!   is the region.
 //! * [`Vf2Embed`] — exact subgraph embedding (the `VF2Layout` pre-pass of
 //!   §V, extracted from the pipeline), breaking ties between embeddings by
 //!   [`Metric::EstimatedSuccess`](crate::trials::Metric::EstimatedSuccess)
 //!   on calibrated targets.
+//!
+//! `layout_strategies` (in `mirage-bench`) measures each lane against
+//! [`Random`] on the paper suite and pins its output.
 //!
 //! Every strategy receives a [`PlacementContext`] (circuit interaction
 //! weights + the [`Target`]) and a seeded [`Rng`], and must return a valid
@@ -202,27 +203,6 @@ impl LayoutStrategy for Random {
     }
 }
 
-/// Greedy interaction/connectivity matching: logical qubits are placed in
-/// descending interaction order; each lands on the free physical qubit
-/// minimizing the interaction-weighted distance to its already-placed
-/// partners, tie-broken by hardware degree (hubs onto well-connected
-/// seats) and then randomly, so repeated trials explore distinct
-/// placements.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DegreeMatched;
-
-impl LayoutStrategy for DegreeMatched {
-    fn name(&self) -> &'static str {
-        "degree-matched"
-    }
-
-    fn propose(&self, ctx: &PlacementContext<'_>, rng: &mut Rng) -> Option<Layout> {
-        let allowed: Vec<usize> = (0..ctx.n_physical()).collect();
-        let degree = |p: usize| ctx.target().topology().neighbors(p).len() as f64;
-        Some(greedy_assign(ctx, &allowed, &degree, rng))
-    }
-}
-
 /// Calibration-aware seeding: rank physical qubits by
 /// [`Target::qubit_quality`], grow a connected low-error region from a
 /// randomly chosen high-quality start seat, and place the circuit inside
@@ -319,17 +299,12 @@ fn grow_low_error_region(
     region
 }
 
-/// The hybrid degree+noise strategy the ROADMAP asked for: degree-greedy
-/// placement seeded **into** a low-error region. [`DegreeMatched`] alone
-/// chases hardware hubs wherever they sit — on a skewed device it happily
-/// parks the whole circuit on lossy couplers, and because it is nearly
-/// deterministic it concentrates its entire trial budget on that one
-/// placement family. `DegreeNoise` first grows a connected low-error region
-/// (like [`NoiseAware`]) with head-room beyond the circuit width, then runs
-/// the same interaction-weighted greedy assignment *restricted to that
-/// region*, tie-breaking toward well-connected seats. On a uniform
-/// calibration there is no noise signal and it degrades to
-/// [`DegreeMatched`] exactly.
+/// Degree-greedy placement seeded **into** a low-error region: grow a
+/// connected low-error region (like [`NoiseAware`]) with head-room beyond
+/// the circuit width, then run the interaction-weighted greedy assignment
+/// *restricted to that region*, tie-breaking toward well-connected seats.
+/// On a uniform calibration there is no noise signal, so the whole device
+/// is the region and ties go to hardware degree alone.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DegreeNoise;
 
@@ -355,16 +330,18 @@ impl LayoutStrategy for DegreeNoise {
 
     fn propose(&self, ctx: &PlacementContext<'_>, rng: &mut Rng) -> Option<Layout> {
         let target = ctx.target();
+        let topo = target.topology();
         let cal = ctx.calibration();
         if cal.is_uniform() {
-            return DegreeMatched.propose(ctx, rng);
+            let allowed: Vec<usize> = (0..ctx.n_physical()).collect();
+            let degree = |p: usize| topo.neighbors(p).len() as f64;
+            return Some(greedy_assign(ctx, &allowed, &degree, rng));
         }
         let quality: Vec<f64> = (0..ctx.n_physical())
             .map(|q| target.qubit_quality_with(cal, q))
             .collect();
         let size = Self::region_size(ctx.n_logical(), ctx.n_physical());
         let region = grow_low_error_region(ctx, cal, &quality, size, rng);
-        let topo = target.topology();
         // Degree dominates the tie-break inside the quiet region; quality
         // (a small negative log-survival) orders seats of equal degree.
         let seat_quality = |p: usize| topo.neighbors(p).len() as f64 + quality[p].clamp(-0.9, 0.0);
@@ -426,8 +403,6 @@ impl LayoutStrategy for Vf2Embed {
 pub enum StrategyKind {
     /// [`Random`].
     Random,
-    /// [`DegreeMatched`].
-    DegreeMatched,
     /// [`NoiseAware`].
     NoiseAware,
     /// [`DegreeNoise`].
@@ -438,21 +413,12 @@ pub enum StrategyKind {
 
 /// Number of strategy lanes — the width of
 /// [`TrialOptions::strategy_mix`](crate::trials::TrialOptions::strategy_mix).
-pub const N_STRATEGIES: usize = 5;
-
-/// A balanced split of the layout budget across all five strategies:
-/// random exploration keeps its plurality (it is the only unbiased
-/// estimator), the calibration-aware lanes (noise-aware and the
-/// degree+noise hybrid) split the next share, pure degree-matching keeps a
-/// small diversity lane, and VF2 a token one (it is deterministic, so one
-/// trial extracts all its value).
-pub const BALANCED_STRATEGY_MIX: [f64; N_STRATEGIES] = [0.35, 0.1, 0.25, 0.2, 0.1];
+pub const N_STRATEGIES: usize = 4;
 
 impl StrategyKind {
     /// Every strategy, in mix-lane order.
     pub const ALL: [StrategyKind; N_STRATEGIES] = [
         StrategyKind::Random,
-        StrategyKind::DegreeMatched,
         StrategyKind::NoiseAware,
         StrategyKind::DegreeNoise,
         StrategyKind::Vf2Embed,
@@ -462,7 +428,6 @@ impl StrategyKind {
     pub fn strategy(self) -> &'static dyn LayoutStrategy {
         match self {
             StrategyKind::Random => &Random,
-            StrategyKind::DegreeMatched => &DegreeMatched,
             StrategyKind::NoiseAware => &NoiseAware,
             StrategyKind::DegreeNoise => &DegreeNoise,
             StrategyKind::Vf2Embed => &Vf2Embed,
@@ -501,14 +466,10 @@ impl std::str::FromStr for StrategyKind {
     type Err = String;
 
     fn from_str(s: &str) -> Result<StrategyKind, String> {
-        match s {
-            "random" => Ok(StrategyKind::Random),
-            "degree" | "degree-matched" => Ok(StrategyKind::DegreeMatched),
-            "noise" | "noise-aware" => Ok(StrategyKind::NoiseAware),
-            "degree-noise" | "hybrid" => Ok(StrategyKind::DegreeNoise),
-            "vf2" => Ok(StrategyKind::Vf2Embed),
-            other => Err(format!("unknown layout strategy '{other}'")),
-        }
+        StrategyKind::ALL
+            .into_iter()
+            .find(|kind| kind.name() == s)
+            .ok_or_else(|| format!("unknown layout strategy '{s}'"))
     }
 }
 
@@ -612,9 +573,10 @@ mod tests {
     }
 
     #[test]
-    fn degree_matched_puts_hub_on_high_degree_seat() {
-        // A 5-qubit star circuit on a 3x3 grid: the hub interacts with
-        // everyone and must land on the center (the only degree-4 seat).
+    fn degree_noise_puts_hub_on_high_degree_seat_on_uniform() {
+        // A 5-qubit star circuit on a uniform 3x3 grid: with no noise to
+        // rank, the hub interacts with everyone and must land on the
+        // center (the only degree-4 seat).
         let mut circ = Circuit::new(5);
         for leaf in 1..5 {
             circ.cx(0, leaf);
@@ -622,7 +584,7 @@ mod tests {
         let target = Target::sqrt_iswap(CouplingMap::grid(3, 3));
         let ctx = PlacementContext::new(&circ, &target);
         for seed in 0..5 {
-            let layout = DegreeMatched
+            let layout = DegreeNoise
                 .propose(&ctx, &mut Rng::new(seed))
                 .expect("always places");
             assert_eq!(layout.phys(0), 4, "hub on the grid center");
@@ -738,34 +700,37 @@ mod tests {
                 assert_eq!(StrategyKind::for_trial(t, 7, &mix), kind);
             }
         }
-        assert!("wibble".parse::<StrategyKind>().is_err());
-        assert!((BALANCED_STRATEGY_MIX.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        // The balanced mix reaches every lane on a paper-size budget.
+        // A split mix reaches every lane on a paper-size budget.
+        let mix = [0.4, 0.3, 0.2, 0.1];
         let hit: std::collections::BTreeSet<&str> = (0..20)
-            .map(|t| StrategyKind::for_trial(t, 20, &BALANCED_STRATEGY_MIX).name())
+            .map(|t| StrategyKind::for_trial(t, 20, &mix).name())
             .collect();
         assert_eq!(hit.len(), N_STRATEGIES, "{hit:?}");
     }
 
     #[test]
-    fn degree_noise_degrades_to_degree_matched_on_uniform() {
-        let target = Target::sqrt_iswap(CouplingMap::grid(3, 3));
-        let circ = two_local_full(5, 1, 7);
-        let ctx = PlacementContext::new(&circ, &target);
-        for seed in 0..5 {
-            let hybrid = DegreeNoise.propose(&ctx, &mut Rng::new(seed)).unwrap();
-            let degree = DegreeMatched.propose(&ctx, &mut Rng::new(seed)).unwrap();
-            assert_eq!(hybrid, degree, "uniform targets degrade to DegreeMatched");
+    fn strategy_names_have_one_spelling() {
+        for other in [
+            "wibble",
+            "noise",
+            "degree",
+            "hybrid",
+            "degree-matched",
+            "mixed",
+        ] {
+            assert!(other.parse::<StrategyKind>().is_err(), "{other}");
         }
+        let err = "Random".parse::<StrategyKind>().unwrap_err();
+        assert_eq!(err, "unknown layout strategy 'Random'");
     }
 
     #[test]
     fn degree_noise_keeps_the_hub_on_a_well_connected_quiet_seat() {
         // Left half of a 2x4 grid is clean, right half noisy (same device
-        // as the NoiseAware test). A 4-qubit star circuit: the hybrid must
-        // stay inside the clean block AND put the hub on one of its two
-        // degree-3 seats — DegreeMatched alone would chase the global
-        // degree-3 seats regardless of noise.
+        // as the NoiseAware test). A 4-qubit star circuit: the strategy
+        // must stay inside the clean block AND put the hub on one of its
+        // two degree-3 seats, rather than chase the device's degree-3
+        // seats regardless of noise.
         let topo = CouplingMap::grid(2, 4);
         let mut cal = Calibration::uniform(&topo);
         for q in [2, 3, 6, 7] {

@@ -474,27 +474,6 @@ impl Target {
         };
         ln_survival(qc.error_1q) + ln_survival(qc.readout_error) + edge_term
     }
-
-    /// Quality of a connected region of physical qubits: the sum of the
-    /// members' 1Q/readout log-survivals plus the log-survival of every
-    /// coupler internal to the region (counted once). Higher is better and
-    /// `0` is a noiseless region; comparing candidate regions of equal size
-    /// tells a layout strategy where a circuit should live.
-    pub fn region_quality(&self, qubits: &[usize]) -> f64 {
-        let cal = self.calibration();
-        let member: std::collections::HashSet<usize> = qubits.iter().copied().collect();
-        let mut quality = 0.0;
-        for &q in &member {
-            let qc = cal.qubit_or_default(q);
-            quality += ln_survival(qc.error_1q) + ln_survival(qc.readout_error);
-            for &nb in self.topo.neighbors(q) {
-                if nb > q && member.contains(&nb) {
-                    quality += ln_survival(cal.edge_or_nominal(q, nb).error_2q);
-                }
-            }
-        }
-        quality
-    }
 }
 
 /// The snapshot of a target's boot calibration ([`Calibration::uniform`],
@@ -719,7 +698,7 @@ mod tests {
     }
 
     #[test]
-    fn qubit_and_region_quality_rank_noise() {
+    fn qubit_quality_ranks_noise() {
         let topo = CouplingMap::line(4);
         let mut cal = Calibration::uniform(&topo);
         // Degrade the right end: qubit 3 reads out badly, edge (2,3) is lossy.
@@ -746,11 +725,6 @@ mod tests {
         assert_eq!(t.qubit_quality(0), 0.0);
         assert!(t.qubit_quality(3) < t.qubit_quality(1));
         assert!(t.qubit_quality(2) < t.qubit_quality(1), "lossy coupler");
-        // The clean left pair beats the degraded right pair.
-        assert_eq!(t.region_quality(&[0, 1]), 0.0);
-        assert!(t.region_quality(&[2, 3]) < t.region_quality(&[0, 1]));
-        // Internal edges count once; disconnected members add no edge term.
-        assert_eq!(t.region_quality(&[0, 2]), 0.0);
         // On a uniform target everything is indistinguishable.
         let uniform = Target::sqrt_iswap(CouplingMap::line(4));
         assert!(uniform.calibration().is_uniform());

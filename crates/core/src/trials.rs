@@ -65,9 +65,9 @@ pub struct TrialOptions {
     /// (see [`TrialOptions::validate`]).
     pub aggression_mix: [f64; 4],
     /// Fraction of layout trials seeded by each [`StrategyKind`] (lane
-    /// order [`StrategyKind::ALL`]: random, degree-matched, noise-aware,
-    /// degree-noise, vf2). Must sum to ~1.0. The default gives random
-    /// seeding the whole budget — the paper's configuration.
+    /// order [`StrategyKind::ALL`]: random, noise-aware, degree-noise,
+    /// vf2). Must sum to ~1.0. The default gives random seeding the whole
+    /// budget — the paper's configuration.
     pub strategy_mix: [f64; crate::placement::N_STRATEGIES],
     /// Base RNG seed.
     pub seed: u64,
@@ -172,14 +172,6 @@ impl TrialOptions {
         self
     }
 
-    /// Set the layout-strategy mix (builder style); see
-    /// [`crate::placement::BALANCED_STRATEGY_MIX`] for a ready-made split.
-    #[must_use]
-    pub fn with_strategy_mix(mut self, mix: [f64; crate::placement::N_STRATEGIES]) -> TrialOptions {
-        self.strategy_mix = mix;
-        self
-    }
-
     /// Check that both trial mixes are well-formed: every share finite and
     /// non-negative, and each mix summing to 1 (±1e-6). Mis-normalized
     /// mixes would silently re-allocate the trial budget, so the pipeline
@@ -217,7 +209,6 @@ fn validate_mix(which: &'static str, mix: &[f64]) -> Result<(), TranspileError> 
 /// A routed candidate before it is a [`Circuit`]: its op trace, layouts
 /// and counters.
 struct Traced {
-    strategy: StrategyKind,
     ops: Vec<Op>,
     initial_layout: Layout,
     final_layout: Layout,
@@ -327,8 +318,6 @@ pub fn aggression_for_trial(t: usize, total: usize, mix: &[f64; 4]) -> Aggressio
 /// One routed candidate of a trial run.
 #[derive(Debug, Clone)]
 pub struct Candidate {
-    /// The layout strategy that seeded the candidate's layout trial.
-    pub strategy: StrategyKind,
     /// The routed circuit.
     pub routed: RoutedCircuit,
     /// The [`ClassId`] of every instruction of `routed.circuit`, priced by
@@ -351,8 +340,6 @@ pub struct TrialRun {
 pub struct TrialOutcome {
     /// The best routed candidate under the configured metric.
     pub best: RoutedCircuit,
-    /// The layout strategy that seeded the winning candidate.
-    pub strategy: StrategyKind,
     /// Total routed candidates scored (layout trials × routing trials).
     pub candidates: usize,
     /// The [`ClassId`] of every instruction of `best.circuit`.
@@ -651,7 +638,6 @@ impl<'a> TrialEngine<'a> {
                     counts.absorb(fused);
                 }
                 Traced {
-                    strategy: kind,
                     ops,
                     initial_layout: start.clone(),
                     final_layout,
@@ -667,7 +653,6 @@ impl<'a> TrialEngine<'a> {
         let gates = &self.ctx.circuit().instructions;
         let (circuit, classes) = materialize(&t.ops, self.target.n_qubits(), |i| &gates[i].gate);
         Candidate {
-            strategy: t.strategy,
             routed: t.counts.routed(circuit, t.initial_layout, t.final_layout),
             classes,
         }
@@ -780,10 +765,8 @@ impl<'a> TrialEngine<'a> {
     }
 
     /// Run the full trial loop; like [`TrialEngine::run`] but also reports
-    /// which strategy seeded the winner, how many candidates were scored
-    /// (the `layout_strategies` experiment consumes this), and the
-    /// winner's class ids and the run's prices (`transpile` reads its
-    /// metrics from them).
+    /// how many candidates were scored, and the winner's class ids and the
+    /// run's prices (`transpile` reads its metrics from them).
     ///
     /// # Determinism
     ///
@@ -816,7 +799,6 @@ impl<'a> TrialEngine<'a> {
         let best = self.candidate(best);
         Ok(TrialOutcome {
             best: best.routed,
-            strategy: best.strategy,
             candidates: n,
             classes: best.classes,
             prices,
@@ -946,7 +928,7 @@ mod tests {
         assert!(err.to_string().contains("sum to 2"), "{err}");
 
         let mut opts = TrialOptions::quick(Metric::Depth, 1);
-        opts.strategy_mix = [1.5, -0.5, 0.0, 0.0, 0.0];
+        opts.strategy_mix = [1.5, -0.5, 0.0, 0.0];
         let err = opts.validate().unwrap_err();
         assert!(matches!(
             err,
@@ -957,7 +939,7 @@ mod tests {
         ));
 
         let mut opts = TrialOptions::quick(Metric::Depth, 1);
-        opts.strategy_mix = [f64::NAN, 0.5, 0.5, 0.0, 0.0];
+        opts.strategy_mix = [f64::NAN, 0.5, 0.5, 0.0];
         assert!(opts.validate().is_err());
 
         // The engine surfaces the same error instead of mis-allocating.
@@ -1047,8 +1029,8 @@ mod tests {
         let cal = crate::calibration::Calibration::synthetic(&topo, &mut Rng::new(0xABC));
         let target = Target::sqrt_iswap(topo).with_calibration(cal).unwrap();
         let c = consolidate(&two_local_full(5, 1, 8));
-        let mut opts = TrialOptions::quick(Metric::EstimatedSuccess, 5)
-            .with_strategy_mix(crate::placement::BALANCED_STRATEGY_MIX);
+        let mut opts = TrialOptions::quick(Metric::EstimatedSuccess, 5);
+        opts.strategy_mix = [0.4, 0.2, 0.2, 0.2];
         opts.layout_trials = 5;
         let engine = TrialEngine::new(&c, &target);
         let serial = engine.run_detailed(true, &opts).unwrap();
@@ -1058,7 +1040,6 @@ mod tests {
             opts.threads = threads;
             let parallel = engine.run_detailed(true, &opts).unwrap();
             assert_eq!(serial.best.circuit, parallel.best.circuit);
-            assert_eq!(serial.strategy, parallel.strategy);
             assert_eq!(serial.candidates, parallel.candidates);
         }
     }
@@ -1175,8 +1156,7 @@ mod tests {
 
     #[test]
     fn every_strategy_routes_verifiably() {
-        // Each one-hot strategy mix produces a valid routed circuit, and
-        // run_detailed attributes the winner to that strategy.
+        // Each one-hot strategy mix produces a valid routed circuit.
         let topo = CouplingMap::grid(2, 3);
         let cal = crate::calibration::Calibration::synthetic(&topo, &mut Rng::new(0x717));
         let target = Target::sqrt_iswap(topo).with_calibration(cal).unwrap();
@@ -1190,7 +1170,6 @@ mod tests {
                 "{} routed invalidly",
                 kind.name()
             );
-            assert_eq!(outcome.strategy, kind);
         }
     }
 }

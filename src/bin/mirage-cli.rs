@@ -4,7 +4,7 @@
 //! mirage-cli transpile <input.qasm> --topo grid:6x6 [--basis sqrt-iswap|cnot|cz]
 //!                      [--router mirage|sabre|mirage-swaps]
 //!                      [--calibration cal.txt] [--metric depth|swaps|success]
-//!                      [--layout random|degree|noise|degree-noise|vf2|mixed]
+//!                      [--layout random|noise-aware|degree-noise|vf2]
 //!                      [--seed N] [--trials N] [--out out.qasm] [--translate] [--draw]
 //! mirage-cli batch <input>... --topo grid:6x6 [--workers N] [--router ...]
 //!                  [--calibration cal.txt] [--metric ...] [--layout ...]
@@ -23,9 +23,7 @@
 
 use mirage::circuit::{generators, qasm, render, Circuit};
 use mirage::core::placement::StrategyKind;
-use mirage::core::{
-    transpile, Calibration, Metric, RouterKind, Target, TranspileOptions, BALANCED_STRATEGY_MIX,
-};
+use mirage::core::{transpile, Calibration, Metric, RouterKind, Target, TranspileOptions};
 use mirage::math::Rng;
 use mirage::serve::net::{
     CalibrationRefresher, NetClient, NetServer, RetryPolicy, ServeConfig, SubmitRequest,
@@ -55,7 +53,7 @@ const USAGE: &str = "usage:
   mirage-cli transpile <input.qasm> --topo <spec> [--basis sqrt-iswap|cnot|cz]
                        [--router mirage|sabre|mirage-swaps]
                        [--calibration cal.txt] [--metric depth|swaps|success]
-                       [--layout random|degree|noise|degree-noise|vf2|mixed]
+                       [--layout random|noise-aware|degree-noise|vf2]
                        [--seed N] [--trials N] [--out out.qasm] [--translate] [--draw]
   mirage-cli batch <input>... --topo <spec> [--basis ...] [--workers N]
                    [--router ...] [--calibration cal.txt] [--metric ...]
@@ -88,11 +86,9 @@ basis gates    : sqrt-iswap (default)  cnot  cz
 generator names: qft:N ghz:N wstate:N bv:N twolocal:N qaoa:N adder:BITS
 metrics        : depth (default for mirage)  swaps  success (needs --calibration
                  or a zero-error device; selects on predicted success probability)
-layouts        : how layout trials are seeded — random (default), degree
-                 (interaction/degree matching), noise (low-error regions of the
-                 calibration), degree-noise (degree matching inside a low-error
-                 region), vf2 (exact embeddings), or mixed (a balanced split of
-                 the trial budget across all five)";
+layouts        : how layout trials are seeded — random (default), noise-aware
+                 (low-error regions of the calibration), degree-noise (degree
+                 matching inside a low-error region), or vf2 (exact embeddings)";
 
 fn run(args: &[String]) -> Result<(), String> {
     let cmd = args.first().ok_or("missing command")?;
@@ -251,11 +247,7 @@ fn parse_common(flags: &Flags) -> Result<CommonSetup, String> {
         .map_err(|_| "bad --trials")?;
 
     let layout = flag(flags, "layout").unwrap_or("random").to_string();
-    let strategy_mix = if layout == "mixed" {
-        BALANCED_STRATEGY_MIX
-    } else {
-        layout.parse::<StrategyKind>()?.one_hot()
-    };
+    let strategy_mix = layout.parse::<StrategyKind>()?.one_hot();
 
     let mut opts = TranspileOptions::quick(router, seed);
     opts.trials.layout_trials = trials;
