@@ -405,6 +405,50 @@ mod tests {
     }
 
     #[test]
+    fn three_client_rotation_with_joins_and_departures() {
+        // Clients 1, 2 and 3 share the batch lane while pushes interleave
+        // with pops. Pins where a client that joins (or rejoins) lands in
+        // the rotation, and where the rotation resumes after a client's
+        // queue empties.
+        let q = JobQueue::new();
+        let mut order = Vec::new();
+        for i in 0..3 {
+            q.push((1, i), Lane::Batch, 1).unwrap();
+        }
+        q.push((2, 0), Lane::Batch, 2).unwrap();
+        order.push(q.pop().unwrap());
+        // Client 3 joins mid-rotation, behind client 2.
+        q.push((3, 0), Lane::Batch, 3).unwrap();
+        q.push((3, 1), Lane::Batch, 3).unwrap();
+        // Client 2 empties and leaves; client 3 is next.
+        order.push(q.pop().unwrap());
+        order.push(q.pop().unwrap());
+        // Client 2 rejoins while the last client in the rotation is being
+        // served: it is next, before the rotation wraps to client 1.
+        q.push((2, 1), Lane::Batch, 2).unwrap();
+        order.push(q.pop().unwrap());
+        // Client 2 empties again at the end of the rotation, which wraps
+        // to client 1 before client 2 rejoins behind client 3.
+        q.push((2, 2), Lane::Batch, 2).unwrap();
+        while !q.is_empty() {
+            order.push(q.pop().unwrap());
+        }
+        assert_eq!(
+            order,
+            vec![
+                (1, 0),
+                (2, 0),
+                (3, 0),
+                (2, 1),
+                (1, 1),
+                (3, 1),
+                (2, 2),
+                (1, 2),
+            ]
+        );
+    }
+
+    #[test]
     fn weighted_clients_get_proportional_turns() {
         let q = JobQueue::new();
         q.set_weight(1, 2);
