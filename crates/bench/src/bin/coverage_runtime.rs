@@ -35,9 +35,10 @@
 
 use mirage_bench::print_table;
 use mirage_bench::report::{self, hex, num, Cli, Json, Verdict};
-use mirage_coverage::atlas::{encode, fnv1a, load_stock, stock_atlas_bytes, stock_specs};
+use mirage_coverage::atlas::{encode, load_stock, stock_atlas_bytes, stock_specs};
 use mirage_coverage::set::{BasisGate, CoverageOptions, CoverageSet};
 use mirage_gates::{haar_1q, haar_2q};
+use mirage_math::hash::fnv1a;
 use mirage_math::{Mat4, Rng};
 use mirage_weyl::coords::{coords_of, WeylCoord};
 use std::process::ExitCode;

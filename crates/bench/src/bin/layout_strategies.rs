@@ -31,6 +31,7 @@ use mirage_circuit::generators::paper_suite;
 use mirage_core::calibration::Calibration;
 use mirage_core::trials::Metric;
 use mirage_core::{transpile, RouterKind, StrategyKind, Target, TranspileOptions};
+use mirage_math::hash::Fnv1a;
 use mirage_math::Rng;
 use mirage_topology::CouplingMap;
 use std::ops::Range;
@@ -107,7 +108,7 @@ struct Cell {
     per_seed: Vec<f64>,
     swaps: usize,
     mirrors: usize,
-    fold: u64,
+    fold: Fnv1a,
 }
 
 impl Cell {
@@ -124,7 +125,7 @@ impl Cell {
             per_seed: Vec::new(),
             swaps: 0,
             mirrors: 0,
-            fold: 0xCBF2_9CE4_8422_2325,
+            fold: Fnv1a::new(),
         };
         for seed in seeds {
             let opts = if quick {
@@ -138,9 +139,7 @@ impl Cell {
             for (circuit_name, circuit) in paper_suite() {
                 let out = transpile(&circuit, target, &opts)
                     .unwrap_or_else(|e| panic!("{circuit_name} ({}): {e}", cell.name));
-                for byte in out.circuit.fingerprint().to_le_bytes() {
-                    cell.fold = (cell.fold ^ u64::from(byte)).wrapping_mul(0x0100_0000_01B3);
-                }
+                cell.fold.write_u64(out.circuit.fingerprint());
                 cell.swaps += out.metrics.swaps_inserted;
                 cell.mirrors += out.metrics.mirrors_accepted;
                 successes.push(out.metrics.estimated_success);
@@ -170,7 +169,7 @@ impl Cell {
             ("seed_max", num(self.best(), 4)),
             ("swaps", self.swaps.into()),
             ("mirrors", self.mirrors.into()),
-            ("fingerprint", hex(self.fold)),
+            ("fingerprint", hex(self.fold.finish())),
         ])
     }
 }
@@ -220,7 +219,7 @@ fn main() -> ExitCode {
     let cells: Vec<&Cell> = groups.iter().flat_map(|(_, cells)| cells).collect();
     let pins: Vec<(&str, Sanity)> = cells
         .iter()
-        .map(|c| (c.name.as_str(), (c.fold, c.swaps, c.mirrors)))
+        .map(|c| (c.name.as_str(), (c.fold.finish(), c.swaps, c.mirrors)))
         .collect();
     if args.switch("--print-fingerprints") {
         report::print_pins("SANITY", &pins);

@@ -1,6 +1,7 @@
 //! Flat circuit representation with builder methods and metrics.
 
 use crate::gate::Gate;
+use mirage_math::hash::Fnv1a;
 
 /// One gate application.
 #[derive(Debug, Clone, PartialEq)]
@@ -327,35 +328,6 @@ impl Circuit {
             }
         }
         h.finish()
-    }
-}
-
-/// Minimal FNV-1a (64-bit) for [`Circuit::fingerprint`] — deterministic
-/// across processes, unlike `DefaultHasher` whose keys are unspecified.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Fnv1a {
-        Fnv1a(0xCBF2_9CE4_8422_2325)
-    }
-
-    fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 

@@ -53,8 +53,7 @@ pub struct QubitCalibration {
 
 impl Default for QubitCalibration {
     /// The paper's idealized qubit: free, error-less 1Q gates and perfect
-    /// readout. [`crate::target::DurationModel::default`] derives its 1Q
-    /// duration from this value — one source of truth.
+    /// readout.
     fn default() -> Self {
         QubitCalibration {
             duration_1q: 0.0,

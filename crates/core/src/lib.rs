@@ -48,7 +48,7 @@
 //!
 //! ---
 //! **Owns:** [`target::Target`], [`calibration::Calibration`],
-//! [`router::route`], [`trials::route_with_trials`],
+//! [`router::route`], [`trials::TrialEngine`],
 //! [`pipeline::transpile`], [`verify::verify_report`].
 //! **Paper:** §IV (the MIRAGE router, Algorithm 2, the depth metric) and
 //! the §V pipeline; the calibration layer extends §IV-B's duration metric
@@ -69,6 +69,6 @@ pub use layout::Layout;
 pub use pipeline::{transpile, RouterKind, TranspileError, TranspileOptions, TranspiledCircuit};
 pub use placement::{LayoutStrategy, PlacementContext, StrategyKind};
 pub use router::{Aggression, RoutedCircuit, RouterConfig};
-pub use target::{DurationModel, Target};
+pub use target::Target;
 pub use trials::{Metric, TrialEngine, TrialOptions, TrialOutcome};
 pub use verify::{verify_report, verify_routed, VerifyReport};

@@ -30,7 +30,8 @@
 //! * All working storage lives in a reusable [`RouterScratch`]
 //!   (epoch-stamped mark arrays, front/extended-set/candidate buffers,
 //!   decay table, the trace). [`route_with_scratch`] threads one through
-//!   repeated calls; [`crate::trials::TrialEngine`] pools them.
+//!   repeated calls; [`crate::trials::TrialEngine`] gives each trial
+//!   worker one for its run.
 //! * Candidate SWAPs are ranked by **delta scoring**: the per-node
 //!   residual distances of the front and extended sets are computed once
 //!   per SWAP step, and each candidate re-prices only the nodes whose
@@ -86,24 +87,27 @@ impl Aggression {
     }
 }
 
-/// Hyper-parameters of the routing engine (defaults follow the paper's
-/// stated SABRE configuration: `|E| = 20`, `W_E = 0.5`, decay 0.001 with a
-/// reset every five steps or gate mapping).
+/// Lookahead window size `|E|` of the swap ranker (the paper's stated
+/// SABRE configuration).
+const EXTENDED_SET_SIZE: usize = 20;
+/// Lookahead weight `W_E`.
+const EXTENDED_SET_WEIGHT: f64 = 0.5;
+/// Decay increment per SWAP on a qubit.
+const DECAY_RATE: f64 = 0.001;
+/// Decay resets after this many consecutive SWAPs (and on every gate
+/// mapping).
+const DECAY_RESET: usize = 5;
+/// Lookahead window size for the mirror decision: deeper than the swap
+/// ranker's, because mirrors are rarer, higher-stakes moves.
+const MIRROR_LOOKAHEAD: usize = 40;
+
+/// The routing engine's settings that callers vary. The SABRE constants
+/// (`|E| = 20`, `W_E = 0.5`, decay 0.001 with a reset every five steps or
+/// gate mapping, and the mirror decision's 40-node lookahead) are fixed.
 #[derive(Debug, Clone, Copy)]
 pub struct RouterConfig {
-    /// Lookahead window size `|E|`.
-    pub extended_set_size: usize,
-    /// Lookahead weight `W_E`.
-    pub extended_set_weight: f64,
-    /// Decay increment per SWAP on a qubit.
-    pub decay_rate: f64,
-    /// Reset decay after this many consecutive SWAPs.
-    pub decay_reset: usize,
     /// Mirror aggression; `None` = plain SABRE (no intermediate layer).
     pub aggression: Option<Aggression>,
-    /// Lookahead window size for the mirror decision (deeper than the swap
-    /// ranker's window; see `tune_mirror`).
-    pub mirror_lookahead: usize,
     /// Weight coupling the distance heuristic into the mirror decision
     /// (decomposition cost is in duration units, distance in hops). The
     /// shipped default (2.0) comes from the `tune_mirror` ablation: depth
@@ -114,12 +118,7 @@ pub struct RouterConfig {
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
-            extended_set_size: 20,
-            extended_set_weight: 0.5,
-            decay_rate: 0.001,
-            decay_reset: 5,
             aggression: None,
-            mirror_lookahead: 40,
             mirror_heuristic_weight: 2.0,
         }
     }
@@ -373,8 +372,8 @@ struct ScoreEntry {
 /// (the mark arrays are epoch-stamped: bumping a generation counter
 /// invalidates them in O(1) instead of clearing).
 ///
-/// [`crate::trials::TrialEngine`] keeps a pool of these, one checked out
-/// per layout trial; standalone callers can hold one per thread. A scratch
+/// [`crate::trials::TrialEngine`] gives each trial worker one for its
+/// whole run; standalone callers can hold one per thread. A scratch
 /// is cheap to create (`Default`), so the convenience wrapper [`route`]
 /// simply brings a fresh one.
 #[derive(Debug, Default)]
@@ -734,7 +733,7 @@ pub(crate) fn route_trace(
                                 dag,
                                 probe,
                                 done,
-                                config.mirror_lookahead,
+                                MIRROR_LOOKAHEAD,
                                 node_mark,
                                 node_epoch,
                                 queue,
@@ -754,10 +753,9 @@ pub(crate) fn route_trace(
                                 sum_and_swap_delta(dag, probe, layout, topo, p1, p2);
                             let (e_sum, e_delta) =
                                 sum_and_swap_delta(dag, ext, layout, topo, p1, p2);
-                            let we = config.extended_set_weight;
-                            let h_plain = f_sum as f64 + we * e_sum as f64;
-                            let h_mirror =
-                                (f_sum + f_delta) as f64 + we * ((e_sum + e_delta) as f64);
+                            let h_plain = f_sum as f64 + EXTENDED_SET_WEIGHT * e_sum as f64;
+                            let h_mirror = (f_sum + f_delta) as f64
+                                + EXTENDED_SET_WEIGHT * ((e_sum + e_delta) as f64);
 
                             let lambda = config.mirror_heuristic_weight;
                             let cost_current = dc + lambda * h_plain;
@@ -815,7 +813,7 @@ pub(crate) fn route_trace(
                 dag,
                 front,
                 done,
-                config.extended_set_size,
+                EXTENDED_SET_SIZE,
                 node_mark,
                 node_epoch,
                 queue,
@@ -929,7 +927,7 @@ pub(crate) fn route_trace(
             } else {
                 (e_base + de) as f64 / n_e as f64
             };
-            let h = f_term + config.extended_set_weight * e_term;
+            let h = f_term + EXTENDED_SET_WEIGHT * e_term;
             let d1 = if decay_mark[p1] == *decay_gen {
                 decay_val[p1]
             } else {
@@ -969,11 +967,11 @@ pub(crate) fn route_trace(
             } else {
                 1.0
             };
-            decay_val[p] = current + config.decay_rate;
+            decay_val[p] = current + DECAY_RATE;
             decay_mark[p] = *decay_gen;
         }
         swaps_since_reset += 1;
-        if swaps_since_reset >= config.decay_reset {
+        if swaps_since_reset >= DECAY_RESET {
             *decay_gen += 1;
             swaps_since_reset = 0;
         }
@@ -1205,12 +1203,11 @@ pub mod legacy {
 
                             let mut probe = front.clone();
                             release_successors(dag, id, &indeg, &mut probe, &done);
-                            let ext = extended_set(dag, &probe, &done, config.mirror_lookahead);
-                            let h_plain = lookahead_sum(&probe, &ext, dag, &layout, topo, config);
+                            let ext = extended_set(dag, &probe, &done, MIRROR_LOOKAHEAD);
+                            let h_plain = lookahead_sum(&probe, &ext, dag, &layout, topo);
                             let mut mirrored = layout.clone();
                             mirrored.swap_physical(p1, p2);
-                            let h_mirror =
-                                lookahead_sum(&probe, &ext, dag, &mirrored, topo, config);
+                            let h_mirror = lookahead_sum(&probe, &ext, dag, &mirrored, topo);
 
                             let lambda = config.mirror_heuristic_weight;
                             let cost_current = dc + lambda * h_plain;
@@ -1255,7 +1252,7 @@ pub mod legacy {
                 "routing exceeded its swap budget — probable non-termination"
             );
 
-            let ext = extended_set(dag, &front, &done, config.extended_set_size);
+            let ext = extended_set(dag, &front, &done, EXTENDED_SET_SIZE);
             let candidates = candidate_swaps(dag, &front, &layout, topo);
             debug_assert!(
                 !candidates.is_empty(),
@@ -1267,7 +1264,7 @@ pub mod legacy {
             for &(p1, p2) in &candidates {
                 let mut trial = layout.clone();
                 trial.swap_physical(p1, p2);
-                let h = heuristic(&front, &ext, dag, &trial, topo, config);
+                let h = heuristic(&front, &ext, dag, &trial, topo);
                 let score = h * decay[p1].max(decay[p2]);
                 if score < best_score - 1e-12 {
                     best_score = score;
@@ -1289,10 +1286,10 @@ pub mod legacy {
             out.push(Gate::Swap, &[p1, p2]);
             layout.swap_physical(p1, p2);
             swaps_inserted += 1;
-            decay[p1] += config.decay_rate;
-            decay[p2] += config.decay_rate;
+            decay[p1] += DECAY_RATE;
+            decay[p2] += DECAY_RATE;
             swaps_since_reset += 1;
-            if swaps_since_reset >= config.decay_reset {
+            if swaps_since_reset >= DECAY_RESET {
                 decay.iter_mut().for_each(|d| *d = 1.0);
                 swaps_since_reset = 0;
             }
@@ -1434,7 +1431,6 @@ pub mod legacy {
         dag: &Dag,
         layout: &Layout,
         topo: &CouplingMap,
-        config: &RouterConfig,
     ) -> f64 {
         let dist = |id: usize| -> f64 {
             let n = &dag.nodes[id];
@@ -1460,7 +1456,7 @@ pub mod legacy {
         } else {
             ext.iter().map(|&id| dist(id)).sum::<f64>() / ext.len() as f64
         };
-        f_term + config.extended_set_weight * e_term
+        f_term + EXTENDED_SET_WEIGHT * e_term
     }
 
     /// Absolute lookahead score for the mirror decision: *summed* residual
@@ -1471,7 +1467,6 @@ pub mod legacy {
         dag: &Dag,
         layout: &Layout,
         topo: &CouplingMap,
-        config: &RouterConfig,
     ) -> f64 {
         let dist = |id: usize| -> f64 {
             let n = &dag.nodes[id];
@@ -1484,7 +1479,7 @@ pub mod legacy {
         };
         let f_term: f64 = front.iter().map(|&id| dist(id)).sum();
         let e_term: f64 = ext.iter().map(|&id| dist(id)).sum();
-        f_term + config.extended_set_weight * e_term
+        f_term + EXTENDED_SET_WEIGHT * e_term
     }
 
     /// Candidate SWAPs through `BTreeSet` collection.

@@ -59,7 +59,7 @@
 //! assert_eq!(target.calibration_generation(), 0);
 //! ```
 
-use crate::calibration::{Calibration, CalibrationError, QubitCalibration};
+use crate::calibration::{Calibration, CalibrationError};
 use crate::pricing::{ln_survival, CalibrationSnapshot, Priced};
 use mirage_circuit::Circuit;
 use mirage_coverage::cache::SharedCostCache;
@@ -67,36 +67,6 @@ use mirage_coverage::set::{BasisGate, CoverageOptions, CoverageSet};
 use mirage_topology::CouplingMap;
 use mirage_weyl::coords::{coords_of, WeylCoord};
 use std::sync::{Arc, OnceLock, RwLock};
-
-/// Uniform gate-duration model: the single-knob special case of
-/// [`Calibration`].
-///
-/// Two-qubit gates cost their minimum decomposition duration in the target
-/// basis (normalized units, iSWAP = 1.0) scaled by their edge's
-/// calibration; single-qubit gates cost [`DurationModel::one_qubit`] on
-/// every qubit. The paper treats single-qubit gates as free (§IV-B), which
-/// is the default.
-///
-/// Precedence: [`Target::with_durations`] rewrites the 1Q durations of the
-/// target's **current** calibration — the calibration is the single source
-/// of truth, and whichever of `with_durations` / `with_calibration` runs
-/// last wins.
-#[derive(Debug, Clone, Copy)]
-pub struct DurationModel {
-    /// Duration charged per single-qubit gate.
-    pub one_qubit: f64,
-}
-
-impl Default for DurationModel {
-    /// Derived from the ideal qubit of [`Calibration::uniform`]
-    /// ([`QubitCalibration::default`]) — one source of truth for "1Q gates
-    /// are free".
-    fn default() -> Self {
-        DurationModel {
-            one_qubit: QubitCalibration::default().duration_1q,
-        }
-    }
-}
 
 /// Capacity of a target's shared cost cache (coordinate classes).
 const DEFAULT_CACHE_CAPACITY: usize = 4096;
@@ -222,29 +192,6 @@ impl Target {
         let mut t = Target::new(topo, BasisGate::cz(), default_coverage_options(0xC2));
         t.shared_coverage = Some(cz_coverage);
         t
-    }
-
-    /// Apply a uniform duration model (builder style): every qubit's 1Q
-    /// duration in the current calibration is set to
-    /// [`DurationModel::one_qubit`]. Per-edge data is untouched; a later
-    /// [`Target::with_calibration`] replaces this again — last call wins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `durations.one_qubit` is negative or non-finite (the
-    /// calibration layer rejects unphysical durations).
-    #[must_use]
-    pub fn with_durations(mut self, durations: DurationModel) -> Target {
-        let slot = self.calibration.get_mut().expect("calibration poisoned");
-        let mut cal = (**slot.calibration()).clone();
-        for q in 0..cal.n_qubits() {
-            let mut qc = cal.qubit_or_default(q);
-            qc.duration_1q = durations.one_qubit;
-            cal.set_qubit(q, qc)
-                .expect("DurationModel::one_qubit must be finite and non-negative");
-        }
-        *slot = Arc::new(CalibrationSnapshot::new(Arc::new(cal), slot.generation()));
-        self
     }
 
     /// Replace the calibration (builder style). Stock constructors start
@@ -488,6 +435,7 @@ fn uniform_snapshot(topo: &CouplingMap) -> Arc<CalibrationSnapshot> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::calibration::QubitCalibration;
     use mirage_circuit::generators::ghz;
 
     #[test]
@@ -566,8 +514,14 @@ mod tests {
 
     #[test]
     fn one_qubit_duration_model() {
-        let t = Target::sqrt_iswap(CouplingMap::line(2))
-            .with_durations(DurationModel { one_qubit: 0.1 });
+        let topo = CouplingMap::line(2);
+        let mut cal = Calibration::uniform(&topo);
+        for q in 0..2 {
+            let mut qc = cal.qubit_or_default(q);
+            qc.duration_1q = 0.1;
+            cal.set_qubit(q, qc).unwrap();
+        }
+        let t = Target::sqrt_iswap(topo).with_calibration(cal).unwrap();
         let mut c = Circuit::new(2);
         c.h(0).cx(0, 1);
         assert!((t.depth_estimate(&c) - 1.1).abs() < 1e-9);
@@ -594,18 +548,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Target>();
         let _ = ghz(2); // keep the generators import exercised
-    }
-
-    #[test]
-    fn default_duration_model_derives_from_uniform_calibration() {
-        // One source of truth: DurationModel::default() is the 1Q duration
-        // of the ideal qubit Calibration::uniform hands out.
-        assert_eq!(
-            DurationModel::default().one_qubit,
-            QubitCalibration::default().duration_1q
-        );
-        let t = Target::sqrt_iswap(CouplingMap::line(3));
-        assert_eq!(t.calibration().qubit_or_default(0).duration_1q, 0.0);
     }
 
     #[test]
@@ -850,14 +792,5 @@ mod tests {
                 });
             }
         });
-    }
-
-    #[test]
-    fn with_durations_rewrites_all_qubits() {
-        let t = Target::sqrt_iswap(CouplingMap::line(3))
-            .with_durations(DurationModel { one_qubit: 0.25 });
-        for q in 0..3 {
-            assert_eq!(t.calibration().qubit_or_default(q).duration_1q, 0.25);
-        }
     }
 }

@@ -371,12 +371,10 @@ struct Run<'r, 'a> {
 /// independent routing trials, and metric post-selection.
 ///
 /// The circuit's coordinate classes and the forward/backward DAGs are
-/// computed once, on first use; [`TrialEngine::run`] can be called
-/// repeatedly with different options (the bench harness sweeps strategies
-/// this way). Each run takes one calibration snapshot and prices every
-/// class once into its [`PriceTable`]. The engine borrows its circuit and
-/// [`Target`]; reusing one target keeps the coordinate cost cache warm
-/// across runs.
+/// computed once, on first use. Each run takes one calibration snapshot
+/// and prices every class once into its [`PriceTable`]. The engine
+/// borrows its circuit and [`Target`]; reusing one target keeps the
+/// coordinate cost cache warm across engines.
 #[derive(Debug)]
 pub struct TrialEngine<'a> {
     target: &'a Target,
@@ -389,16 +387,6 @@ pub struct TrialEngine<'a> {
     /// proposal is computed once and shared by the pre-pass and every
     /// vf2-lane layout trial.
     vf2: std::sync::OnceLock<Option<Layout>>,
-    /// Reusable [`RouterScratch`]es. Each trial *worker* checks one out
-    /// for its whole run of layout trials and returns it afterwards, so
-    /// serial runs route with a single scratch end-to-end and parallel
-    /// runs hold exactly one per worker thread — the router's steady
-    /// state stays allocation-free across trials (and across the repeated
-    /// `run` calls of a serve worker's jobs on one engine). Scratches
-    /// carry no routing state and no cost state — only buffer capacity;
-    /// prices come from each run's table — so pooling never changes
-    /// results.
-    scratch_pool: std::sync::Mutex<Vec<RouterScratch>>,
 }
 
 impl<'a> TrialEngine<'a> {
@@ -416,7 +404,6 @@ impl<'a> TrialEngine<'a> {
             classes: OnceLock::new(),
             routing: OnceLock::new(),
             vf2: std::sync::OnceLock::new(),
-            scratch_pool: std::sync::Mutex::new(Vec::new()),
         }
     }
 
@@ -489,24 +476,6 @@ impl<'a> TrialEngine<'a> {
                 bwd: RouteDag::new(&Dag::from_circuit(&circuit.reversed()), &classes_bwd),
             }
         })
-    }
-
-    /// Check a scratch out of the pool (or grow the pool by one). The
-    /// holder must hand it back through [`TrialEngine::return_scratch`].
-    fn checkout_scratch(&self) -> RouterScratch {
-        self.scratch_pool
-            .lock()
-            .expect("scratch pool poisoned")
-            .pop()
-            .unwrap_or_default()
-    }
-
-    /// Return a checked-out scratch for the next trial to reuse.
-    fn return_scratch(&self, scratch: RouterScratch) {
-        self.scratch_pool
-            .lock()
-            .expect("scratch pool poisoned")
-            .push(scratch);
     }
 
     /// SABRE layout refinement: route forward, then backward over the
@@ -723,9 +692,10 @@ impl<'a> TrialEngine<'a> {
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {
                         s.spawn(move || {
-                            // One pooled scratch per worker for its
-                            // whole run of trials.
-                            let mut scratch = self.checkout_scratch();
+                            // One scratch per worker for its whole run
+                            // of trials. Scratches carry only buffer
+                            // capacity, never routing or cost state.
+                            let mut scratch = RouterScratch::new();
                             let mut local = Vec::new();
                             loop {
                                 let t = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -737,7 +707,6 @@ impl<'a> TrialEngine<'a> {
                                     self.one_layout_trial(t, mirage, opts, run, &mut scratch),
                                 ));
                             }
-                            self.return_scratch(scratch);
                             local
                         })
                     })
@@ -751,11 +720,10 @@ impl<'a> TrialEngine<'a> {
                 slots[t] = Some(result);
             }
         } else {
-            let mut scratch = self.checkout_scratch();
+            let mut scratch = RouterScratch::new();
             for (t, slot) in slots.iter_mut().enumerate() {
                 *slot = Some(self.one_layout_trial(t, mirage, opts, &run, &mut scratch));
             }
-            self.return_scratch(scratch);
         }
         let traced = slots
             .into_iter()
@@ -764,9 +732,11 @@ impl<'a> TrialEngine<'a> {
         Ok((traced, run.prices))
     }
 
-    /// Run the full trial loop; like [`TrialEngine::run`] but also reports
-    /// how many candidates were scored, and the winner's class ids and the
-    /// run's prices (`transpile` reads its metrics from them).
+    /// Run the full trial loop and return the best routed circuit under
+    /// the metric, with how many candidates were scored, the winner's
+    /// class ids and the run's prices (`transpile` reads its metrics from
+    /// them). `mirage = false` gives the SABRE baseline (no mirrors; the
+    /// metric should be [`Metric::SwapCount`] for a faithful baseline).
     ///
     /// # Determinism
     ///
@@ -804,37 +774,6 @@ impl<'a> TrialEngine<'a> {
             prices,
         })
     }
-
-    /// Run the full trial loop and return the best routed circuit under
-    /// the metric. `mirage = false` gives the SABRE baseline (no mirrors;
-    /// the metric should be [`Metric::SwapCount`] for a faithful
-    /// baseline).
-    ///
-    /// # Errors
-    ///
-    /// [`TranspileError::InvalidTrialMix`] when either mix in `opts` is
-    /// mis-normalized.
-    pub fn run(&self, mirage: bool, opts: &TrialOptions) -> Result<RoutedCircuit, TranspileError> {
-        self.run_detailed(mirage, opts).map(|outcome| outcome.best)
-    }
-}
-
-/// Run the full trial loop and return the best routed circuit under the
-/// metric — the classic free-function view of [`TrialEngine`].
-///
-/// # Panics
-///
-/// Panics when `opts` carries a mis-normalized trial mix; construct a
-/// [`TrialEngine`] (or go through `transpile`) for a `Result` instead.
-pub fn route_with_trials(
-    circuit: &Circuit,
-    target: &Target,
-    mirage: bool,
-    opts: &TrialOptions,
-) -> RoutedCircuit {
-    TrialEngine::new(circuit, target)
-        .run(mirage, opts)
-        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]
@@ -846,6 +785,19 @@ mod tests {
     use mirage_topology::CouplingMap;
 
     const PAPER_MIX: [f64; 4] = [0.05, 0.45, 0.45, 0.05];
+
+    /// The winner of one engine run.
+    fn best_route(
+        c: &Circuit,
+        target: &Target,
+        mirage: bool,
+        opts: &TrialOptions,
+    ) -> RoutedCircuit {
+        TrialEngine::new(c, target)
+            .run_detailed(mirage, opts)
+            .expect("valid options")
+            .best
+    }
 
     #[test]
     fn aggression_mix_banding() {
@@ -948,7 +900,7 @@ mod tests {
         let mut opts = TrialOptions::quick(Metric::Depth, 1);
         opts.aggression_mix = [0.0; 4];
         let engine = TrialEngine::new(&c, &target);
-        assert!(engine.run(true, &opts).is_err());
+        assert!(engine.run_detailed(true, &opts).is_err());
 
         // And slight float noise passes.
         let mut opts = TrialOptions::quick(Metric::Depth, 1);
@@ -973,7 +925,7 @@ mod tests {
     fn trials_return_valid_routing() {
         let target = Target::sqrt_iswap(CouplingMap::line(4));
         let c = consolidate(&two_local_full(4, 1, 7));
-        let r = route_with_trials(&c, &target, true, &TrialOptions::quick(Metric::Depth, 1));
+        let r = best_route(&c, &target, true, &TrialOptions::quick(Metric::Depth, 1));
         assert!(verify_routed(&c, &r, &target));
     }
 
@@ -981,9 +933,9 @@ mod tests {
     fn depth_metric_never_worse_than_random_trial() {
         let target = Target::sqrt_iswap(CouplingMap::line(5));
         let c = consolidate(&two_local_full(5, 2, 8));
-        let best = route_with_trials(&c, &target, true, &TrialOptions::quick(Metric::Depth, 2));
+        let best = best_route(&c, &target, true, &TrialOptions::quick(Metric::Depth, 2));
         // The selected candidate's depth must be ≤ a fresh single trial's.
-        let single = route_with_trials(
+        let single = best_route(
             &c,
             &target,
             true,
@@ -1007,12 +959,12 @@ mod tests {
         let c = consolidate(&two_local_full(4, 1, 9));
         let mut serial_opts = TrialOptions::quick(Metric::SwapCount, 5);
         serial_opts.parallel = false;
-        let a = route_with_trials(&c, &target, false, &serial_opts);
+        let a = best_route(&c, &target, false, &serial_opts);
         for threads in [1, 2, 4, 8] {
             let mut parallel_opts = serial_opts.clone();
             parallel_opts.parallel = true;
             parallel_opts.threads = threads;
-            let b = route_with_trials(&c, &target, false, &parallel_opts);
+            let b = best_route(&c, &target, false, &parallel_opts);
             assert_eq!(
                 a.circuit, b.circuit,
                 "{threads} threads must not change results"
@@ -1096,7 +1048,7 @@ mod tests {
         let cal = crate::calibration::Calibration::synthetic(&topo, &mut Rng::new(0x5EED));
         let target = Target::sqrt_iswap(topo).with_calibration(cal).unwrap();
         let c = consolidate(&two_local_full(5, 1, 8));
-        let best = route_with_trials(
+        let best = best_route(
             &c,
             &target,
             true,
@@ -1106,7 +1058,7 @@ mod tests {
         let s = best.estimated_success(&target);
         assert!(s > 0.0 && s < 1.0, "noisy device: 0 < {s} < 1");
         // Post-selection must beat (or tie) a single fresh trial.
-        let single = route_with_trials(
+        let single = best_route(
             &c,
             &target,
             true,
@@ -1130,7 +1082,7 @@ mod tests {
         // probability 1 for every candidate, and routing still verifies.
         let target = Target::sqrt_iswap(CouplingMap::line(4));
         let c = consolidate(&two_local_full(4, 1, 7));
-        let r = route_with_trials(
+        let r = best_route(
             &c,
             &target,
             true,
@@ -1144,7 +1096,7 @@ mod tests {
     fn sabre_baseline_accepts_no_mirrors() {
         let target = Target::sqrt_iswap(CouplingMap::line(4));
         let c = consolidate(&two_local_full(4, 1, 10));
-        let r = route_with_trials(
+        let r = best_route(
             &c,
             &target,
             false,

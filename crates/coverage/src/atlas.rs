@@ -33,32 +33,22 @@
 
 use crate::geom::{ConvexPolytope, Halfspace};
 use crate::set::{BasisGate, CoverageLevel, CoverageOptions, CoverageSet};
+use mirage_math::hash::{fnv1a, Fnv1a};
 
 const MAGIC: &[u8; 8] = b"MIRATLAS";
 const VERSION: u32 = 1;
 
-/// FNV-1a 64-bit hash of a byte string (the checksum and fingerprint hash
-/// used throughout the repo's golden files).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// FNV-1a fingerprint of a basis gate's unitary (bit patterns of all 32
 /// matrix components in row-major re/im order).
 fn unitary_fingerprint(basis: &BasisGate) -> u64 {
-    let mut bytes = Vec::with_capacity(32 * 8);
+    let mut h = Fnv1a::new();
     for row in &basis.unitary.e {
         for z in row {
-            bytes.extend_from_slice(&z.re.to_bits().to_le_bytes());
-            bytes.extend_from_slice(&z.im.to_bits().to_le_bytes());
+            h.write_f64(z.re);
+            h.write_f64(z.im);
         }
     }
-    fnv1a(&bytes)
+    h.finish()
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {

@@ -377,15 +377,6 @@ impl ConvexPolytope {
         }
         vol
     }
-
-    /// Centroid of the vertex set (not the volumetric centroid).
-    pub fn vertex_centroid(&self) -> [f64; 3] {
-        let mut c = [0.0f64; 3];
-        for v in &self.vertices {
-            c = add(c, *v);
-        }
-        scale(c, 1.0 / self.vertices.len().max(1) as f64)
-    }
 }
 
 /// Any unit vector perpendicular to `u`.

@@ -13,9 +13,10 @@
 //! like the golden-routing suite: shared-set queries from `n` threads must
 //! equal the serial answers.
 
-use mirage_coverage::atlas::{decode, encode, fnv1a, load_stock, stock_atlas_bytes, stock_specs};
+use mirage_coverage::atlas::{decode, encode, load_stock, stock_atlas_bytes, stock_specs};
 use mirage_coverage::set::{alcove_rep, BasisGate, CoverageOptions, CoverageSet};
 use mirage_gates::haar_2q;
+use mirage_math::hash::fnv1a;
 use mirage_math::Rng;
 use mirage_weyl::coords::{coords_of, WeylCoord};
 

@@ -15,6 +15,8 @@
 //!   characteristic-polynomial (Faddeev–LeVerrier + Durand–Kerner) eigenvalue
 //!   routine for general complex 4×4 matrices.
 //! * [`poly`] — complex polynomial root finding (quartics and below).
+//! * [`hash`] — FNV-1a, the stable hash behind every fingerprint and
+//!   checksum in the workspace.
 //! * [`rng`] — a small deterministic PRNG (SplitMix64 seeding into
 //!   xoshiro256**) so every experiment in the repository is reproducible from
 //!   a single `u64` seed.
@@ -31,12 +33,13 @@
 //!
 //! ---
 //! **Owns:** [`Complex64`], [`Mat2`], [`Mat4`], [`qr::qr4`], [`eig`],
-//! [`poly`], [`rng::Rng`].
+//! [`poly`], [`rng::Rng`], [`hash::fnv1a`].
 //! **Paper:** the numerical substrate under §§III–V (no section of its
 //! own; replaces the Python implementation's NumPy/SciPy layer).
 
 pub mod complex;
 pub mod eig;
+pub mod hash;
 pub mod mat2;
 pub mod mat4;
 pub mod optimize;

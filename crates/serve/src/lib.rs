@@ -9,16 +9,17 @@
 //! * [`TranspileService`] owns one shared [`Arc<Target>`] and a supervised
 //!   pool of `std::thread` workers consuming a two-lane priority
 //!   [`queue::JobQueue`]: [`Lane::Interactive`] jobs always dequeue before
-//!   [`Lane::Batch`] jobs, clients share each lane weighted round-robin,
-//!   and a service built with a [`ServiceConfig::queue_capacity`] bound
-//!   rejects a client over its per-lane budget with a typed
+//!   [`Lane::Batch`] jobs, clients share each lane round-robin, and a
+//!   service built by [`TranspileService::with_queue_capacity`] with a
+//!   bound rejects a client over its per-lane budget with a typed
 //!   [`ServeError::Busy`] instead of queueing without limit.
 //! * [`TranspileJob`]s (circuit + [`TranspileOptions`] + seed, plus a lane
-//!   and an optional deadline) are submitted singly or in batches;
-//!   [`TranspileService::submit_batch`] returns one [`JobHandle`] per job,
-//!   in submission order. A job whose deadline has already passed when a
-//!   worker dequeues it is rejected with [`JobError::DeadlineExceeded`]
-//!   without being run — stale interactive requests don't burn pool time.
+//!   and an optional deadline) are submitted one at a time, each returning
+//!   a [`JobHandle`], or as a blocking batch through
+//!   [`TranspileService::run_batch`]. A job whose deadline has already
+//!   passed when a worker dequeues it is rejected with
+//!   [`JobError::DeadlineExceeded`] without being run — stale interactive
+//!   requests don't burn pool time.
 //! * Each handle streams [`JobEvent`]s — `Started` when a worker picks the
 //!   job up, then `Finished` with the [`JobResult`] — which is what the
 //!   [`net`] front forwards over the wire as queued → running → done.
@@ -352,22 +353,6 @@ impl JobHandle {
             Err(mpsc::RecvError) => JobEvent::Finished(self.orphaned()),
         }
     }
-
-    /// Non-blocking poll: the result if the job has finished, `None` while
-    /// it is still pending. Intermediate `Started` events are consumed
-    /// silently; a severed delivery channel yields a terminal
-    /// [`JobError::WorkerPanicked`] result — a poll loop never spins on
-    /// `None` forever.
-    pub fn try_wait(&self) -> Option<JobResult> {
-        loop {
-            match self.rx.try_recv() {
-                Ok(JobEvent::Started { .. }) => continue,
-                Ok(JobEvent::Finished(result)) => return Some(result),
-                Err(mpsc::TryRecvError::Empty) => return None,
-                Err(mpsc::TryRecvError::Disconnected) => return Some(self.orphaned()),
-            }
-        }
-    }
 }
 
 /// Why the service refused a submission.
@@ -376,7 +361,8 @@ pub enum ServeError {
     /// The service has been shut down; no further jobs are accepted.
     ShutDown,
     /// Admission control: the submitting client already has `capacity`
-    /// jobs queued in this lane (see [`ServiceConfig::queue_capacity`]).
+    /// jobs queued in this lane (see
+    /// [`TranspileService::with_queue_capacity`]).
     /// The submission was rejected immediately — nothing blocked, nothing
     /// was queued, and other clients' budgets are unaffected.
     Busy {
@@ -399,38 +385,6 @@ impl std::fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
-
-/// How to build a [`TranspileService`] beyond the worker count.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServiceConfig {
-    /// Worker threads in the pool (must be ≥ 1).
-    pub workers: usize,
-    /// Per-client, per-lane admission bound: `Some(n)` rejects a client's
-    /// submission to a lane where it already holds `n` queued jobs with
-    /// [`ServeError::Busy`]; `None` queues without limit (the in-process
-    /// default — callers that own their batch can't overload themselves).
-    /// One flooding client bounces off its own budget while everyone else
-    /// keeps draining.
-    pub queue_capacity: Option<usize>,
-}
-
-impl ServiceConfig {
-    /// An unbounded-queue config with `workers` threads.
-    pub fn new(workers: usize) -> ServiceConfig {
-        ServiceConfig {
-            workers,
-            queue_capacity: None,
-        }
-    }
-
-    /// Bound each client's per-lane backlog to `capacity` queued jobs
-    /// (builder style).
-    #[must_use]
-    pub fn with_queue_capacity(mut self, capacity: usize) -> ServiceConfig {
-        self.queue_capacity = Some(capacity);
-        self
-    }
-}
 
 /// Aggregate counters reported by [`TranspileService::shutdown`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -459,7 +413,6 @@ struct QueuedJob {
 struct WorkerContext {
     target: Arc<Target>,
     queue: Arc<JobQueue<QueuedJob>>,
-    completed: Arc<AtomicU64>,
     sequence: Arc<AtomicU64>,
     per_worker: Arc<Vec<AtomicU64>>,
     respawns: Arc<AtomicU64>,
@@ -470,7 +423,7 @@ struct WorkerContext {
 
 /// The batch transpilation service. See the [crate docs](self) for the
 /// design; construct with [`TranspileService::new`] or — for bounded
-/// admission control — [`TranspileService::with_config`].
+/// admission control — [`TranspileService::with_queue_capacity`].
 pub struct TranspileService {
     target: Arc<Target>,
     queue: Arc<JobQueue<QueuedJob>>,
@@ -484,8 +437,7 @@ impl std::fmt::Debug for TranspileService {
             .field("target", &self.target.name())
             .field("workers", &self.workers())
             .field("pending", &self.queue.len())
-            .field("completed", &self.completed())
-            .field("respawns", &self.respawns())
+            .field("respawns", &self.ctx.respawns.load(Ordering::SeqCst))
             .finish()
     }
 }
@@ -498,31 +450,37 @@ impl TranspileService {
     ///
     /// Panics if `workers == 0`.
     pub fn new(target: Arc<Target>, workers: usize) -> TranspileService {
-        TranspileService::with_config(target, &ServiceConfig::new(workers))
+        TranspileService::with_queue_capacity(target, workers, None)
     }
 
-    /// Start a service from a full [`ServiceConfig`].
+    /// Start a service whose queue admits at most `queue_capacity` jobs
+    /// per client and lane: `Some(n)` rejects a client's submission to a
+    /// lane where it already holds `n` queued jobs with
+    /// [`ServeError::Busy`]; `None` queues without limit (the in-process
+    /// default — callers that own their batch can't overload themselves).
     ///
     /// # Panics
     ///
-    /// Panics if `config.workers == 0` or `config.queue_capacity` is
-    /// `Some(0)`.
-    pub fn with_config(target: Arc<Target>, config: &ServiceConfig) -> TranspileService {
-        assert!(config.workers > 0, "a service needs at least one worker");
-        let queue = Arc::new(match config.queue_capacity {
+    /// Panics if `workers == 0` or `queue_capacity` is `Some(0)`.
+    pub fn with_queue_capacity(
+        target: Arc<Target>,
+        workers: usize,
+        queue_capacity: Option<usize>,
+    ) -> TranspileService {
+        assert!(workers > 0, "a service needs at least one worker");
+        let queue = Arc::new(match queue_capacity {
             Some(capacity) => JobQueue::bounded(capacity),
             None => JobQueue::new(),
         });
         let ctx = WorkerContext {
             target: Arc::clone(&target),
             queue: Arc::clone(&queue),
-            completed: Arc::new(AtomicU64::new(0)),
             sequence: Arc::new(AtomicU64::new(0)),
-            per_worker: Arc::new((0..config.workers).map(|_| AtomicU64::new(0)).collect()),
+            per_worker: Arc::new((0..workers).map(|_| AtomicU64::new(0)).collect()),
             respawns: Arc::new(AtomicU64::new(0)),
-            slots: Arc::new(Mutex::new((0..config.workers).map(|_| None).collect())),
+            slots: Arc::new(Mutex::new((0..workers).map(|_| None).collect())),
         };
-        for worker in 0..config.workers {
+        for worker in 0..workers {
             spawn_worker(worker, ctx.clone());
         }
         TranspileService {
@@ -546,33 +504,6 @@ impl TranspileService {
     /// Jobs accepted but not yet claimed by a worker (both lanes).
     pub fn pending(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Jobs waiting in one lane.
-    pub fn pending_in(&self, lane: Lane) -> usize {
-        self.queue.lane_len(lane)
-    }
-
-    /// The per-client, per-lane admission bound, if the service was built
-    /// with one.
-    pub fn queue_capacity(&self) -> Option<usize> {
-        self.queue.capacity()
-    }
-
-    /// Jobs completed since the service started.
-    pub fn completed(&self) -> u64 {
-        self.ctx.completed.load(Ordering::SeqCst)
-    }
-
-    /// How many dead workers the supervisor has replaced so far.
-    pub fn respawns(&self) -> u64 {
-        self.ctx.respawns.load(Ordering::SeqCst)
-    }
-
-    /// Set a client's weighted-round-robin share of each lane (see
-    /// [`queue::JobQueue::set_weight`]); the default weight is 1.
-    pub fn set_client_weight(&self, client: u64, weight: usize) {
-        self.queue.set_weight(client, weight);
     }
 
     /// Hot-swap the calibration of the shared target (see
@@ -629,26 +560,18 @@ impl TranspileService {
         })
     }
 
-    /// Submit a batch; handles come back in submission order, so waiting on
-    /// them in order yields results independent of completion order.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::ShutDown`] / [`ServeError::Busy`] — jobs already
-    /// accepted from this batch still run to completion.
-    pub fn submit_batch(&self, jobs: Vec<TranspileJob>) -> Result<Vec<JobHandle>, ServeError> {
-        jobs.into_iter().map(|job| self.submit(job)).collect()
-    }
-
     /// Submit a batch and block until every job has finished; results come
-    /// back in submission order.
+    /// back in submission order, independent of completion order.
     ///
     /// # Errors
     ///
     /// [`ServeError::ShutDown`] / [`ServeError::Busy`] if the service
     /// stopped accepting before the whole batch was queued.
     pub fn run_batch(&self, jobs: Vec<TranspileJob>) -> Result<Vec<JobResult>, ServeError> {
-        let handles = self.submit_batch(jobs)?;
+        let handles: Vec<JobHandle> = jobs
+            .into_iter()
+            .map(|job| self.submit(job))
+            .collect::<Result<_, _>>()?;
         Ok(handles.into_iter().map(JobHandle::wait).collect())
     }
 
@@ -745,7 +668,6 @@ struct Delivery<'a> {
     worker: usize,
     sequence: u64,
     start: Instant,
-    completed: &'a AtomicU64,
     processed: &'a AtomicU64,
     delivered: bool,
 }
@@ -768,11 +690,10 @@ impl Delivery<'_> {
             sequence: self.sequence,
             elapsed: self.start.elapsed(),
         };
-        self.processed.fetch_add(1, Ordering::SeqCst);
         // Count before delivering, so a caller that has already observed
         // the result never reads a counter that excludes it. A dropped
         // handle (caller gave up) is not a worker error.
-        self.completed.fetch_add(1, Ordering::SeqCst);
+        self.processed.fetch_add(1, Ordering::SeqCst);
         let _ = self.tx.send(JobEvent::Finished(result));
     }
 }
@@ -832,7 +753,6 @@ fn worker_loop(worker: usize, ctx: &WorkerContext) {
             worker,
             sequence: seq,
             start,
-            completed: &ctx.completed,
             processed: &ctx.per_worker[worker],
             delivered: false,
         };
@@ -1024,7 +944,7 @@ mod tests {
             Err(JobError::Transpile(TranspileError::CircuitTooLarge { .. }))
         ));
         assert!(results[1].outcome.is_ok());
-        assert_eq!(service.completed(), 2);
+        assert_eq!(service.shutdown().jobs, 2);
     }
 
     #[test]
@@ -1096,9 +1016,7 @@ mod tests {
     #[test]
     fn bounded_service_rejects_with_busy_not_blocking() {
         let target = Arc::new(Target::sqrt_iswap(CouplingMap::grid(2, 3)));
-        let service =
-            TranspileService::with_config(target, &ServiceConfig::new(1).with_queue_capacity(1));
-        assert_eq!(service.queue_capacity(), Some(1));
+        let service = TranspileService::with_queue_capacity(target, 1, Some(1));
         // Occupy the worker long enough to observe the queue: the first
         // job is dequeued (freeing its lane slot), the second fills the
         // submitting client's lane budget, the third must bounce.
@@ -1262,21 +1180,6 @@ mod tests {
         let partial = Calibration::from_edges(4, &[(0, 1, EdgeCalibration::default())]).unwrap();
         assert!(service.swap_calibration(Arc::new(partial)).is_err());
         assert_eq!(service.target().calibration_generation(), 0);
-    }
-
-    #[test]
-    fn handles_support_polling() {
-        let target = Arc::new(Target::sqrt_iswap(CouplingMap::line(3)));
-        let service = TranspileService::new(target, 1);
-        let handle = service.submit(quick_job("poll", ghz(3), 6)).unwrap();
-        // Eventually the poll succeeds; don't assert on intermediate None
-        // (the worker may already be done).
-        let mut result = handle.try_wait();
-        while result.is_none() {
-            std::thread::yield_now();
-            result = handle.try_wait();
-        }
-        assert!(result.unwrap().outcome.is_ok());
     }
 
     #[test]

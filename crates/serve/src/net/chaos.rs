@@ -45,6 +45,9 @@ use std::io::{ErrorKind, Read, Write};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+/// Upper bound for injected delays (drawn uniformly below this).
+const MAX_CHAOS_DELAY: Duration = Duration::from_millis(2);
+
 /// Tuning for a [`ChaosPlan`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosConfig {
@@ -52,8 +55,6 @@ pub struct ChaosConfig {
     pub seed: u64,
     /// Probability in `[0, 1]` that a frame draws a fault.
     pub fault_rate: f64,
-    /// Upper bound for injected delays (drawn uniformly below this).
-    pub max_delay: Duration,
     /// Total faults to inject before the plan goes clean; `None` = never.
     /// A finite budget guarantees a retrying client eventually converges.
     pub max_faults: Option<u64>,
@@ -66,7 +67,6 @@ impl ChaosConfig {
         ChaosConfig {
             seed,
             fault_rate: 0.25,
-            max_delay: Duration::from_millis(2),
             max_faults: Some(8),
         }
     }
@@ -82,13 +82,6 @@ impl ChaosConfig {
     #[must_use]
     pub fn with_max_faults(mut self, max: Option<u64>) -> ChaosConfig {
         self.max_faults = max;
-        self
-    }
-
-    /// Override the delay bound (builder style).
-    #[must_use]
-    pub fn with_max_delay(mut self, max: Duration) -> ChaosConfig {
-        self.max_delay = max;
         self
     }
 }
@@ -214,7 +207,7 @@ impl ChaosPlan {
             }
             _ => {
                 state.stats.delays += 1;
-                let micros = state.config.max_delay.as_micros().max(1) as u64;
+                let micros = MAX_CHAOS_DELAY.as_micros().max(1) as u64;
                 let by = Duration::from_micros(state.rng.below(micros as usize) as u64);
                 ChaosEvent::Delay { by }
             }

@@ -222,15 +222,17 @@ impl<C: Connector> Connector for ChaosConnector<C> {
     }
 }
 
+/// Cap on one retry's backoff.
+const MAX_RETRY_DELAY: Duration = Duration::from_millis(50);
+
 /// Bounded retry with seeded-jitter exponential backoff.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts (1 = no retry).
     pub max_attempts: u32,
-    /// Backoff before the first retry; doubles each further retry.
+    /// Backoff before the first retry; doubles each further retry, up to
+    /// 50 ms.
     pub base_delay: Duration,
-    /// Backoff cap.
-    pub max_delay: Duration,
     /// Seed for the jitter stream — retries are as deterministic as
     /// everything else in this workspace.
     pub seed: u64,
@@ -242,7 +244,6 @@ impl RetryPolicy {
         RetryPolicy {
             max_attempts: 1,
             base_delay: Duration::ZERO,
-            max_delay: Duration::ZERO,
             seed: 0,
         }
     }
@@ -253,7 +254,6 @@ impl RetryPolicy {
         RetryPolicy {
             max_attempts: max_attempts.max(1),
             base_delay: Duration::from_millis(1),
-            max_delay: Duration::from_millis(50),
             seed: 0x8E7_124,
         }
     }
@@ -262,13 +262,6 @@ impl RetryPolicy {
     #[must_use]
     pub fn with_base_delay(mut self, delay: Duration) -> RetryPolicy {
         self.base_delay = delay;
-        self
-    }
-
-    /// Override the backoff cap (builder style).
-    #[must_use]
-    pub fn with_max_delay(mut self, delay: Duration) -> RetryPolicy {
-        self.max_delay = delay;
         self
     }
 
@@ -287,7 +280,7 @@ impl RetryPolicy {
         let exp = self
             .base_delay
             .saturating_mul(2u32.saturating_pow(retry.min(16)))
-            .min(self.max_delay);
+            .min(MAX_RETRY_DELAY);
         exp.mul_f64(0.5 + rng.uniform() / 2.0)
     }
 }
@@ -587,7 +580,6 @@ mod tests {
     fn backoff_grows_exponentially_within_bounds() {
         let policy = RetryPolicy::new(8)
             .with_base_delay(Duration::from_millis(2))
-            .with_max_delay(Duration::from_millis(20))
             .with_seed(5);
         let mut rng = Rng::new(policy.seed);
         let mut prev_cap = Duration::ZERO;
@@ -595,7 +587,7 @@ mod tests {
             let delay = policy.backoff(retry, &mut rng);
             let cap = Duration::from_millis(2)
                 .saturating_mul(2u32.pow(retry))
-                .min(Duration::from_millis(20));
+                .min(MAX_RETRY_DELAY);
             assert!(delay >= cap.mul_f64(0.5), "jitter floor at retry {retry}");
             assert!(delay < cap, "jitter ceiling at retry {retry}");
             assert!(cap >= prev_cap, "cap is monotone");

@@ -28,6 +28,7 @@
 //! idiom: wrap *any* byte transport, verify at the boundary, hand clean
 //! payloads up.
 
+use mirage_math::hash::fnv1a;
 use std::io::{Read, Write};
 
 /// Frame sync marker, the first two bytes of every frame.
@@ -39,17 +40,6 @@ pub const HEADER_LEN: usize = 2 + 4 + 8;
 /// Default cap on payload length a reader accepts (16 MiB) — far above
 /// any real QASM request, far below an allocation-of-death.
 pub const DEFAULT_MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
-
-/// FNV-1a 64-bit over a byte slice — the frame checksum. Not
-/// cryptographic; it catches corruption and desync, not adversaries.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// Why a frame could not be decoded. Every variant is a *typed* failure:
 /// the codec never panics on wire input and never reads past the frame it

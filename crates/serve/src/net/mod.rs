@@ -24,7 +24,7 @@
 //! correlate them. Every connection feeds the same two-lane queue — the
 //! pool, the lanes, the deadlines, and admission control are shared
 //! process-wide — and each connection is a distinct *client* to the
-//! queue's weighted fair-share scheduler, so one flooding connection
+//! queue's round-robin scheduler, so one flooding connection
 //! cannot starve another's jobs.
 //!
 //! Fault policy (what `tests/serve_net.rs` injects):
@@ -61,9 +61,7 @@ pub use proto::{
 };
 pub use refresh::CalibrationRefresher;
 
-use crate::{
-    JobError, JobEvent, ServeError, ServiceConfig, ServiceStats, TranspileJob, TranspileService,
-};
+use crate::{JobError, JobEvent, ServeError, ServiceStats, TranspileJob, TranspileService};
 use mirage_circuit::qasm::{from_qasm, to_qasm};
 use mirage_core::Target;
 use std::io::Read;
@@ -78,7 +76,7 @@ pub struct ServeConfig {
     /// Worker threads in the transpile pool.
     pub workers: usize,
     /// Per-client, per-lane admission bound; `None` = unbounded (see
-    /// [`ServiceConfig::queue_capacity`]).
+    /// [`TranspileService::with_queue_capacity`]).
     pub queue_capacity: Option<usize>,
     /// Largest frame payload a connection will accept.
     pub max_payload: u32,
@@ -178,12 +176,12 @@ impl NetServer {
         // Nonblocking so the accept loop can observe the shutdown flag
         // instead of parking in accept(2) forever.
         listener.set_nonblocking(true)?;
-        let service_config = ServiceConfig {
-            workers: config.workers,
-            queue_capacity: config.queue_capacity,
-        };
         let shared = Arc::new(Shared {
-            service: TranspileService::with_config(target, &service_config),
+            service: TranspileService::with_queue_capacity(
+                target,
+                config.workers,
+                config.queue_capacity,
+            ),
             shutdown: AtomicBool::new(false),
             connections: AtomicU64::new(0),
             closed: AtomicU64::new(0),
@@ -207,27 +205,12 @@ impl NetServer {
         self.local_addr
     }
 
-    /// Jobs accepted but not yet claimed by a worker.
-    pub fn pending(&self) -> usize {
-        self.shared().service.pending()
-    }
-
-    /// Connections accepted so far.
-    pub fn connections(&self) -> u64 {
-        self.shared().connections.load(Ordering::SeqCst)
-    }
-
     /// Connections whose conversation has ended (peer hung up or the
-    /// handler dropped it). Scripted runs wait on this rather than
-    /// [`NetServer::connections`] so an in-flight session is never cut
-    /// off mid-conversation.
+    /// handler dropped it). Scripted runs wait on this rather than on
+    /// accepted connections, so an in-flight session is never cut off
+    /// mid-conversation.
     pub fn connections_closed(&self) -> u64 {
         self.shared().closed.load(Ordering::SeqCst)
-    }
-
-    /// Current calibration generation of the served target.
-    pub fn generation(&self) -> u64 {
-        self.shared().service.target().calibration_generation()
     }
 
     /// The served target (e.g. to attach a [`CalibrationRefresher`]).

@@ -21,7 +21,6 @@
 //!        (or Response::Busy / Rejected immediately, no job accepted)
 //! ```
 
-use super::frame;
 use crate::queue::Lane;
 use crate::InjectedFault;
 use mirage_core::pipeline::Metrics;
@@ -782,16 +781,6 @@ impl Response {
         r.finish()?;
         Ok(response)
     }
-}
-
-/// Frame + encode a message in one call (what both ends actually send).
-pub fn frame_request(request: &Request) -> Vec<u8> {
-    frame::encode_frame(&request.encode())
-}
-
-/// Frame + encode a response in one call.
-pub fn frame_response(response: &Response) -> Vec<u8> {
-    frame::encode_frame(&response.encode())
 }
 
 #[cfg(test)]

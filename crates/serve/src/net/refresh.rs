@@ -32,6 +32,7 @@ use std::sync::Arc;
 use std::time::{Duration, SystemTime};
 
 use mirage_core::{Calibration, Target};
+use mirage_math::hash::fnv1a;
 use mirage_math::Rng;
 
 /// The change-detection signature of the watched file: modification time
@@ -179,7 +180,7 @@ fn poll_loop(
     let mut last = signature_of(path);
     // Jitter seeded from the watched path: deterministic per refresher,
     // decorrelated across a fleet watching different files.
-    let mut rng = Rng::new(super::frame::fnv1a(path.to_string_lossy().as_bytes()));
+    let mut rng = Rng::new(fnv1a(path.to_string_lossy().as_bytes()));
     let mut failures: u32 = 0;
     let mut current_interval = interval;
     // Sleep in short slices so stop() returns promptly even with a long
@@ -254,7 +255,7 @@ mod tests {
 
     #[test]
     fn backoff_jitter_is_deterministic_per_path_seed() {
-        let seed = crate::net::frame::fnv1a(b"/tmp/cal.txt");
+        let seed = fnv1a(b"/tmp/cal.txt");
         let run = || {
             let mut rng = Rng::new(seed);
             (0..5)

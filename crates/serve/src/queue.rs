@@ -9,9 +9,8 @@
 //! exactly one worker. Pops always drain [`Lane::Interactive`] before
 //! touching [`Lane::Batch`] — the express lane a latency-sensitive
 //! request rides past a deep batch backlog. *Within* a lane, clients are
-//! served weighted round-robin: each active client contributes up to its
-//! weight (default 1) of consecutive jobs per turn, so one client
-//! flooding a lane cannot starve another client's jobs queued behind it.
+//! served round-robin, one job per turn, so one client flooding a lane
+//! cannot starve another client's jobs queued behind it.
 //! Closing the queue wakes every blocked worker; pops drain the
 //! remaining jobs (both lanes, still interactive-first and fair-share)
 //! and only then report the end of the stream — the graceful-shutdown
@@ -24,7 +23,7 @@
 //! network front needs: a flooding client bounces off its own bound and
 //! everyone else keeps draining.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
 /// Which priority lane a job rides.
@@ -102,7 +101,7 @@ impl<T> PushError<T> {
     }
 }
 
-/// A close-aware two-lane priority MPSC queue with per-client weighted
+/// A close-aware two-lane priority MPSC queue with per-client
 /// round-robin within each lane. `T` is the queued work item.
 #[derive(Debug)]
 pub struct JobQueue<T> {
@@ -122,14 +121,11 @@ struct ClientQueue<T> {
 }
 
 /// One lane: the active clients in round-robin order plus the scheduler
-/// cursor. `cursor` indexes the client currently being served;
-/// `served_in_turn` counts how many consecutive items that client has
-/// received this turn (compared against its weight).
+/// cursor, which indexes the client served next.
 #[derive(Debug)]
 struct LaneState<T> {
     clients: Vec<ClientQueue<T>>,
     cursor: usize,
-    served_in_turn: usize,
     len: usize,
 }
 
@@ -138,7 +134,6 @@ impl<T> LaneState<T> {
         LaneState {
             clients: Vec::new(),
             cursor: 0,
-            served_in_turn: 0,
             len: 0,
         }
     }
@@ -163,25 +158,16 @@ impl<T> LaneState<T> {
         Ok(())
     }
 
-    /// Pop the next item under weighted round-robin: serve the cursor
-    /// client until its weight is exhausted (or its queue empties), then
-    /// advance.
-    fn pop(&mut self, weights: &HashMap<u64, usize>) -> Option<T> {
+    /// Pop the next item under round-robin: serve the cursor client,
+    /// then move the cursor past it.
+    fn pop(&mut self) -> Option<T> {
         if self.len == 0 {
             return None;
         }
+        // Wrap only now, so a client that joined since the last pop (at
+        // the end of the order) is served before the rotation restarts.
         if self.cursor >= self.clients.len() {
             self.cursor = 0;
-            self.served_in_turn = 0;
-        }
-        let weight = weights
-            .get(&self.clients[self.cursor].client)
-            .copied()
-            .unwrap_or(1)
-            .max(1);
-        if self.served_in_turn >= weight {
-            self.cursor = (self.cursor + 1) % self.clients.len();
-            self.served_in_turn = 0;
         }
         let entry = &mut self.clients[self.cursor];
         let item = entry
@@ -189,15 +175,16 @@ impl<T> LaneState<T> {
             .pop_front()
             .expect("active clients are non-empty");
         self.len -= 1;
-        self.served_in_turn += 1;
         if entry.items.is_empty() {
             // The emptied client leaves the rotation; the cursor now
-            // points at the next client, which starts a fresh turn.
+            // points at the next client. Past the end it wraps at once,
+            // so a client joining before the next pop waits its turn.
             self.clients.remove(self.cursor);
-            self.served_in_turn = 0;
             if self.cursor >= self.clients.len() {
                 self.cursor = 0;
             }
+        } else {
+            self.cursor += 1;
         }
         Some(item)
     }
@@ -214,9 +201,6 @@ impl<T> LaneState<T> {
 struct QueueState<T> {
     /// Indexed by [`Lane::index`]: interactive first.
     lanes: [LaneState<T>; 2],
-    /// Per-client scheduling weight (items per round-robin turn);
-    /// unlisted clients weigh 1.
-    weights: HashMap<u64, usize>,
     closed: bool,
 }
 
@@ -243,7 +227,6 @@ impl<T> JobQueue<T> {
         JobQueue {
             state: Mutex::new(QueueState {
                 lanes: [LaneState::new(), LaneState::new()],
-                weights: HashMap::new(),
                 closed: false,
             }),
             ready: Condvar::new(),
@@ -254,15 +237,6 @@ impl<T> JobQueue<T> {
     /// The per-client, per-lane admission bound, if any.
     pub fn capacity(&self) -> Option<usize> {
         self.capacity
-    }
-
-    /// Set a client's round-robin weight: how many consecutive items it
-    /// may dequeue per scheduling turn in each lane. The default (and
-    /// minimum) is 1; a weight-2 client drains twice as fast as a
-    /// weight-1 client while both have work queued.
-    pub fn set_weight(&self, client: u64, weight: usize) {
-        let mut state = self.state.lock().expect("queue poisoned");
-        state.weights.insert(client, weight.max(1));
     }
 
     /// Enqueue one item into `lane` on behalf of `client`. Never blocks:
@@ -283,22 +257,13 @@ impl<T> JobQueue<T> {
 
     /// Dequeue one item, blocking while the queue is open and empty.
     /// The interactive lane always drains before the batch lane; within a
-    /// lane, clients are served weighted round-robin and each client's
+    /// lane, clients are served round-robin and each client's
     /// own items stay FIFO. Returns `None` only when the queue is closed
     /// **and** both lanes are drained.
     pub fn pop(&self) -> Option<T> {
         let mut state = self.state.lock().expect("queue poisoned");
         loop {
-            let weights = std::mem::take(&mut state.weights);
-            let mut popped = None;
-            for lane in 0..state.lanes.len() {
-                if let Some(item) = state.lanes[lane].pop(&weights) {
-                    popped = Some(item);
-                    break;
-                }
-            }
-            state.weights = weights;
-            if let Some(item) = popped {
+            if let Some(item) = state.lanes.iter_mut().find_map(LaneState::pop) {
                 return Some(item);
             }
             if state.closed {
@@ -445,31 +410,6 @@ mod tests {
                 (2, 2),
                 (1, 2),
             ]
-        );
-    }
-
-    #[test]
-    fn weighted_clients_get_proportional_turns() {
-        let q = JobQueue::new();
-        q.set_weight(1, 2);
-        for i in 0..4 {
-            q.push(("heavy", i), Lane::Batch, 1).unwrap();
-            q.push(("light", i), Lane::Batch, 2).unwrap();
-        }
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).take(8).collect();
-        assert_eq!(
-            order,
-            vec![
-                ("heavy", 0),
-                ("heavy", 1),
-                ("light", 0),
-                ("heavy", 2),
-                ("heavy", 3),
-                ("light", 1),
-                ("light", 2),
-                ("light", 3),
-            ],
-            "a weight-2 client takes two consecutive slots per turn"
         );
     }
 

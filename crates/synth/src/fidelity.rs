@@ -150,97 +150,3 @@ mod tests {
         assert_eq!(pulse_duration(&c), Err("cx"));
     }
 }
-
-/// Per-qubit decoherence model: each physical qubit has its own lifetime
-/// (real devices are heterogeneous; the paper's Eq. 2 is the uniform
-/// special case). A two-qubit gate of duration `d` on qubits `(a, b)`
-/// contributes `exp(−d/2·(1/T1ₐ + 1/T1_b))` — both qubits decay for the
-/// full gate, averaged into the pair fidelity.
-#[derive(Debug, Clone)]
-pub struct HeterogeneousModel {
-    /// Lifetime per physical qubit (normalized units; iSWAP duration 1.0).
-    pub t1: Vec<f64>,
-}
-
-impl HeterogeneousModel {
-    /// A uniform model equivalent to [`FidelityModel`] with the same `t1`.
-    pub fn uniform(n_qubits: usize, t1: f64) -> HeterogeneousModel {
-        HeterogeneousModel {
-            t1: vec![t1; n_qubits],
-        }
-    }
-
-    /// Fidelity of one gate of duration `d` on the given qubits.
-    pub fn gate_fidelity(&self, duration: f64, qubits: &[usize]) -> f64 {
-        let rate: f64 =
-            qubits.iter().map(|&q| 1.0 / self.t1[q]).sum::<f64>() / qubits.len().max(1) as f64;
-        (-duration * rate).exp()
-    }
-
-    /// Product fidelity of a circuit, costing each two-qubit gate through
-    /// the coverage set as in [`circuit_fidelity`].
-    pub fn circuit_fidelity(&self, c: &Circuit, set: &CoverageSet) -> f64 {
-        let mut log_f = 0.0;
-        for instr in &c.instructions {
-            let d = instruction_duration(instr, set);
-            if d > 0.0 {
-                log_f += self.gate_fidelity(d, &instr.qubits).ln();
-            }
-        }
-        log_f.exp()
-    }
-}
-
-#[cfg(test)]
-mod het_tests {
-    use super::*;
-    use mirage_coverage::set::{BasisGate, CoverageOptions};
-
-    fn set() -> CoverageSet {
-        CoverageSet::build(
-            BasisGate::iswap_root(2),
-            &CoverageOptions {
-                max_k: 3,
-                samples_per_k: 700,
-                inflation: 0.012,
-                mirrors: false,
-                seed: 0x4E7,
-            },
-        )
-    }
-
-    #[test]
-    fn uniform_matches_global_model() {
-        let set = set();
-        let model = FidelityModel::paper_default();
-        let het = HeterogeneousModel::uniform(3, model.t1);
-        let mut c = Circuit::new(3);
-        c.cx(0, 1).swap(1, 2).cx(0, 1);
-        let global = circuit_fidelity(&c, &set, &model).fidelity;
-        let per_qubit = het.circuit_fidelity(&c, &set);
-        assert!((global - per_qubit).abs() < 1e-9, "{global} vs {per_qubit}");
-    }
-
-    #[test]
-    fn bad_qubit_hurts_only_when_used() {
-        let set = set();
-        let mut het = HeterogeneousModel::uniform(3, 100.0);
-        het.t1[2] = 5.0; // one terrible qubit
-        let mut avoid = Circuit::new(3);
-        avoid.cx(0, 1);
-        let mut touch = Circuit::new(3);
-        touch.cx(0, 2);
-        let f_avoid = het.circuit_fidelity(&avoid, &set);
-        let f_touch = het.circuit_fidelity(&touch, &set);
-        assert!(f_avoid > f_touch + 0.01, "{f_avoid} vs {f_touch}");
-    }
-
-    #[test]
-    fn single_qubit_gates_free_in_het_model() {
-        let set = set();
-        let het = HeterogeneousModel::uniform(2, 50.0);
-        let mut c = Circuit::new(2);
-        c.h(0).h(1);
-        assert!((het.circuit_fidelity(&c, &set) - 1.0).abs() < 1e-12);
-    }
-}

@@ -216,11 +216,6 @@ impl WeylCoord {
         let q = |x: f64| ((x / PI_2 * 4096.0).round() as i32).clamp(0, 4096) as u16;
         (q(self.a), q(self.b), q(self.c))
     }
-
-    /// The coordinates as a plain tuple.
-    pub fn as_tuple(&self) -> (f64, f64, f64) {
-        (self.a, self.b, self.c)
-    }
 }
 
 impl std::fmt::Display for WeylCoord {

@@ -39,6 +39,7 @@ use mirage::core::router::{node_coords, route, Aggression, RouterConfig};
 use mirage::core::trials::{Metric, TrialEngine, TrialOptions};
 use mirage::core::verify::verify_routed;
 use mirage::core::{transpile, RouterKind, Target, TranspileOptions};
+use mirage::math::hash::Fnv1a;
 use mirage::math::Rng;
 use mirage::topology::CouplingMap;
 
@@ -693,7 +694,7 @@ fn candidate_runs() -> (u64, usize) {
             0xCA4E,
         ),
     ];
-    let mut fold = 0xCBF2_9CE4_8422_2325u64;
+    let mut fold = Fnv1a::new();
     let mut count = 0;
     for (circuit, target, metric, seed) in &runs {
         let mut opts = TrialOptions::quick(*metric, *seed);
@@ -705,14 +706,11 @@ fn candidate_runs() -> (u64, usize) {
             .run_candidates(true, &opts)
             .expect("valid mix");
         for c in &run.candidates {
-            for byte in c.routed.circuit.fingerprint().to_le_bytes() {
-                fold ^= u64::from(byte);
-                fold = fold.wrapping_mul(0x0100_0000_01B3);
-            }
+            fold.write_u64(c.routed.circuit.fingerprint());
             count += 1;
         }
     }
-    (fold, count)
+    (fold.finish(), count)
 }
 
 #[test]
