@@ -207,8 +207,8 @@ impl ChaosPlan {
             }
             _ => {
                 state.stats.delays += 1;
-                let micros = MAX_CHAOS_DELAY.as_micros().max(1) as u64;
-                let by = Duration::from_micros(state.rng.below(micros as usize) as u64);
+                let micros = MAX_CHAOS_DELAY.as_micros() as usize;
+                let by = Duration::from_micros(state.rng.below(micros) as u64);
                 ChaosEvent::Delay { by }
             }
         }
