@@ -125,8 +125,8 @@ fn run(circuit: &Circuit, target: &Target, parallel: bool) -> TranspiledCircuit 
 fn measure((name, circuit): &(&'static str, Circuit)) -> Measured {
     let target = Target::sqrt_iswap(CouplingMap::line(circuit.n_qubits));
 
-    // Bit-identity gate (also warms the shared cost cache and the
-    // engine-pooled scratches, so both timed modes run steady-state).
+    // Bit-identity gate (also warms the shared cost cache, so both timed
+    // modes run steady-state).
     let serial = run(circuit, &target, false);
     let parallel = run(circuit, &target, true);
     assert_eq!(

@@ -356,8 +356,8 @@ fn calibration_swap_mid_job_matches_fresh_target_at_every_thread_count() {
         let mut opts = trials_opts(topo, Metric::EstimatedSuccess);
         opts.parallel = true;
         opts.threads = threads;
-        // Warm run under A: fills the pooled scratches' cost memos and the
-        // shared cache — and must still match the pinned golden.
+        // Warm run under A: fills the shared cache — and must still match
+        // the pinned golden.
         let warm = engine.run_detailed(true, &opts).expect("valid mix");
         assert_eq!(
             warm.best.circuit.fingerprint(),

@@ -801,7 +801,7 @@ fn chaos_transport_sweep_converges_to_fault_free_results() {
 
 /// The fair-share acceptance test: one connection flooding the batch lane
 /// cannot prevent a second client's jobs from completing — the queue's
-/// weighted round-robin interleaves clients, so the polite client's last
+/// round-robin interleaves clients, so the polite client's last
 /// job finishes while the flood is still draining.
 #[test]
 fn flooding_connection_cannot_starve_another_clients_jobs() {
@@ -841,7 +841,7 @@ fn flooding_connection_cannot_starve_another_clients_jobs() {
     }
 
     // Watch each stream's Done edges from its own thread: under FIFO the
-    // polite client would finish dead last; under weighted round-robin
+    // polite client would finish dead last; under round-robin
     // its second job completes while most of the flood is still queued.
     let t0 = Instant::now();
     let clock = |mut stream: TcpStream, dones: usize| {
