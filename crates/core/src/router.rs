@@ -28,16 +28,19 @@
 //!   and the class-priced post-selection run on traces, and
 //!   `materialize` turns only the winner into a [`Circuit`].
 //! * All working storage lives in a reusable [`RouterScratch`]
-//!   (epoch-stamped mark arrays, front/extended-set/candidate buffers,
-//!   decay table, the trace). [`route_with_scratch`] threads one through
-//!   repeated calls; [`crate::trials::TrialEngine`] gives each trial
-//!   worker one for its run.
+//!   (front/extended-set/candidate/entry buffers, the decay table, the
+//!   trace). [`route_with_scratch`] threads one through repeated calls;
+//!   [`crate::trials::TrialEngine`] gives each trial worker one for its
+//!   run.
 //! * Candidate SWAPs are ranked by **delta scoring**: the per-node
 //!   residual distances of the front and extended sets are computed once
 //!   per SWAP step, and each candidate re-prices only the nodes whose
 //!   operands sit on the two swapped physical qubits. The extended set is
 //!   reused across consecutive SWAP-only steps (front and `done` do not
-//!   change between them).
+//!   change between them); everything else is rebuilt every step, which
+//!   at ~12 candidates and ~21 entries per step costs no more than
+//!   carrying it. Only the BFS seen-marks are epoch-stamped: clearing
+//!   them would cost O(DAG) per lookahead.
 //! * The mirror decision reads a per-run [`PriceTable`]: pricing the gate
 //!   and its mirror on the executing coupler is
 //!   `class_cost[k] * edge_factor[e]`. At A0 and A3, whose acceptance
@@ -368,9 +371,10 @@ struct ScoreEntry {
 /// routed and never shrinks; reusing one across calls makes the router's
 /// steady state allocation-free. Scratches carry **no routing state and no
 /// cost state** between calls — only buffer capacity; every price comes
-/// from the caller's [`PriceTable`] — so reuse can never change results
-/// (the mark arrays are epoch-stamped: bumping a generation counter
-/// invalidates them in O(1) instead of clearing).
+/// from the caller's [`PriceTable`] — so reuse can never change results.
+/// Every buffer is refilled per call or per SWAP step. Only the BFS
+/// seen-marks are epoch-stamped (bumping a counter invalidates them in
+/// O(1)), because clearing them would cost O(DAG) on every lookahead.
 ///
 /// [`crate::trials::TrialEngine`] gives each trial worker one for its
 /// whole run; standalone callers can hold one per thread. A scratch
@@ -384,29 +388,19 @@ pub struct RouterScratch {
     indeg: Vec<u32>,
     done: Vec<bool>,
     front: Vec<usize>,
-    front_2q: Vec<usize>,
-    // Decay table: `val[p]` is live only when `mark[p] == gen`, so the
-    // per-gate "reset all decay" is a single counter bump.
-    decay_val: Vec<f64>,
-    decay_mark: Vec<u64>,
-    decay_gen: u64,
+    // Per-qubit decay, refilled with 1.0 on every reset.
+    decay: Vec<f64>,
     // Mirror-decision probe front and the shared extended-set BFS.
     probe: Vec<usize>,
     ext: Vec<usize>,
     queue: VecDeque<usize>,
     node_mark: Vec<u64>,
     node_epoch: u64,
-    // Candidate-SWAP generation.
-    homes: Vec<usize>,
+    // Per-SWAP-step candidates, score entries and the phys→entry inverted
+    // index, all rebuilt every step.
     candidates: Vec<(usize, usize)>,
-    // Incremental scoring: per-step entries plus a phys→entry inverted
-    // index, both epoch-stamped.
     entries: Vec<ScoreEntry>,
     touch: Vec<Vec<u32>>,
-    touch_mark: Vec<u64>,
-    touch_gen: u64,
-    entry_mark: Vec<u64>,
-    entry_gen: u64,
     // Score-tie buffer fed to the RNG.
     best: Vec<(usize, usize)>,
 }
@@ -428,13 +422,8 @@ impl RouterScratch {
         if self.node_mark.len() < n_nodes {
             self.node_mark.resize(n_nodes, 0);
         }
-        if self.decay_val.len() < n_phys {
-            self.decay_val.resize(n_phys, 1.0);
-            self.decay_mark.resize(n_phys, 0);
-        }
         if self.touch.len() < n_phys {
             self.touch.resize_with(n_phys, Vec::new);
-            self.touch_mark.resize(n_phys, 0);
         }
     }
 }
@@ -618,23 +607,15 @@ pub(crate) fn route_trace(
         indeg,
         done,
         front,
-        front_2q,
-        decay_val,
-        decay_mark,
-        decay_gen,
+        decay,
         probe,
         ext,
         queue,
         node_mark,
         node_epoch,
-        homes,
         candidates,
         entries,
         touch,
-        touch_mark,
-        touch_gen,
-        entry_mark,
-        entry_gen,
         best,
     } = scratch;
 
@@ -644,17 +625,9 @@ pub(crate) fn route_trace(
     done.clear();
     done.resize(dag.len(), false);
     front.clear();
-    front_2q.clear();
-    for id in 0..dag.len() {
-        if indeg[id] == 0 {
-            front.push(id);
-            if dag.is_2q(id) {
-                front_2q.push(id);
-            }
-        }
-    }
-    // Fresh decay epoch: every qubit implicitly reads 1.0 again.
-    *decay_gen += 1;
+    front.extend((0..dag.len()).filter(|&id| indeg[id] == 0));
+    decay.clear();
+    decay.resize(n_phys, 1.0);
     let mut counts = RouteCounts::default();
     let mut swaps_since_reset = 0usize;
     let mut stall_swaps = 0usize;
@@ -684,13 +657,6 @@ pub(crate) fn route_trace(
                 Some((p1, p2))
             };
             front.swap_remove(i);
-            if pair.is_some() {
-                let pos = front_2q
-                    .iter()
-                    .position(|&f| f == id)
-                    .expect("2Q front node tracked");
-                front_2q.swap_remove(pos);
-            }
             done[id] = true;
 
             if let Some((p1, p2)) = pair {
@@ -782,15 +748,12 @@ pub(crate) fn route_trace(
                 indeg[s] -= 1;
                 if indeg[s] == 0 {
                     front.push(s);
-                    if dag.is_2q(s) {
-                        front_2q.push(s);
-                    }
                 }
             }
             executed_any = true;
             ext_current = false;
             // "Reset after every five steps or gate mapping."
-            *decay_gen += 1;
+            decay.fill(1.0);
             swaps_since_reset = 0;
             stall_swaps = 0;
             i = 0; // restart scan: new nodes may be executable
@@ -822,49 +785,34 @@ pub(crate) fn route_trace(
             ext_current = true;
         }
 
-        // Candidate SWAPs: coupling edges incident to the physical home of
-        // any front-layer two-qubit operand, deduplicated through a sorted
-        // scratch Vec (same sorted order the seed's `BTreeSet` produced).
-        homes.clear();
-        for &id in front_2q.iter() {
-            let (pa, pb) = dag.homes(id, layout);
-            homes.push(pa);
-            homes.push(pb);
-        }
-        homes.sort_unstable();
-        homes.dedup();
-        candidates.clear();
-        for &p in homes.iter() {
-            for &q in topo.neighbors(p) {
-                candidates.push((p.min(q), p.max(q)));
-            }
-        }
-        candidates.sort_unstable();
-        candidates.dedup();
-        debug_assert!(
-            !candidates.is_empty(),
-            "connected topology yields candidates"
-        );
-
         // Base scores for this step, computed once: per-node residual
-        // distances over the 2Q front view and the extended set, plus a
+        // distances over the front's 2Q nodes and the extended set, plus a
         // phys→entry inverted index so each candidate re-prices only the
         // nodes whose operands sit on its two qubits. Distances are
         // integers, so base-plus-delta sums are exact — each candidate's
         // score is bit-identical to a full re-walk under the trial layout.
-        *touch_gen += 1;
+        // The candidate SWAPs are the coupling edges incident to the home
+        // of any front 2Q operand, sorted and deduplicated (the order the
+        // seed's `BTreeSet` produced).
+        candidates.clear();
         entries.clear();
+        touch.iter_mut().for_each(Vec::clear);
+        let mut n_f = 0usize;
         let mut f_base = 0i64;
         let mut e_base = 0i64;
+        let front_2q = front.iter().copied().filter(|&id| dag.is_2q(id));
         for (in_front, id) in front_2q
-            .iter()
-            .map(|&id| (true, id))
+            .map(|id| (true, id))
             .chain(ext.iter().map(|&id| (false, id)))
         {
             let (pa, pb) = dag.homes(id, layout);
             let d = i64::from(topo.distance(pa, pb).saturating_sub(1));
             if in_front {
+                n_f += 1;
                 f_base += d;
+                for p in [pa, pb] {
+                    candidates.extend(topo.neighbors(p).iter().map(|&q| (p.min(q), p.max(q))));
+                }
             } else {
                 e_base += d;
             }
@@ -875,46 +823,34 @@ pub(crate) fn route_trace(
                 dist: d,
                 in_front,
             });
-            for p in [pa, pb] {
-                if touch_mark[p] != *touch_gen {
-                    touch[p].clear();
-                    touch_mark[p] = *touch_gen;
-                }
-                touch[p].push(ei);
-            }
+            touch[pa].push(ei);
+            touch[pb].push(ei);
         }
-        if entry_mark.len() < entries.len() {
-            entry_mark.resize(entries.len(), 0);
-        }
-        let n_f = front_2q.len();
+        candidates.sort_unstable();
+        candidates.dedup();
+        debug_assert!(
+            !candidates.is_empty(),
+            "connected topology yields candidates"
+        );
         let n_e = ext.len();
 
         best.clear();
         let mut best_score = f64::INFINITY;
         for &(p1, p2) in candidates.iter() {
-            *entry_gen += 1;
-            let gen = *entry_gen;
+            // An entry sits in both lists only when its operands are
+            // exactly {p1, p2}; the SWAP keeps its distance, so its two
+            // visits each add a zero delta.
             let mut df = 0i64;
             let mut de = 0i64;
-            for p in [p1, p2] {
-                if touch_mark[p] != *touch_gen {
-                    continue;
-                }
-                for &ei in &touch[p] {
-                    let ei = ei as usize;
-                    if entry_mark[ei] == gen {
-                        continue;
-                    }
-                    entry_mark[ei] = gen;
-                    let e = entries[ei];
-                    let pa = swapped_home(e.pa, p1, p2);
-                    let pb = swapped_home(e.pb, p1, p2);
-                    let delta = i64::from(topo.distance(pa, pb).saturating_sub(1)) - e.dist;
-                    if e.in_front {
-                        df += delta;
-                    } else {
-                        de += delta;
-                    }
+            for &ei in touch[p1].iter().chain(&touch[p2]) {
+                let e = entries[ei as usize];
+                let pa = swapped_home(e.pa, p1, p2);
+                let pb = swapped_home(e.pb, p1, p2);
+                let delta = i64::from(topo.distance(pa, pb).saturating_sub(1)) - e.dist;
+                if e.in_front {
+                    df += delta;
+                } else {
+                    de += delta;
                 }
             }
             let f_term = if n_f == 0 {
@@ -928,17 +864,7 @@ pub(crate) fn route_trace(
                 (e_base + de) as f64 / n_e as f64
             };
             let h = f_term + EXTENDED_SET_WEIGHT * e_term;
-            let d1 = if decay_mark[p1] == *decay_gen {
-                decay_val[p1]
-            } else {
-                1.0
-            };
-            let d2 = if decay_mark[p2] == *decay_gen {
-                decay_val[p2]
-            } else {
-                1.0
-            };
-            let score = h * d1.max(d2);
+            let score = h * decay[p1].max(decay[p2]);
             if score < best_score - 1e-12 {
                 best_score = score;
                 best.clear();
@@ -961,18 +887,11 @@ pub(crate) fn route_trace(
         trace.push(Op::new(SWAP_OP, (p1, Some(p2)), Classes::SWAP));
         layout.swap_physical(p1, p2);
         counts.swaps_inserted += 1;
-        for p in [p1, p2] {
-            let current = if decay_mark[p] == *decay_gen {
-                decay_val[p]
-            } else {
-                1.0
-            };
-            decay_val[p] = current + DECAY_RATE;
-            decay_mark[p] = *decay_gen;
-        }
+        decay[p1] += DECAY_RATE;
+        decay[p2] += DECAY_RATE;
         swaps_since_reset += 1;
         if swaps_since_reset >= DECAY_RESET {
-            *decay_gen += 1;
+            decay.fill(1.0);
             swaps_since_reset = 0;
         }
     }
@@ -1358,7 +1277,7 @@ pub mod legacy {
     }
 
     /// The pre-optimization progress step, on the full [`Dag`].
-    fn force_step(
+    pub(super) fn force_step(
         dag: &Dag,
         front: &[usize],
         layout: &Layout,
@@ -1696,17 +1615,21 @@ mod tests {
     /// The bit-identity contract: the optimized hot path must reproduce
     /// the legacy router's output exactly — same instructions, same
     /// layouts, same counters — across circuits, topologies, aggression
-    /// levels, calibrations, and seeds.
+    /// levels, calibrations, and seeds. The 16-qubit cases give long SWAP
+    /// runs (decay resets mid-run) and score entries on both swapped
+    /// qubits.
     #[test]
     fn route_matches_legacy_bit_for_bit() {
         let topos = [
-            CouplingMap::line(6),
-            CouplingMap::grid(2, 3),
-            CouplingMap::ring(6),
-            CouplingMap::heavy_hex(3),
+            (CouplingMap::line(6), 6),
+            (CouplingMap::grid(2, 3), 6),
+            (CouplingMap::ring(6), 6),
+            (CouplingMap::heavy_hex(3), 6),
+            (CouplingMap::grid(4, 4), 16),
+            (CouplingMap::heavy_hex(3), 16),
         ];
         let mut case = 0u64;
-        for topo in topos {
+        for (topo, n) in topos {
             let skew = crate::calibration::Calibration::skewed(
                 &topo,
                 &mut Rng::new(0xD00D ^ topo.n_qubits() as u64),
@@ -1723,7 +1646,6 @@ mod tests {
                 } else {
                     Target::sqrt_iswap(topo.clone())
                 };
-                let n = topo.n_qubits().min(6);
                 for circuit in [qft(n, false), two_local_full(n, 1, 0xF0 + case)] {
                     let cc = consolidate(&circuit);
                     let dag = Dag::from_circuit(&cc);
@@ -1758,6 +1680,46 @@ mod tests {
             }
         }
         assert!(case >= 80, "sweep shrank: {case} cases");
+    }
+
+    /// The anti-livelock step moves a stalled gate's operands one hop
+    /// closer along a coupled pair, and agrees with the legacy step.
+    #[test]
+    fn force_step_moves_operands_one_hop_closer() {
+        for topo in [CouplingMap::line(8), CouplingMap::grid(3, 3)] {
+            let n = topo.n_qubits();
+            let mut stalled = 0;
+            for a in 0..n {
+                for b in (0..n).filter(|&b| topo.distance(a, b) >= 3) {
+                    // A 1Q front gate ahead of the 2Q one: the step must
+                    // skip it.
+                    let spectator = (0..n).find(|&q| q != a && q != b).unwrap();
+                    let mut c = Circuit::new(n);
+                    c.h(spectator).cx(a, b);
+                    let dag = Dag::from_circuit(&c);
+                    let (_, node_classes) = Classes::build(&node_coords(&dag));
+                    let route_dag = RouteDag::new(&dag, &node_classes);
+                    let front = dag.front_layer();
+                    let layout = Layout::trivial(n, n);
+                    let (p1, p2) = force_step(&route_dag, &front, &layout, &topo);
+                    assert_eq!(
+                        (p1, p2),
+                        legacy::force_step(&dag, &front, &layout, &topo),
+                        "{a}-{b} on {n} qubits"
+                    );
+                    assert!(topo.are_adjacent(p1, p2), "({p1}, {p2}) is not coupled");
+                    let mut moved = layout.clone();
+                    moved.swap_physical(p1, p2);
+                    assert_eq!(
+                        topo.distance(moved.phys(a), moved.phys(b)) + 1,
+                        topo.distance(a, b),
+                        "{a}-{b}: ({p1}, {p2}) is not one hop closer"
+                    );
+                    stalled += 1;
+                }
+            }
+            assert!(stalled > 0, "no pair at distance >= 3 on {n} qubits");
+        }
     }
 
     /// Scratch reuse across different DAGs, devices, and configs must not
