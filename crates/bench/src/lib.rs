@@ -11,8 +11,8 @@
 //!
 //! ---
 //! **Owns:** [`coverage_for`], [`eval_options`], [`run_one`]/[`SuiteRow`],
-//! [`timing::bench`], the gate harness in [`report`] (arguments, pins,
-//! `BENCH_*.json` writer, verdict), and the `src/bin/` binaries.
+//! the gate harness in [`report`] (arguments, pins, `BENCH_*.json`
+//! writer, verdict, `best_ms` timing), and the `src/bin/` binaries.
 //! **Paper:** §§V–VI experiments — Figs. 3–13, Tables I–III, plus the
 //! calibration-skew sweep (`calibration_skew`) that extends Table III to
 //! noisy heterogeneous devices.
@@ -22,7 +22,6 @@ use mirage_core::{transpile, RouterKind, Target, TranspileOptions};
 use mirage_coverage::set::{BasisGate, CoverageOptions, CoverageSet};
 
 pub mod report;
-pub mod timing;
 
 /// Build a full-quality coverage set for `iSWAP^(1/n)`.
 pub fn coverage_for(n: u32, mirrors: bool, max_k: usize) -> CoverageSet {

@@ -220,10 +220,13 @@ pub fn from_qasm(src: &str) -> Result<Circuit, QasmError> {
                 line,
                 message: "qreg missing size".into(),
             })?;
-            let close = rest.find(']').ok_or_else(|| QasmError {
-                line,
-                message: "qreg missing ]".into(),
-            })?;
+            let close = rest[open..]
+                .find(']')
+                .map(|p| open + p)
+                .ok_or_else(|| QasmError {
+                    line,
+                    message: "qreg missing ]".into(),
+                })?;
             let name = rest[..open].trim().to_string();
             let size: usize = rest[open + 1..close]
                 .trim()
@@ -233,7 +236,10 @@ pub fn from_qasm(src: &str) -> Result<Circuit, QasmError> {
                     message: "bad qreg size".into(),
                 })?;
             regs.push((name, total, size));
-            total += size;
+            total = total.checked_add(size).ok_or_else(|| QasmError {
+                line,
+                message: "qreg sizes overflow".into(),
+            })?;
             continue;
         }
         circuit_body.push((line, stmt));
@@ -283,6 +289,13 @@ fn parse_gate(
         .map(|op| resolve_qubit(regs, op.trim()).ok_or_else(|| err("unknown qubit operand")))
         .collect();
     let qubits = qubits?;
+    if qubits
+        .iter()
+        .enumerate()
+        .any(|(i, q)| qubits[..i].contains(q))
+    {
+        return Err(err("repeated qubit operand"));
+    }
 
     let arg = |k: usize| -> Result<f64, QasmError> {
         args.get(k).copied().ok_or_else(|| err("missing parameter"))
@@ -325,7 +338,7 @@ fn parse_gate(
 
 fn resolve_qubit(regs: &[(String, usize, usize)], op: &str) -> Option<usize> {
     let open = op.find('[')?;
-    let close = op.find(']')?;
+    let close = open + op[open..].find(']')?;
     let name = op[..open].trim();
     let idx: usize = op[open + 1..close].trim().parse().ok()?;
     let (_, offset, size) = regs.iter().find(|(n, _, _)| n == name)?;
@@ -609,6 +622,23 @@ mod tests {
     fn error_on_out_of_range_qubit() {
         let src = "qreg q[2];\nh q[5];";
         assert!(from_qasm(src).is_err());
+    }
+
+    #[test]
+    fn malformed_operands_and_registers_are_errors_not_panics() {
+        for (src, want) in [
+            ("qreg q[2];\ncx q[0],q[0];", "repeated qubit operand"),
+            ("qreg q[2];\nccx q[0],q[0],q[1];", "repeated qubit operand"),
+            ("qreg q[2];\nh q]0[;", "unknown qubit operand"),
+            ("qreg q]2[;", "qreg missing ]"),
+            (
+                "qreg a[18446744073709551615];\nqreg b[1];",
+                "qreg sizes overflow",
+            ),
+        ] {
+            let e = from_qasm(src).unwrap_err();
+            assert!(e.message.contains(want), "{src:?}: got {e}");
+        }
     }
 
     #[test]

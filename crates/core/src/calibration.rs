@@ -39,6 +39,10 @@ use mirage_math::Rng;
 use mirage_topology::CouplingMap;
 use std::collections::BTreeMap;
 
+/// Largest `qubits` header [`Calibration::from_text`] accepts — far above
+/// any real device, far below an allocation that aborts the process.
+const MAX_TEXT_QUBITS: usize = 1 << 16;
+
 /// Calibration of one physical qubit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QubitCalibration {
@@ -546,9 +550,15 @@ impl Calibration {
                     if cal.is_some() {
                         return Err(parse_err("duplicate 'qubits' header".into()));
                     }
+                    let n = usize_at(1)?;
+                    if n > MAX_TEXT_QUBITS {
+                        return Err(parse_err(format!(
+                            "'qubits {n}' exceeds the limit of {MAX_TEXT_QUBITS}"
+                        )));
+                    }
                     cal = Some(Calibration {
-                        n_qubits: usize_at(1)?,
-                        qubits: vec![QubitCalibration::default(); usize_at(1)?],
+                        n_qubits: n,
+                        qubits: vec![QubitCalibration::default(); n],
                         edges: BTreeMap::new(),
                     });
                 }
@@ -759,6 +769,8 @@ mod tests {
             ("qubits 3\nwibble 1\n", "unknown record"),
             ("qubits 3\nedge 0 1 dur x err 0\n", "bad value"),
             ("qubits 3\nedge 0 0 dur 1 err 0\n", "self-loop"),
+            ("qubits 1000000000000\n", "exceeds the limit"),
+            ("qubits 18446744073709551615\n", "exceeds the limit"),
         ] {
             let err = Calibration::from_text(text).unwrap_err();
             assert!(

@@ -316,7 +316,6 @@ pub struct JobOutcome {
 pub struct NetClient {
     connector: Box<dyn Connector>,
     transport: Option<Box<dyn Transport>>,
-    max_payload: u32,
     policy: RetryPolicy,
     jitter: Rng,
     retries: u64,
@@ -371,7 +370,6 @@ impl NetClient {
         Ok(NetClient {
             connector,
             transport: Some(transport),
-            max_payload: DEFAULT_MAX_PAYLOAD,
             policy,
             jitter,
             retries: 0,
@@ -399,9 +397,8 @@ impl NetClient {
     }
 
     fn recv(&mut self) -> Result<Response, ClientError> {
-        let max_payload = self.max_payload;
         let transport = self.transport()?;
-        let payload = frame::read_frame(transport, max_payload)?;
+        let payload = frame::read_frame(transport, DEFAULT_MAX_PAYLOAD)?;
         Ok(Response::decode(&payload)?)
     }
 

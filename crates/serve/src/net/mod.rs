@@ -78,8 +78,6 @@ pub struct ServeConfig {
     /// Per-client, per-lane admission bound; `None` = unbounded (see
     /// [`TranspileService::with_queue_capacity`]).
     pub queue_capacity: Option<usize>,
-    /// Largest frame payload a connection will accept.
-    pub max_payload: u32,
     /// Accept submissions carrying an injected fault
     /// ([`SubmitRequest::fault`]). Off by default: a production server
     /// rejects faulted submissions before queueing them.
@@ -87,13 +85,12 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults: `workers` threads, unbounded queue, 16 MiB frames,
-    /// fault injection disabled.
+    /// Defaults: `workers` threads, unbounded queue, fault injection
+    /// disabled.
     pub fn new(workers: usize) -> ServeConfig {
         ServeConfig {
             workers,
             queue_capacity: None,
-            max_payload: DEFAULT_MAX_PAYLOAD,
             chaos: false,
         }
     }
@@ -103,13 +100,6 @@ impl ServeConfig {
     #[must_use]
     pub fn with_queue_capacity(mut self, capacity: usize) -> ServeConfig {
         self.queue_capacity = Some(capacity);
-        self
-    }
-
-    /// Cap accepted frame payloads (builder style).
-    #[must_use]
-    pub fn with_max_payload(mut self, max_payload: u32) -> ServeConfig {
-        self.max_payload = max_payload;
         self
     }
 
@@ -137,7 +127,6 @@ struct Shared {
     shutdown: AtomicBool,
     connections: AtomicU64,
     closed: AtomicU64,
-    max_payload: u32,
     chaos: bool,
 }
 
@@ -185,7 +174,6 @@ impl NetServer {
             shutdown: AtomicBool::new(false),
             connections: AtomicU64::new(0),
             closed: AtomicU64::new(0),
-            max_payload: config.max_payload,
             chaos: config.chaos,
         });
         let accept_shared = Arc::clone(&shared);
@@ -353,7 +341,7 @@ fn next_frame(stream: &mut TcpStream, shared: &Shared) -> NextFrame {
     // that resumes on timeout slices (the peer has committed to a frame).
     let mut reader = Resumable { inner: stream };
     let mut chained = (&first[..]).chain(&mut reader);
-    match frame::read_frame(&mut chained, shared.max_payload) {
+    match frame::read_frame(&mut chained, DEFAULT_MAX_PAYLOAD) {
         Ok(payload) => NextFrame::Payload(payload),
         Err(FrameError::Closed) => NextFrame::Stop,
         Err(e) => NextFrame::Broken(e),

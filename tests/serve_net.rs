@@ -415,15 +415,17 @@ fn garbage_bytes_get_an_error_and_only_that_connection_dies() {
 
 #[test]
 fn oversized_request_is_rejected_from_the_header_alone() {
-    let config = ServeConfig::new(1).with_max_payload(1024);
-    let server = NetServer::bind(grid_target(), "127.0.0.1:0", &config).unwrap();
+    let server = NetServer::bind(grid_target(), "127.0.0.1:0", &ServeConfig::new(1)).unwrap();
 
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    // Send only the header of a frame declaring a 1 MiB payload. A
-    // correct server rejects from the header; a broken one would block
-    // waiting for a megabyte that never comes.
-    let frame = encode_frame(&vec![0u8; 1024 * 1024]);
-    stream.write_all(&frame[..HEADER_LEN]).unwrap();
+    // Send only a header declaring one byte over the cap. A correct
+    // server rejects from the header; a broken one would block waiting
+    // for 16 MiB that never come.
+    let mut header = frame::FRAME_MAGIC.to_vec();
+    header.extend_from_slice(&(DEFAULT_MAX_PAYLOAD + 1).to_be_bytes());
+    header.extend_from_slice(&0u64.to_be_bytes());
+    assert_eq!(header.len(), HEADER_LEN);
+    stream.write_all(&header).unwrap();
     match read_response(&mut stream) {
         Response::ProtocolError { message } => {
             assert!(message.contains("exceeds cap"), "got: {message}")
@@ -690,13 +692,22 @@ fn injected_worker_panic_over_the_wire_fails_one_job_only() {
     }
     strict.shutdown();
 
-    // A chaos-enabled server runs them: the worker-killing job fails
-    // alone with a typed wire error (never a hung connection), the pool
-    // respawns the worker, and the surviving jobs' results match the
-    // in-process reference bit for bit.
+    // A chaos-enabled server runs them: a panic caught in place and a
+    // worker-killing panic each fail alone with a typed wire error (never
+    // a hung connection), the pool respawns the killed worker, and the
+    // surviving jobs' results match the in-process reference bit for bit.
     let config = ServeConfig::new(1).with_chaos();
     let server = NetServer::bind(grid_target(), "127.0.0.1:0", &config).unwrap();
     let mut client = NetClient::connect(server.local_addr()).unwrap();
+    let mut caught = sample_submit("caught", &to_qasm(&ghz(4)), 4);
+    caught.fault = Some(InjectedFault::Panic);
+    match client.submit(caught) {
+        Err(ClientError::Failed { kind, message, .. }) => {
+            assert_eq!(kind, FailureKind::WorkerPanicked);
+            assert!(message.contains("panicked"), "got: {message}");
+        }
+        other => panic!("expected a WorkerPanicked failure, got {other:?}"),
+    }
     let a = client
         .submit(sample_submit("a", &to_qasm(&qft(8, false)), 21))
         .unwrap();
@@ -723,8 +734,8 @@ fn injected_worker_panic_over_the_wire_fails_one_job_only() {
         "the killed worker must have been respawned"
     );
     assert_eq!(
-        stats.service.jobs, 3,
-        "all three jobs reached terminal state"
+        stats.service.jobs, 4,
+        "all four jobs reached terminal state"
     );
 }
 
@@ -938,14 +949,25 @@ fn shutdown_during_retry_gives_typed_answers_not_hangs() {
 fn unparseable_qasm_is_rejected_not_queued() {
     let server = NetServer::bind(grid_target(), "127.0.0.1:0", &ServeConfig::new(1)).unwrap();
     let mut client = NetClient::connect(server.local_addr()).unwrap();
-    match client.submit(sample_submit("bad", "this is not qasm", 1)) {
-        Err(ClientError::Rejected { message }) => {
-            assert!(message.contains("qasm parse error"), "got: {message}")
+    // Plain garbage, then malformed inputs the parser must reject with an
+    // error rather than panic inside the connection handler.
+    for qasm in [
+        "this is not qasm",
+        "qreg q[2];\ncx q[0],q[0];",
+        "qreg q[2];\nccx q[0],q[0],q[1];",
+        "qreg q[2];\nh q]0[;",
+        "qreg q]2[;",
+        "qreg a[18446744073709551615];\nqreg b[1];",
+    ] {
+        match client.submit(sample_submit("bad", qasm, 1)) {
+            Err(ClientError::Rejected { message }) => {
+                assert!(message.contains("qasm parse error"), "got: {message}")
+            }
+            other => panic!("{qasm:?}: expected Rejected, got {other:?}"),
         }
-        other => panic!("expected Rejected, got {other:?}"),
+        // Connection stays usable after a rejection.
+        client.ping().unwrap();
     }
-    // Connection stays usable after a rejection.
-    client.ping().unwrap();
     let stats = server.shutdown();
     assert_eq!(stats.service.jobs, 0, "nothing was ever queued");
 }
