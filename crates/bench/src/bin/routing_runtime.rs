@@ -1,10 +1,10 @@
 //! The routing-runtime perf gate: the persistent routing-throughput
-//! trajectory.
+//! trajectory, and the record of the paper's **Fig. 13b** runtime axis.
 //!
 //! Times the optimized, scratch-reusing router
 //! ([`mirage_core::router::route_with_scratch`]) on the QFT family
-//! (n = 16 … 64, line topology — the paper's Fig. 13 runtime axis) plus a
-//! two_local suite, best-of-3 wall times, and emits the machine-readable
+//! (n = 16 … 64, line topology, seed `0x1313`) plus a two_local suite,
+//! best-of-3 wall times, and emits the machine-readable
 //! `BENCH_routing.json` that future PRs are held against.
 //!
 //! One hard gate (nonzero exit on failure): **pinned fingerprints** —

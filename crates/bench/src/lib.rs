@@ -1,24 +1,15 @@
-//! Shared harness utilities for the experiment-regeneration binaries.
-//!
-//! Each figure/table binary under `src/bin/` regenerates one table or
-//! figure of the paper (README.md, "Experiments", has the index); the gate
-//! binaries (`routing_runtime`, `transpile_runtime`, `coverage_runtime`,
-//! `serve_net`, `layout_strategies`) hold the workspace to its checked-in
-//! `BENCH_*.json` numbers and pinned fingerprints. This library holds the
-//! pieces they share: full-quality coverage-set construction, the
-//! benchmark-suite runner, plain-text table rendering, and the gate
-//! harness.
+//! Shared harness for the gate binaries under `src/bin/`: each holds the
+//! workspace to its checked-in `BENCH_*.json` numbers and pins. `paper`
+//! records the paper's evaluation; the others measure the system
+//! (README.md, "Experiments", has the index).
 //!
 //! ---
-//! **Owns:** [`coverage_for`], [`eval_options`], [`run_one`]/[`SuiteRow`],
-//! the gate harness in [`report`] (arguments, pins, `BENCH_*.json`
-//! writer, verdict, `best_ms` timing), and the `src/bin/` binaries.
-//! **Paper:** §§V–VI experiments — Figs. 3–13, Tables I–III, plus the
-//! calibration-skew sweep (`calibration_skew`) that extends Table III to
-//! noisy heterogeneous devices.
+//! **Owns:** [`coverage_for`], [`geo_mean`], [`pct_improvement`],
+//! [`print_table`], the gate harness in [`report`] (arguments, pins,
+//! `BENCH_*.json` writer, verdict, `best_ms` timing), and the binaries.
+//! **Paper:** §§V–VI — Tables I–II and Figs. 8–12 in `paper`, Fig. 13b's
+//! runtime axis in `routing_runtime`.
 
-use mirage_circuit::Circuit;
-use mirage_core::{transpile, RouterKind, Target, TranspileOptions};
 use mirage_coverage::set::{BasisGate, CoverageOptions, CoverageSet};
 
 pub mod report;
@@ -33,52 +24,6 @@ pub fn coverage_for(n: u32, mirrors: bool, max_k: usize) -> CoverageSet {
         seed: 0xBE9C4 + u64::from(n),
     };
     CoverageSet::build(BasisGate::iswap_root(n), &opts)
-}
-
-/// Evaluation-scale trial options: smaller than the paper's 20×4×20 grid
-/// (which exists to squeeze the last percent out of a Python transpiler)
-/// but large enough that the relative results are stable.
-pub fn eval_options(router: RouterKind, seed: u64) -> TranspileOptions {
-    let mut opts = TranspileOptions::quick(router, seed);
-    opts.trials.layout_trials = 8;
-    opts.trials.fwd_bwd_iters = 3;
-    opts.trials.routing_trials = 8;
-    opts.trials.parallel = true;
-    opts
-}
-
-/// One row of a suite comparison.
-#[derive(Debug, Clone)]
-pub struct SuiteRow {
-    /// Benchmark name.
-    pub name: String,
-    /// Depth estimate (duration units).
-    pub depth: f64,
-    /// Total two-qubit gate cost.
-    pub gate_cost: f64,
-    /// SWAPs inserted.
-    pub swaps: usize,
-    /// Mirror acceptance rate.
-    pub mirror_rate: f64,
-}
-
-/// Transpile one circuit onto `target` and summarize.
-pub fn run_one(
-    name: &str,
-    circuit: &Circuit,
-    target: &Target,
-    router: RouterKind,
-    seed: u64,
-) -> SuiteRow {
-    let opts = eval_options(router, seed);
-    let out = transpile(circuit, target, &opts).expect("transpilation succeeds");
-    SuiteRow {
-        name: name.to_owned(),
-        depth: out.metrics.depth_estimate,
-        gate_cost: out.metrics.total_gate_cost,
-        swaps: out.metrics.swaps_inserted,
-        mirror_rate: out.metrics.mirror_rate,
-    }
 }
 
 /// Geometric mean of positive values.

@@ -1,4 +1,4 @@
-//! The gate harness shared by the gate bins (`routing_runtime`,
+//! The gate harness shared by the gate bins (`paper`, `routing_runtime`,
 //! `transpile_runtime`, `coverage_runtime`, `serve_net`,
 //! `layout_strategies`). Each bin owns
 //! its cases, its measurement, its pins and its thresholds; this module
@@ -238,15 +238,16 @@ impl Json {
     }
 }
 
-/// Print the scalar fields of each case object as a table, so the console
-/// and the report cannot disagree. Columns follow the first case.
+/// Print the scalar and object fields of each case object as a table, so
+/// the console and the report cannot disagree. Columns follow the first
+/// case.
 pub fn print_cases(cases: &[Json]) {
     let scalars = |case: &Json| -> Vec<(&'static str, String)> {
         let Json::Obj(fields) = case else {
             return Vec::new();
         };
         let cell = |value: &Json| match value {
-            Json::Arr(_) | Json::Obj(_) => None,
+            Json::Arr(_) => None,
             Json::Str(s) => Some(s.clone()),
             scalar => Some(scalar.to_string()),
         };

@@ -200,6 +200,13 @@ pub enum TranspileError {
         /// What was wrong with it.
         detail: String,
     },
+    /// A trial count is zero: with no layout or no routing trial there is
+    /// no candidate to select (see
+    /// [`TrialOptions::validate`](crate::trials::TrialOptions::validate)).
+    NoTrials {
+        /// Which count is zero (`"layout_trials"` / `"routing_trials"`).
+        which: &'static str,
+    },
 }
 
 impl std::fmt::Display for TranspileError {
@@ -211,6 +218,9 @@ impl std::fmt::Display for TranspileError {
             TranspileError::DisconnectedTopology => write!(f, "coupling map is disconnected"),
             TranspileError::InvalidTrialMix { which, detail } => {
                 write!(f, "invalid {which}: {detail}")
+            }
+            TranspileError::NoTrials { which } => {
+                write!(f, "{which} is 0; at least one trial is needed")
             }
         }
     }

@@ -113,8 +113,8 @@ pub struct RouterConfig {
     pub aggression: Option<Aggression>,
     /// Weight coupling the distance heuristic into the mirror decision
     /// (decomposition cost is in duration units, distance in hops). The
-    /// shipped default (2.0) comes from the `tune_mirror` ablation: depth
-    /// and SWAP reductions saturate at λ ≈ 2 across the benchmark suite.
+    /// shipped default (2.0) comes from the `paper` bin's `lambda` case
+    /// (`BENCH_paper.json`): past λ = 2 no circuit's depth moves.
     pub mirror_heuristic_weight: f64,
 }
 

@@ -172,15 +172,25 @@ impl TrialOptions {
         self
     }
 
-    /// Check that both trial mixes are well-formed: every share finite and
+    /// Check that there is at least one layout and one routing trial, and
+    /// that both trial mixes are well-formed: every share finite and
     /// non-negative, and each mix summing to 1 (±1e-6). Mis-normalized
     /// mixes would silently re-allocate the trial budget, so the pipeline
     /// rejects them up front.
     ///
     /// # Errors
     ///
+    /// [`TranspileError::NoTrials`] naming a zero trial count, or
     /// [`TranspileError::InvalidTrialMix`] naming the offending mix.
     pub fn validate(&self) -> Result<(), TranspileError> {
+        for (which, count) in [
+            ("layout_trials", self.layout_trials),
+            ("routing_trials", self.routing_trials),
+        ] {
+            if count == 0 {
+                return Err(TranspileError::NoTrials { which });
+            }
+        }
         validate_mix("aggression_mix", &self.aggression_mix)?;
         validate_mix("strategy_mix", &self.strategy_mix)?;
         Ok(())
@@ -636,8 +646,8 @@ impl<'a> TrialEngine<'a> {
     ///
     /// # Errors
     ///
-    /// [`TranspileError::InvalidTrialMix`] when either mix in `opts` is
-    /// mis-normalized (see [`TrialOptions::validate`]).
+    /// [`TranspileError::NoTrials`] or [`TranspileError::InvalidTrialMix`]
+    /// when `opts` fails [`TrialOptions::validate`].
     pub fn run_candidates(
         &self,
         mirage: bool,
@@ -754,8 +764,8 @@ impl<'a> TrialEngine<'a> {
     ///
     /// # Errors
     ///
-    /// [`TranspileError::InvalidTrialMix`] when either mix in `opts` is
-    /// mis-normalized (see [`TrialOptions::validate`]).
+    /// [`TranspileError::NoTrials`] or [`TranspileError::InvalidTrialMix`]
+    /// when `opts` fails [`TrialOptions::validate`].
     pub fn run_detailed(
         &self,
         mirage: bool,
@@ -906,6 +916,29 @@ mod tests {
         let mut opts = TrialOptions::quick(Metric::Depth, 1);
         opts.aggression_mix = [0.1, 0.2, 0.3, 0.4 + 1e-9];
         opts.validate().unwrap();
+    }
+
+    #[test]
+    fn zero_trials_rejected_before_any_work() {
+        let target = Target::sqrt_iswap(CouplingMap::line(4));
+        let c = consolidate(&two_local_full(4, 1, 7));
+        let engine = TrialEngine::new(&c, &target);
+        for which in ["layout_trials", "routing_trials"] {
+            let mut opts = TrialOptions::quick(Metric::Depth, 1);
+            if which == "layout_trials" {
+                opts.layout_trials = 0;
+            } else {
+                opts.routing_trials = 0;
+            }
+            assert_eq!(opts.validate(), Err(TranspileError::NoTrials { which }));
+            let err = engine.run_detailed(true, &opts).unwrap_err();
+            assert_eq!(err, TranspileError::NoTrials { which });
+            assert!(err.to_string().contains(which), "{err}");
+        }
+        // Zero refinement passes is a valid budget.
+        let mut opts = TrialOptions::quick(Metric::Depth, 1);
+        opts.fwd_bwd_iters = 0;
+        engine.run_detailed(true, &opts).unwrap();
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub use refresh::CalibrationRefresher;
 
 use crate::{JobError, JobEvent, ServeError, ServiceStats, TranspileJob, TranspileService};
 use mirage_circuit::qasm::{from_qasm, to_qasm};
-use mirage_core::Target;
+use mirage_core::{Target, TranspileOptions};
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -468,6 +468,32 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>, client: u64) {
     }
 }
 
+/// The most layout trials, routing trials, refinement passes or trial
+/// threads one submission may ask for: far above the paper's 20, and low
+/// enough that no request makes a worker allocate or spawn without bound.
+const MAX_WIRE_COUNT: u32 = 256;
+
+/// The options a submission runs with, or why it may not run: every count
+/// within [`MAX_WIRE_COUNT`] and the expanded trial options valid. Checked
+/// before the job is queued, so a bad request costs the server nothing.
+fn admit_options(wire: &WireOptions, seed: u64) -> Result<TranspileOptions, String> {
+    for (field, value) in [
+        ("layout_trials", wire.layout_trials),
+        ("routing_trials", wire.routing_trials),
+        ("fwd_bwd_iters", wire.fwd_bwd_iters),
+        ("threads", wire.threads),
+    ] {
+        if value > MAX_WIRE_COUNT {
+            return Err(format!(
+                "{field} {value} is above this server's bound of {MAX_WIRE_COUNT}"
+            ));
+        }
+    }
+    let options = wire.to_options(seed);
+    options.trials.validate().map_err(|e| e.to_string())?;
+    Ok(options)
+}
+
 /// Admit one submission; returns false when the connection should close
 /// (write failure — any accepted job keeps running in the pool). On
 /// acceptance, spawns a forwarder thread that streams the job's statuses
@@ -489,6 +515,10 @@ fn handle_submit(
         )
         .is_ok();
     }
+    let options = match admit_options(&submit.options, submit.seed) {
+        Ok(options) => options,
+        Err(message) => return send(writer, &Response::Rejected { message }).is_ok(),
+    };
     let circuit = match from_qasm(&submit.qasm) {
         Ok(circuit) => circuit,
         Err(e) => {
@@ -501,7 +531,6 @@ fn handle_submit(
             .is_ok()
         }
     };
-    let options = submit.options.to_options(submit.seed);
     let label = submit.label.clone();
     let mut job = TranspileJob::new(submit.label, circuit, options)
         .with_seed(submit.seed)
@@ -610,5 +639,86 @@ fn forward_events(handle: &crate::JobHandle, writer: &Mutex<TcpStream>) {
                 return;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mirage_circuit::generators::ghz;
+    use mirage_core::RouterKind;
+    use mirage_topology::CouplingMap;
+
+    #[test]
+    fn admit_options_bounds_every_count() {
+        let quick = WireOptions::quick(RouterKind::Mirage);
+        assert!(admit_options(&quick, 1).is_ok());
+        let fields: [fn(&mut WireOptions) -> &mut u32; 4] = [
+            |w| &mut w.layout_trials,
+            |w| &mut w.routing_trials,
+            |w| &mut w.fwd_bwd_iters,
+            |w| &mut w.threads,
+        ];
+        for field in fields {
+            for value in [MAX_WIRE_COUNT + 1, u32::MAX] {
+                let mut wire = quick.clone();
+                *field(&mut wire) = value;
+                let message = admit_options(&wire, 1).unwrap_err();
+                assert!(message.contains(&value.to_string()), "{message}");
+            }
+            let mut wire = quick.clone();
+            *field(&mut wire) = MAX_WIRE_COUNT;
+            assert!(admit_options(&wire, 1).is_ok());
+        }
+        // Zero refinement passes and zero threads (host parallelism) are
+        // valid; zero layout or routing trials are not.
+        let mut wire = quick.clone();
+        wire.fwd_bwd_iters = 0;
+        wire.threads = 0;
+        assert!(admit_options(&wire, 1).is_ok());
+        for field in &fields[..2] {
+            let mut wire = quick.clone();
+            *field(&mut wire) = 0;
+            let message = admit_options(&wire, 1).unwrap_err();
+            assert!(message.contains("at least one trial"), "{message}");
+        }
+    }
+
+    #[test]
+    fn out_of_bounds_counts_are_rejected_over_the_wire() {
+        let target = Arc::new(Target::sqrt_iswap(CouplingMap::line(4)));
+        let server = NetServer::bind(target, "127.0.0.1:0", &ServeConfig::new(1)).unwrap();
+        let mut client = NetClient::connect(server.local_addr()).unwrap();
+        let submit = |edit: &dyn Fn(&mut WireOptions)| {
+            let mut options = WireOptions::quick(RouterKind::Mirage);
+            edit(&mut options);
+            SubmitRequest {
+                label: "bounds".to_owned(),
+                qasm: to_qasm(&ghz(3)),
+                seed: 1,
+                lane: crate::Lane::Batch,
+                deadline_ms: None,
+                options,
+                fault: None,
+            }
+        };
+        let over = MAX_WIRE_COUNT + 1;
+        let edits: [&dyn Fn(&mut WireOptions); 6] = [
+            &|w| w.layout_trials = 0,
+            &|w| w.routing_trials = 0,
+            &|w| w.layout_trials = over,
+            &|w| w.routing_trials = over,
+            &|w| w.fwd_bwd_iters = over,
+            &|w| w.threads = over,
+        ];
+        for edit in edits {
+            match client.submit(submit(edit)) {
+                Err(ClientError::Rejected { .. }) => {}
+                other => panic!("expected Rejected, got {other:?}"),
+            }
+            client.ping().unwrap();
+        }
+        let stats = server.shutdown();
+        assert_eq!(stats.service.jobs, 0, "nothing was ever queued");
     }
 }

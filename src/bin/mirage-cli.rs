@@ -152,7 +152,10 @@ fn parse_topology(spec: &str) -> Result<CouplingMap, String> {
         "line" => Ok(CouplingMap::line(param.parse().map_err(bad)?)),
         "ring" => Ok(CouplingMap::ring(param.parse().map_err(bad)?)),
         "a2a" => Ok(CouplingMap::all_to_all(param.parse().map_err(bad)?)),
-        "heavy-hex" => Ok(CouplingMap::heavy_hex(param.parse().map_err(bad)?)),
+        "heavy-hex" => match param.parse().map_err(bad)? {
+            d if d >= 3 && d % 2 == 1 => Ok(CouplingMap::heavy_hex(d)),
+            d => Err(format!("heavy-hex needs an odd distance >= 3, got {d}")),
+        },
         "grid" => {
             let (r, c) = param
                 .split_once('x')

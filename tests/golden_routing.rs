@@ -125,7 +125,7 @@ fn topologies() -> Vec<Topo> {
 fn target_for(topo: &Topo, calibrated: bool) -> Target {
     let t = Target::sqrt_iswap(topo.map.clone());
     if calibrated {
-        // Strong 10x outliers (the calibration_skew setting): mild synthetic
+        // Strong 10x outliers (the `paper` bin's skew setting): mild synthetic
         // factors never flip a mirror decision on these small circuits, so a
         // skewed device is what actually exercises edge-priced routing.
         let cal = Calibration::skewed(&topo.map, &mut Rng::new(topo.cal_seed), 3e-3, 0.25, 10.0)

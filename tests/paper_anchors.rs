@@ -1,6 +1,7 @@
 //! Anchor tests pinning the reproduction to the paper's published numbers
-//! (tolerances documented inline; see EXPERIMENTS.md for the full
-//! comparison).
+//! (tolerances documented inline). The full comparison, each reproduced
+//! number beside the paper's, is `BENCH_paper.json`, written by the
+//! `paper` bin (`crates/bench/src/bin/paper.rs`).
 
 use mirage::coverage::haar::{haar_score, FidelityModel};
 use mirage::coverage::set::{BasisGate, CoverageOptions, CoverageSet};
@@ -47,6 +48,26 @@ fn cnot_basis_does_not_get_free_mirrors() {
     assert_eq!(s.min_k(&WeylCoord::CNOT), Some(1));
     assert_eq!(s.min_k(&WeylCoord::ISWAP), Some(2));
     assert_eq!(s.min_k(&WeylCoord::SWAP), Some(3));
+}
+
+#[test]
+fn fig3_cnot_k2_coverage_is_planar() {
+    // Paper Fig. 3: the CNOT k = 2 regions are planar, so they hold 0% of
+    // the Haar volume, with or without mirrors.
+    for mirrors in [false, true] {
+        let s = CoverageSet::build(
+            BasisGate::cnot(),
+            &CoverageOptions {
+                max_k: 2,
+                samples_per_k: 2000,
+                inflation: 0.012,
+                mirrors,
+                seed: 3,
+            },
+        );
+        let coverage = s.haar_coverage(2, 6000, 33);
+        assert!(coverage < 0.001, "mirrors {mirrors}: {coverage:.4}");
+    }
 }
 
 #[test]
