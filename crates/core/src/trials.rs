@@ -540,6 +540,12 @@ impl<'a> TrialEngine<'a> {
         let layout =
             proposed.unwrap_or_else(|| Layout::random(ctx.n_logical(), ctx.n_physical(), &mut rng));
         let prices = &run.prices;
+        // Every router run of the trial, refinement included, prices
+        // mirrors with the same λ.
+        let mut base = RouterConfig::default();
+        if let Some(lambda) = opts.mirror_lambda {
+            base.mirror_heuristic_weight = lambda;
+        }
 
         // Two refinements per layout trial: a mirror-free one (placements
         // that suit the A0 safety net and conservative trials) and, for
@@ -549,7 +555,7 @@ impl<'a> TrialEngine<'a> {
         // refinement while ripple-adder placements degrade — so routing
         // trials are spread over both and post-selection arbitrates.
         let plain = self.refine_layout(
-            &RouterConfig::default(),
+            &base,
             layout.clone(),
             opts.fwd_bwd_iters,
             &mut rng,
@@ -560,7 +566,7 @@ impl<'a> TrialEngine<'a> {
             self.refine_layout(
                 &RouterConfig {
                     aggression: Some(Aggression::A1),
-                    ..RouterConfig::default()
+                    ..base
                 },
                 layout,
                 opts.fwd_bwd_iters,
@@ -583,13 +589,7 @@ impl<'a> TrialEngine<'a> {
                 } else {
                     None
                 };
-                let mut config = RouterConfig {
-                    aggression,
-                    ..RouterConfig::default()
-                };
-                if let Some(lambda) = opts.mirror_lambda {
-                    config.mirror_heuristic_weight = lambda;
-                }
+                let config = RouterConfig { aggression, ..base };
                 let mut trial_rng = rng.spawn();
                 // A0 trials anchor on the mirror-free placement; the rest
                 // alternate between the two refinements.
@@ -1027,6 +1027,30 @@ mod tests {
             assert_eq!(serial.best.circuit, parallel.best.circuit);
             assert_eq!(serial.candidates, parallel.candidates);
         }
+    }
+
+    #[test]
+    fn mirror_lambda_reaches_the_mirror_aware_refinement() {
+        // Odd routing trials start from the mirror-aware (A1) refinement,
+        // so with an A1-only mix candidate 1's initial layout is that
+        // refinement's output, and λ must be able to move it.
+        let target = Target::sqrt_iswap(CouplingMap::grid(2, 3));
+        let c = consolidate(&mirage_circuit::generators::qft(6, false));
+        let engine = TrialEngine::new(&c, &target);
+        let start = |lambda: f64| {
+            let mut opts = TrialOptions::quick(Metric::Depth, 11);
+            opts.layout_trials = 1;
+            opts.routing_trials = 2;
+            opts.aggression_mix = [0.0, 1.0, 0.0, 0.0];
+            opts.mirror_lambda = Some(lambda);
+            let run = engine.run_candidates(true, &opts).unwrap();
+            run.candidates[1].routed.initial_layout.clone()
+        };
+        let starts: Vec<Layout> = [0.0, 0.5, 2.0, 8.0].into_iter().map(start).collect();
+        assert!(
+            starts.iter().any(|l| *l != starts[0]),
+            "mirrored-start layout ignores λ: {starts:?}"
+        );
     }
 
     #[test]
