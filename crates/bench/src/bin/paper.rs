@@ -65,10 +65,10 @@ const SANITY: &[(&str, Sanity)] = &[
     ("quick fig11 mirage-swaps", (0x14CFB2B245B84AE7, 1491, 984)),
     ("quick fig12 heavy-hex", (0xF887213544E10FD8, 2563, 1039)),
     ("quick fig12 grid", (0xBE4AE84EBC42B7F9, 1562, 671)),
-    ("quick lambda qft_n18", (0x8997B012DA58E45F, 573, 222)),
+    ("quick lambda qft_n18", (0x5DFD9C25B716FAC3, 587, 211)),
     ("quick lambda seca_n11", (0xDEEB9EA7D9071EDF, 163, 90)),
-    ("quick lambda portfolioqaoa_n16", (0xE40ABD6308945BB8, 672, 1825)),
-    ("quick lambda swap_test_n25", (0xC5713F60560019C0, 150, 0)),
+    ("quick lambda portfolioqaoa_n16", (0x3700D691B18F4782, 744, 1591)),
+    ("quick lambda swap_test_n25", (0x001082E6647175D8, 150, 0)),
     ("quick skew line", (0xB5C684D15D43F467, 118, 129)),
     ("quick skew grid", (0x7A94FFDE28499102, 58, 44)),
     ("quick skew heavy-hex", (0xE1C743EC71F8BB4D, 135, 86)),
@@ -82,10 +82,10 @@ const SANITY: &[(&str, Sanity)] = &[
     ("full fig11 mirage-swaps", (0x359B10C9CBF34FF2, 3984, 2959)),
     ("full fig12 heavy-hex", (0x2A7939CE3CE28C20, 6650, 2603)),
     ("full fig12 grid", (0x693D76620B6C03C3, 4262, 2130)),
-    ("full lambda qft_n18", (0x9B2F4EED80FB0843, 1215, 996)),
+    ("full lambda qft_n18", (0xD566BB28D416348A, 1158, 1124)),
     ("full lambda seca_n11", (0x2B348C447B4CF3A1, 439, 245)),
-    ("full lambda portfolioqaoa_n16", (0x516252B61E4EE0D1, 2538, 3599)),
-    ("full lambda swap_test_n25", (0x01B73912D059467E, 473, 105)),
+    ("full lambda portfolioqaoa_n16", (0x05AFA55327F33AE6, 2441, 3744)),
+    ("full lambda swap_test_n25", (0xF76F4FFA65CE9F9D, 460, 88)),
     ("full skew line", (0xF57E2A4BEFEB3872, 336, 365)),
     ("full skew grid", (0xA6A71F8908A95BE4, 147, 168)),
     ("full skew heavy-hex", (0x632FA3A4D8FA8A10, 243, 387)),
