@@ -68,7 +68,7 @@ fn wire_options(cfg: &Config) -> WireOptions {
     wire.routing_trials = trials;
     wire.fwd_bwd_iters = 3;
     wire.use_vf2 = false; // every job must pay for routing, not embed away
-    wire.parallel = false; // pool-level scaling only: serial in-job trials
+    wire.threads = 1; // pool-level scaling only: inline in-job trials
     wire
 }
 

@@ -4,8 +4,8 @@
 //! Where `routing_runtime` times one `route` call, this bin times the
 //! whole [`mirage_core::transpile`] pipeline — layout strategies, SABRE
 //! refinement, routing trials, metric post-selection — once with the
-//! serial trial loop and once with the parallel engine
-//! (`trials.parallel = true`, auto thread count), best-of-3 wall times,
+//! trials inline (`trials.threads = 1`) and once on every core
+//! (`trials.threads = 0`, the default), best-of-3 wall times,
 //! and emits the machine-readable `BENCH_transpile.json` that future PRs
 //! are held against.
 //!
@@ -33,8 +33,8 @@ use std::process::ExitCode;
 const TRANSPILE_SEED: u64 = 0x7147;
 const BEST_OF: usize = 3;
 
-/// name, fingerprint, swaps, mirrors — pinned to the serial trial
-/// engine's output (the parallel engine must reproduce it bit for bit;
+/// name, fingerprint, swaps, mirrors — pinned to the inline trial
+/// loop's output (the every-core run must reproduce it bit for bit;
 /// regenerate with `--print-fingerprints` after an intentional behavior
 /// change).
 const SANITY: &[(&str, Sanity)] = &[
@@ -66,13 +66,13 @@ fn cases(quick: bool) -> Vec<(&'static str, Circuit)> {
         .collect()
 }
 
-fn options(parallel: bool) -> TranspileOptions {
+/// `threads`: 1 runs the trials inline (serial), 0 on every core.
+fn options(threads: usize) -> TranspileOptions {
     let mut opts = TranspileOptions::quick(RouterKind::Mirage, TRANSPILE_SEED);
     // VF2 would short-circuit the trial loop on embeddable cases; this
     // bench times the trial engine, so force the full path.
     opts.use_vf2 = false;
-    opts.trials.parallel = parallel;
-    opts.trials.threads = 0; // auto: the host's available parallelism
+    opts.trials.threads = threads;
     opts
 }
 
@@ -118,8 +118,8 @@ impl Measured {
     }
 }
 
-fn run(circuit: &Circuit, target: &Target, parallel: bool) -> TranspiledCircuit {
-    transpile(circuit, target, &options(parallel)).expect("bench case transpiles")
+fn run(circuit: &Circuit, target: &Target, threads: usize) -> TranspiledCircuit {
+    transpile(circuit, target, &options(threads)).expect("bench case transpiles")
 }
 
 fn measure((name, circuit): &(&'static str, Circuit)) -> Measured {
@@ -127,8 +127,8 @@ fn measure((name, circuit): &(&'static str, Circuit)) -> Measured {
 
     // Bit-identity gate (also warms the shared cost cache, so both timed
     // modes run steady-state).
-    let serial = run(circuit, &target, false);
-    let parallel = run(circuit, &target, true);
+    let serial = run(circuit, &target, 1);
+    let parallel = run(circuit, &target, 0);
     assert_eq!(
         serial.circuit, parallel.circuit,
         "{name}: parallel trial engine diverged from serial"
@@ -142,8 +142,8 @@ fn measure((name, circuit): &(&'static str, Circuit)) -> Measured {
         parallel.metrics.mirrors_accepted
     );
 
-    let serial_ms = report::best_ms(BEST_OF, || run(circuit, &target, false));
-    let parallel_ms = report::best_ms(BEST_OF, || run(circuit, &target, true));
+    let serial_ms = report::best_ms(BEST_OF, || run(circuit, &target, 1));
+    let parallel_ms = report::best_ms(BEST_OF, || run(circuit, &target, 0));
 
     Measured {
         name,

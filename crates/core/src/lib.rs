@@ -23,7 +23,7 @@
 //!   mirror `SWAP·U` per the aggression rules of Algorithm 2.
 //! * [`trials`] — the [`trials::TrialEngine`]: strategy-seeded layout
 //!   trials, SABRE forward–backward refinement, independent routing trials
-//!   (optionally in parallel), and post-selection by SWAP count, the
+//!   (on every core by default), and post-selection by SWAP count, the
 //!   duration-weighted critical path (MIRAGE-Depth, §IV-B), or estimated
 //!   success probability.
 //! * [`pipeline`] — the end-to-end `transpile` entry point: consolidation,

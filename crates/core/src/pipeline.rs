@@ -62,7 +62,8 @@ pub struct TranspileOptions {
 }
 
 impl TranspileOptions {
-    /// Light settings for tests and examples.
+    /// Light settings for tests and examples (4 layouts × 2 passes × 4
+    /// routes, trials on every core).
     pub fn quick(router: RouterKind, seed: u64) -> TranspileOptions {
         TranspileOptions {
             router,
@@ -73,7 +74,7 @@ impl TranspileOptions {
     }
 
     /// The paper's full evaluation settings (20 layouts × 4 passes × 20
-    /// routes, parallel).
+    /// routes, trials on every core).
     pub fn paper(router: RouterKind, seed: u64) -> TranspileOptions {
         TranspileOptions {
             router,

@@ -30,6 +30,7 @@ use mirage_circuit::{Circuit, Dag};
 use mirage_math::Rng;
 use mirage_weyl::coords::coords_of;
 use std::borrow::Cow;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Post-selection metric across routing trials.
@@ -71,14 +72,12 @@ pub struct TrialOptions {
     pub strategy_mix: [f64; crate::placement::N_STRATEGIES],
     /// Base RNG seed.
     pub seed: u64,
-    /// Run layout trials on threads. Results are bit-identical to a
-    /// serial run at any thread count: seeds come from the pre-split
+    /// Workers for the layout trials: `0` is the host's available
+    /// parallelism, `1` runs every trial inline on the calling thread,
+    /// `n` uses `n` workers. Capped at `layout_trials`. Never affects
+    /// results, only wall-clock: seeds come from the pre-split
     /// [`SeedSchedule`] and the winner is reduced in trial-index order
     /// (see [`TrialEngine::run_detailed`]).
-    pub parallel: bool,
-    /// Worker threads when `parallel` is set; `0` means use the host's
-    /// available parallelism. Capped at `layout_trials` — never affects
-    /// results, only wall-clock.
     pub threads: usize,
     /// Override for the mirror-decision weight λ (None = engine default).
     pub mirror_lambda: Option<f64>,
@@ -129,13 +128,13 @@ impl TrialOptions {
             aggression_mix: [0.05, 0.45, 0.45, 0.05],
             strategy_mix: StrategyKind::Random.one_hot(),
             seed,
-            parallel: true,
             threads: 0,
             mirror_lambda: None,
         }
     }
 
-    /// A light configuration for tests and examples.
+    /// A light configuration for tests and examples (trials on every
+    /// core, like [`TrialOptions::paper`]).
     pub fn quick(metric: Metric, seed: u64) -> TrialOptions {
         TrialOptions {
             layout_trials: 4,
@@ -145,23 +144,23 @@ impl TrialOptions {
             aggression_mix: [0.05, 0.45, 0.45, 0.05],
             strategy_mix: StrategyKind::Random.one_hot(),
             seed,
-            parallel: false,
             threads: 0,
             mirror_lambda: None,
         }
     }
 
-    /// The worker count a parallel run will use: `threads`, or the host's
-    /// available parallelism when `threads == 0` (falling back to 1 if
-    /// the host won't say). The engine additionally caps the pool at
-    /// `layout_trials` — idle workers would be pure overhead.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            self.threads
+    /// The worker count a run uses: `threads`, or the host's available
+    /// parallelism when `threads == 0` (1 if the host won't say), capped
+    /// at `layout_trials` — idle workers would be pure overhead. The host
+    /// is asked only when more than one trial could use the answer.
+    fn workers(&self) -> usize {
+        let n = self.layout_trials;
+        match self.threads {
+            0 if n > 1 => std::thread::available_parallelism()
+                .map_or(1, std::num::NonZeroUsize::get)
+                .min(n),
+            0 => 1,
+            t => t.min(n),
         }
     }
 
@@ -682,58 +681,44 @@ impl<'a> TrialEngine<'a> {
             prices: self.price_table(snapshot),
         };
         let n = opts.layout_trials;
-        let workers = if opts.parallel {
-            opts.effective_threads().min(n).max(1)
-        } else {
-            1
+        let workers = opts.workers();
+        let next = AtomicUsize::new(0);
+        // One worker: claim trial indices until none are left. One
+        // scratch per worker for its whole run of trials; scratches carry
+        // only buffer capacity, never routing or cost state.
+        let work = || {
+            let mut scratch = RouterScratch::new();
+            let mut local = Vec::new();
+            loop {
+                let t = next.fetch_add(1, Ordering::Relaxed);
+                if t >= n {
+                    break;
+                }
+                local.push((
+                    t,
+                    self.one_layout_trial(t, mirage, opts, &run, &mut scratch),
+                ));
+            }
+            local
         };
+        // The caller is worker 0; only `workers - 1` helpers are spawned.
+        // The lazy precomputes are `OnceLock`s, so whichever worker needs
+        // them first builds them and the others wait.
+        let per_worker: Vec<Vec<(usize, Vec<Traced>)>> = std::thread::scope(|s| {
+            let helpers: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
+            let mut per_worker = vec![work()];
+            per_worker.extend(
+                helpers
+                    .into_iter()
+                    .map(|h| h.join().expect("routing thread panicked")),
+            );
+            per_worker
+        });
         // Trial-indexed result slots: whatever order workers finish in,
         // they are read back in trial order.
         let mut slots: Vec<Option<Vec<Traced>>> = (0..n).map(|_| None).collect();
-        if workers > 1 {
-            // Warm the lazy precomputes on this thread so workers never
-            // race to build them (OnceLock would dedupe anyway; this just
-            // keeps the work off the timed region).
-            let _ = self.routing_state();
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let run = &run;
-            let per_worker: Vec<Vec<(usize, Vec<Traced>)>> = std::thread::scope(|s| {
-                let next = &next;
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        s.spawn(move || {
-                            // One scratch per worker for its whole run
-                            // of trials. Scratches carry only buffer
-                            // capacity, never routing or cost state.
-                            let mut scratch = RouterScratch::new();
-                            let mut local = Vec::new();
-                            loop {
-                                let t = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                if t >= n {
-                                    break;
-                                }
-                                local.push((
-                                    t,
-                                    self.one_layout_trial(t, mirage, opts, run, &mut scratch),
-                                ));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("routing thread panicked"))
-                    .collect()
-            });
-            for (t, result) in per_worker.into_iter().flatten() {
-                slots[t] = Some(result);
-            }
-        } else {
-            let mut scratch = RouterScratch::new();
-            for (t, slot) in slots.iter_mut().enumerate() {
-                *slot = Some(self.one_layout_trial(t, mirage, opts, &run, &mut scratch));
-            }
+        for (t, result) in per_worker.into_iter().flatten() {
+            slots[t] = Some(result);
         }
         let traced = slots
             .into_iter()
@@ -750,8 +735,11 @@ impl<'a> TrialEngine<'a> {
     ///
     /// # Determinism
     ///
-    /// Parallel runs are bit-identical to serial runs at every thread
-    /// count. Two invariants make that hold:
+    /// Results are bit-identical at every thread count, the inline
+    /// `threads = 1` run included. The calling thread is worker 0 and
+    /// `min(threads, layout_trials) - 1` scoped helpers join it; all of
+    /// them claim trial indices from one counter. Two invariants make
+    /// the result independent of who ran what:
     ///
     /// 1. **Pre-split seeds.** Each trial's randomness is a pure function
     ///    of `(opts.seed, trial index)` via [`SeedSchedule`]; which worker
@@ -985,17 +973,16 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial() {
-        // Exhaustive thread sweep: every pool size — including more
-        // workers than trials — must reproduce the serial result bit for
-        // bit.
+        // Exhaustive thread sweep: every pool size — the host default and
+        // more workers than trials included — must reproduce the inline
+        // result bit for bit.
         let target = Target::sqrt_iswap(CouplingMap::line(4));
         let c = consolidate(&two_local_full(4, 1, 9));
         let mut serial_opts = TrialOptions::quick(Metric::SwapCount, 5);
-        serial_opts.parallel = false;
+        serial_opts.threads = 1;
         let a = best_route(&c, &target, false, &serial_opts);
-        for threads in [1, 2, 4, 8] {
+        for threads in [0, 2, 4, 8] {
             let mut parallel_opts = serial_opts.clone();
-            parallel_opts.parallel = true;
             parallel_opts.threads = threads;
             let b = best_route(&c, &target, false, &parallel_opts);
             assert_eq!(
@@ -1017,11 +1004,11 @@ mod tests {
         let mut opts = TrialOptions::quick(Metric::EstimatedSuccess, 5);
         opts.strategy_mix = [0.4, 0.2, 0.2, 0.2];
         opts.layout_trials = 5;
+        opts.threads = 1;
         let engine = TrialEngine::new(&c, &target);
         let serial = engine.run_detailed(true, &opts).unwrap();
         assert_eq!(serial.candidates, 5 * opts.routing_trials);
-        for threads in [1, 2, 4, 8] {
-            opts.parallel = true;
+        for threads in [0, 2, 4, 8] {
             opts.threads = threads;
             let parallel = engine.run_detailed(true, &opts).unwrap();
             assert_eq!(serial.best.circuit, parallel.best.circuit);

@@ -34,9 +34,9 @@
 //!   bit-identical at every thread count (pre-split seeds, fixed
 //!   reduction order — see [`mirage_core::trials::TrialOptions`]), so the
 //!   same job produces the same routed circuit whether the pool has 1
-//!   worker or 16, whether `trials.parallel` is on or off, and regardless
-//!   of completion order, which lane it rode, or how many other jobs
-//!   panicked around it.
+//!   worker or 16, whether its trials run inline or on every core, and
+//!   regardless of completion order, which lane it rode, or how many
+//!   other jobs panicked around it.
 //! * The service is **long-lived**: [`TranspileService::swap_calibration`]
 //!   hot-swaps the device calibration on the shared target between jobs —
 //!   validation and publishing the calibration with its generation as one
@@ -131,7 +131,7 @@ pub struct TranspileJob {
     /// The circuit to transpile.
     pub circuit: Circuit,
     /// Full transpilation options. The trial seed inside is overridden by
-    /// [`TranspileJob::seed`]; `trials.parallel` is honored as-is — the
+    /// [`TranspileJob::seed`]; `trials.threads` is honored as-is — the
     /// trial engine is thread-count-invariant, so in-job parallelism never
     /// changes the result (see [`TranspileService`]).
     pub options: TranspileOptions,
@@ -729,7 +729,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// enforce the job's deadline, run it under its own seed (inside
 /// `catch_unwind`, so a panicking transpile fails only its own job), and
 /// deliver exactly one terminal result per job via [`Delivery`]. The
-/// job's `trials.parallel` setting is honored: determinism comes from the
+/// job's `trials.threads` setting is honored: determinism comes from the
 /// trial engine's seed pre-split and fixed reduction order, not from
 /// forcing jobs single-threaded.
 fn worker_loop(worker: usize, ctx: &WorkerContext) {
@@ -847,13 +847,13 @@ mod tests {
         // Sweep both axes of concurrency: worker-pool size AND in-job
         // trial parallelism. Every combination must produce the same
         // batch, bit for bit.
-        let run = |workers: usize, in_job_parallel: bool| {
+        let run = |workers: usize, in_job_threads: usize| {
             let target = Arc::new(Target::sqrt_iswap(CouplingMap::grid(2, 3)));
             let service = TranspileService::new(target, workers);
             let jobs = test_batch()
                 .into_iter()
                 .map(|mut job| {
-                    job.options.trials.parallel = in_job_parallel;
+                    job.options.trials.threads = in_job_threads;
                     job
                 })
                 .collect();
@@ -863,13 +863,13 @@ mod tests {
                 .map(|r| r.outcome.expect("job succeeds").circuit)
                 .collect::<Vec<_>>()
         };
-        let reference = run(1, false);
+        let reference = run(1, 1);
         for workers in [1, 4] {
-            for in_job_parallel in [false, true] {
+            for in_job_threads in [1, 0] {
                 assert_eq!(
                     reference,
-                    run(workers, in_job_parallel),
-                    "{workers} workers (in-job parallel: {in_job_parallel}) \
+                    run(workers, in_job_threads),
+                    "{workers} workers (in-job threads: {in_job_threads}) \
                      must not change results"
                 );
             }
@@ -880,10 +880,10 @@ mod tests {
     fn big_job_parallel_trials_match_serial_fingerprint() {
         // One big job — QFT-64 on an 8×8 grid — with in-job trial
         // parallelism on must reproduce the serial run's fingerprint
-        // exactly. This is the case the old worker-level
-        // `trials.parallel = false` override existed to protect; the
-        // trial engine now guarantees it at any thread count.
-        let run = |parallel: bool, threads: usize| {
+        // exactly. This is the case the old worker-level single-thread
+        // override existed to protect; the trial engine now guarantees it
+        // at any thread count.
+        let run = |threads: usize| {
             let target = Arc::new(Target::sqrt_iswap(CouplingMap::grid(8, 8)));
             let service = TranspileService::new(target, 1);
             let mut options = TranspileOptions::quick(RouterKind::Mirage, 0x64);
@@ -891,7 +891,6 @@ mod tests {
             options.trials.layout_trials = 2;
             options.trials.routing_trials = 1;
             options.trials.fwd_bwd_iters = 1;
-            options.trials.parallel = parallel;
             options.trials.threads = threads;
             let job = TranspileJob::new("qft-64", qft(64, false), options);
             let results = service.run_batch(vec![job]).unwrap();
@@ -903,10 +902,10 @@ mod tests {
                 .expect("qft-64 routes");
             out.circuit.fingerprint()
         };
-        let serial = run(false, 0);
+        let serial = run(1);
         assert_eq!(
             serial,
-            run(true, 2),
+            run(2),
             "2-thread in-job parallelism must match the serial fingerprint"
         );
     }

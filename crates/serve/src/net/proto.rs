@@ -37,7 +37,11 @@ use mirage_core::{RouterKind, TranspileOptions};
 /// retrying client can verify it is reading answers for *its* job even
 /// after duplicated or replayed request frames, and `Failed` can report
 /// [`FailureKind::WorkerPanicked`].
-pub const PROTO_VERSION: u8 = 2;
+///
+/// v3 (one trial control): [`WireOptions`] drops the `parallel` flag;
+/// `threads` alone sets the server-side trial workers (0 = every core,
+/// 1 = inline).
+pub const PROTO_VERSION: u8 = 3;
 
 /// Why a message could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -244,10 +248,9 @@ pub struct WireOptions {
     pub fwd_bwd_iters: u32,
     /// Try a VF2 embedding first and skip routing when one exists.
     pub use_vf2: bool,
-    /// Fan layout trials across threads server-side (bit-identical at
-    /// any thread count, so this is purely a latency knob).
-    pub parallel: bool,
-    /// Worker threads when `parallel` (0 = host parallelism).
+    /// Server-side layout-trial workers: 0 = host parallelism, 1 =
+    /// inline on the job's worker. Bit-identical at any count, so this is
+    /// purely a latency knob.
     pub threads: u32,
 }
 
@@ -267,7 +270,6 @@ impl WireOptions {
             routing_trials: options.trials.routing_trials as u32,
             fwd_bwd_iters: options.trials.fwd_bwd_iters as u32,
             use_vf2: options.use_vf2,
-            parallel: options.trials.parallel,
             threads: options.trials.threads as u32,
         }
     }
@@ -285,7 +287,6 @@ impl WireOptions {
         options.trials.routing_trials = self.routing_trials as usize;
         options.trials.fwd_bwd_iters = self.fwd_bwd_iters as usize;
         options.use_vf2 = self.use_vf2;
-        options.trials.parallel = self.parallel;
         options.trials.threads = self.threads as usize;
         options
     }
@@ -300,7 +301,6 @@ impl WireOptions {
         w.u32(self.routing_trials);
         w.u32(self.fwd_bwd_iters);
         w.bool(self.use_vf2);
-        w.bool(self.parallel);
         w.u32(self.threads);
     }
 
@@ -315,7 +315,6 @@ impl WireOptions {
             routing_trials: r.u32("routing_trials")?,
             fwd_bwd_iters: r.u32("fwd_bwd_iters")?,
             use_vf2: r.bool("use_vf2")?,
-            parallel: r.bool("parallel")?,
             threads: r.u32("threads")?,
         })
     }

@@ -255,7 +255,6 @@ fn parse_common(flags: &Flags) -> Result<CommonSetup, String> {
     let mut opts = TranspileOptions::quick(router, seed);
     opts.trials.layout_trials = trials;
     opts.trials.routing_trials = trials;
-    opts.trials.parallel = true;
     opts.trials.strategy_mix = strategy_mix;
     if let Some(metric) = metric {
         opts = opts.with_metric(metric);
@@ -561,7 +560,6 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
     let mut wire = WireOptions::quick(router);
     wire.layout_trials = trials;
     wire.routing_trials = trials;
-    wire.parallel = true;
     match flag(&flags, "metric") {
         None => {}
         Some("depth") => wire.metric = Some(Metric::Depth),

@@ -176,8 +176,9 @@ const TRIALS_KINDS: [TrialsKind; 3] = [
 ];
 
 /// Thread count for golden trial runs: `MIRAGE_TEST_THREADS=<n>` runs the
-/// trial engine in parallel with `n` workers (CI runs the suite both ways
-/// to gate pool-size invariance); unset runs it serially.
+/// trial engine with `n` workers, `1` being the inline path (CI runs the
+/// suite at 1, 4 and unset to gate pool-size invariance); unset keeps the
+/// default, every core.
 fn env_threads() -> Option<usize> {
     std::env::var("MIRAGE_TEST_THREADS")
         .ok()
@@ -186,8 +187,8 @@ fn env_threads() -> Option<usize> {
 
 /// One full trial-engine run (layout strategies, refinement, routing
 /// trials, SWAP absorption, post-selection). `threads: None` obeys
-/// `MIRAGE_TEST_THREADS` (serial by default); `Some(n)` forces an
-/// `n`-thread parallel run. Every choice must produce the same pinned
+/// `MIRAGE_TEST_THREADS` (every core by default); `Some(n)` forces an
+/// `n`-worker run. Every choice must produce the same pinned
 /// fingerprint — that is the engine's determinism contract.
 fn trials_case_threaded(topo: &Topo, kind: TrialsKind, threads: Option<usize>) -> Case {
     let (_, metric, calibrated) = kind;
@@ -196,7 +197,6 @@ fn trials_case_threaded(topo: &Topo, kind: TrialsKind, threads: Option<usize>) -
     let engine = TrialEngine::new(&cc, &target);
     let mut opts = trials_opts(topo, metric);
     if let Some(n) = threads.or_else(env_threads) {
-        opts.parallel = true;
         opts.threads = n;
     }
     let outcome = engine.run_detailed(true, &opts).expect("valid mix");
@@ -262,8 +262,8 @@ fn trials_fingerprints_invariant_across_thread_counts() {
                 assert_eq!(
                     (case.fingerprint, case.swaps, case.mirrors),
                     (g_fp, g_swaps, g_mirrors),
-                    "{label} @ {threads} threads: parallel run drifted from the \
-                     pinned serial fingerprint (got 0x{:016X}, {} swaps, {} mirrors)",
+                    "{label} @ {threads} threads: run drifted from the \
+                     pinned fingerprint (got 0x{:016X}, {} swaps, {} mirrors)",
                     case.fingerprint,
                     case.swaps,
                     case.mirrors
@@ -354,7 +354,6 @@ fn calibration_swap_mid_job_matches_fresh_target_at_every_thread_count() {
         let target = target_for(topo, true); // calibration A (skewed, cal_seed)
         let engine = TrialEngine::new(&cc, &target);
         let mut opts = trials_opts(topo, Metric::EstimatedSuccess);
-        opts.parallel = true;
         opts.threads = threads;
         // Warm run under A: fills the shared cache — and must still match
         // the pinned golden.
@@ -600,7 +599,6 @@ fn calibrated_grid() -> Target {
 fn paper_opts(seed: u64) -> TranspileOptions {
     let mut opts = TranspileOptions::quick(RouterKind::Mirage, seed);
     if let Some(n) = env_threads() {
-        opts.trials.parallel = true;
         opts.trials.threads = n;
     }
     opts
@@ -699,7 +697,6 @@ fn candidate_runs() -> (u64, usize) {
     for (circuit, target, metric, seed) in &runs {
         let mut opts = TrialOptions::quick(*metric, *seed);
         if let Some(n) = env_threads() {
-            opts.parallel = true;
             opts.threads = n;
         }
         let run = TrialEngine::new(circuit, target)

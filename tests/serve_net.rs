@@ -171,7 +171,7 @@ fn sample_submit(label: &str, qasm: &str, seed: u64) -> SubmitRequest {
 }
 
 /// The wire options every loopback test runs under: small trial counts,
-/// VF2 off (so routing actually runs), parallelism from
+/// VF2 off (so routing actually runs), trial workers from
 /// `MIRAGE_TEST_THREADS` exactly like the golden-routing suite.
 fn quick_wire() -> WireOptions {
     let mut wire = WireOptions::quick(RouterKind::Mirage);
@@ -179,7 +179,6 @@ fn quick_wire() -> WireOptions {
     wire.routing_trials = 2;
     wire.use_vf2 = false;
     if let Some(threads) = env_threads() {
-        wire.parallel = true;
         wire.threads = threads as u32;
     }
     wire
@@ -187,7 +186,8 @@ fn quick_wire() -> WireOptions {
 
 /// Thread count for in-job parallelism: `MIRAGE_TEST_THREADS=<n>` runs
 /// every loopback job's trial engine with `n` workers (CI runs the suite
-/// both ways to gate thread-count invariance); unset runs it serially.
+/// at 4 and unset to gate thread-count invariance); unset keeps the
+/// default, every core.
 fn env_threads() -> Option<usize> {
     std::env::var("MIRAGE_TEST_THREADS")
         .ok()
@@ -198,13 +198,16 @@ fn env_threads() -> Option<usize> {
 fn envelope_decode_failures_are_typed() {
     let submit = Request::Submit(sample_submit("x", "OPENQASM 2.0;\n", 1)).encode();
 
-    // Foreign version byte.
-    let mut wrong_version = submit.clone();
-    wrong_version[0] = 9;
-    assert_eq!(
-        Request::decode(&wrong_version),
-        Err(ProtoError::UnsupportedVersion(9))
-    );
+    // Foreign version bytes: a future one and the previous one (v2 still
+    // carried the `parallel` flag, so its field order differs).
+    for version in [9, 2] {
+        let mut wrong_version = submit.clone();
+        wrong_version[0] = version;
+        assert_eq!(
+            Request::decode(&wrong_version),
+            Err(ProtoError::UnsupportedVersion(version))
+        );
+    }
 
     // Unknown message tag.
     let mut bad_tag = submit.clone();
