@@ -3,9 +3,16 @@
 //!
 //! Times the optimized, scratch-reusing router
 //! ([`mirage_core::router::route_with_scratch`]) on the QFT family
-//! (n = 16 … 64, line topology, seed `0x1313`) plus a two_local suite,
-//! best-of-3 wall times, and emits the machine-readable
+//! (n = 16 … 64, line topology, trivial layout, seed `0x1313`) plus a
+//! two_local suite, best-of-3 wall times, and emits the machine-readable
 //! `BENCH_routing.json` that future PRs are held against.
+//!
+//! The line cases start from the trivial layout, so they insert only
+//! 0–63 SWAPs and time mostly the execute layer and the mirror decision.
+//! The `grid6x6-*` and `heavyhex5-*` cases start from a random layout
+//! (drawn from the route seed) on the paper's two Fig. 12 devices, under
+//! A2 and plain SABRE: there the SWAP-step kernel (candidate build and
+//! scoring) dominates the route time, as it does inside the trial engine.
 //!
 //! One hard gate (nonzero exit on failure): **pinned fingerprints** —
 //! every case's routed-circuit fingerprint, SWAP count, and mirror count
@@ -46,6 +53,26 @@ const SANITY: &[(&str, Sanity)] = &[
     ("twolocal-full-12", (0xF1F44696F4BB94A2, 7, 127)),
     ("twolocal-full-16", (0xCE22E0695E2D8363, 3, 237)),
     ("twolocal-linear-24", (0x551A34CDC86E5D27, 0, 1)),
+    ("grid6x6-qft-32-a2", (0x93D88B3590BD892C, 325, 216)),
+    ("grid6x6-qft-32-sabre", (0xA6D818A13635BEE5, 501, 0)),
+    (
+        "grid6x6-twolocal-full-24-a2",
+        (0x4462FF674A3035E5, 292, 292),
+    ),
+    (
+        "grid6x6-twolocal-full-24-sabre",
+        (0x40768798D8914CFB, 539, 0),
+    ),
+    ("heavyhex5-qft-32-a2", (0xEE58FEFFFF7038D6, 736, 239)),
+    ("heavyhex5-qft-32-sabre", (0x7BC2AA0048BACE59, 934, 0)),
+    (
+        "heavyhex5-twolocal-full-24-a2",
+        (0x1D142E944FDEF8E0, 719, 310),
+    ),
+    (
+        "heavyhex5-twolocal-full-24-sabre",
+        (0xF0C98A553ADA72E9, 973, 0),
+    ),
 ];
 
 const CLI: Cli = Cli {
@@ -55,27 +82,117 @@ const CLI: Cli = Cli {
     valued: &[],
 };
 
-/// The benchmark circuits, each routed on a line as wide as itself;
-/// `--quick` keeps qft-32 only.
-fn cases(quick: bool) -> Vec<(&'static str, Circuit)> {
+/// One benchmark case: a circuit, the device it is routed on, the router
+/// (`None` = plain SABRE) and whether routing starts from a random layout
+/// (drawn from the route seed) instead of the trivial one.
+struct Case {
+    name: &'static str,
+    circuit: Circuit,
+    topo: CouplingMap,
+    aggression: Option<Aggression>,
+    random_layout: bool,
+}
+
+/// A line-routed case: as wide as its circuit, trivial layout, A2.
+fn line(name: &'static str, circuit: Circuit) -> Case {
+    Case {
+        name,
+        topo: CouplingMap::line(circuit.n_qubits),
+        circuit,
+        aggression: Some(Aggression::A2),
+        random_layout: false,
+    }
+}
+
+/// A random-layout case on one of the paper's Fig. 12 devices.
+fn device(
+    name: &'static str,
+    circuit: Circuit,
+    topo: CouplingMap,
+    aggression: Option<Aggression>,
+) -> Case {
+    Case {
+        name,
+        circuit,
+        topo,
+        aggression,
+        random_layout: true,
+    }
+}
+
+/// The benchmark cases; `--quick` keeps qft-32 and the random-layout
+/// grid qft-32 under A2.
+fn cases(quick: bool) -> Vec<Case> {
+    let a2 = Some(Aggression::A2);
     let cases = vec![
-        ("qft-16", qft(16, false)),
-        ("qft-24", qft(24, false)),
-        ("qft-32", qft(32, false)),
-        ("qft-48", qft(48, false)),
-        ("qft-64", qft(64, false)),
-        ("twolocal-full-12", two_local_full(12, 2, 0xB12)),
-        ("twolocal-full-16", two_local_full(16, 2, 0xB16)),
-        ("twolocal-linear-24", two_local_linear(24, 4, 0xB24)),
+        line("qft-16", qft(16, false)),
+        line("qft-24", qft(24, false)),
+        line("qft-32", qft(32, false)),
+        line("qft-48", qft(48, false)),
+        line("qft-64", qft(64, false)),
+        line("twolocal-full-12", two_local_full(12, 2, 0xB12)),
+        line("twolocal-full-16", two_local_full(16, 2, 0xB16)),
+        line("twolocal-linear-24", two_local_linear(24, 4, 0xB24)),
+        device(
+            "grid6x6-qft-32-a2",
+            qft(32, false),
+            CouplingMap::grid(6, 6),
+            a2,
+        ),
+        device(
+            "grid6x6-qft-32-sabre",
+            qft(32, false),
+            CouplingMap::grid(6, 6),
+            None,
+        ),
+        device(
+            "grid6x6-twolocal-full-24-a2",
+            two_local_full(24, 2, 0xB24),
+            CouplingMap::grid(6, 6),
+            a2,
+        ),
+        device(
+            "grid6x6-twolocal-full-24-sabre",
+            two_local_full(24, 2, 0xB24),
+            CouplingMap::grid(6, 6),
+            None,
+        ),
+        device(
+            "heavyhex5-qft-32-a2",
+            qft(32, false),
+            CouplingMap::heavy_hex(5),
+            a2,
+        ),
+        device(
+            "heavyhex5-qft-32-sabre",
+            qft(32, false),
+            CouplingMap::heavy_hex(5),
+            None,
+        ),
+        device(
+            "heavyhex5-twolocal-full-24-a2",
+            two_local_full(24, 2, 0xB24),
+            CouplingMap::heavy_hex(5),
+            a2,
+        ),
+        device(
+            "heavyhex5-twolocal-full-24-sabre",
+            two_local_full(24, 2, 0xB24),
+            CouplingMap::heavy_hex(5),
+            None,
+        ),
     ];
     cases
         .into_iter()
-        .filter(|&(name, _)| !quick || name == "qft-32")
+        .filter(|c| !quick || c.name == "qft-32" || c.name == "grid6x6-qft-32-a2")
         .collect()
 }
 
 struct Measured {
     name: &'static str,
+    topology: String,
+    router: &'static str,
+    random_layout: bool,
     n_qubits: usize,
     twoq_gates: usize,
     optimized_ms: f64,
@@ -102,6 +219,9 @@ impl Measured {
     fn json(&self) -> Json {
         let mut fields = vec![
             ("name", self.name.into()),
+            ("topology", self.topology.as_str().into()),
+            ("router", self.router.into()),
+            ("random_layout", self.random_layout.into()),
             ("n_qubits", self.n_qubits.into()),
             ("twoq_gates", self.twoq_gates.into()),
             ("optimized_ms", num(self.optimized_ms, 3)),
@@ -120,35 +240,48 @@ fn route_optimized(
     coords: &[Option<mirage_weyl::coords::WeylCoord>],
     target: &Target,
     config: &RouterConfig,
+    random_layout: bool,
     scratch: &mut RouterScratch,
 ) -> RoutedCircuit {
     let mut rng = Rng::new(ROUTE_SEED);
-    let layout = Layout::trivial(dag.n_qubits, target.n_qubits());
+    let layout = if random_layout {
+        Layout::random(dag.n_qubits, target.n_qubits(), &mut rng)
+    } else {
+        Layout::trivial(dag.n_qubits, target.n_qubits())
+    };
     route_with_scratch(dag, coords, target, layout, config, &mut rng, scratch)
 }
 
-fn measure((name, circuit): &(&'static str, Circuit)) -> Measured {
-    let cc = consolidate(circuit);
+fn measure(case: &Case) -> Measured {
+    let cc = consolidate(&case.circuit);
     let dag = Dag::from_circuit(&cc);
     let coords = node_coords(&dag);
-    let target = Target::sqrt_iswap(CouplingMap::line(circuit.n_qubits));
+    let target = Target::sqrt_iswap(case.topo.clone());
     let config = RouterConfig {
-        aggression: Some(Aggression::A2),
+        aggression: case.aggression,
         ..RouterConfig::default()
     };
     let mut scratch = RouterScratch::new();
+    let route = |scratch: &mut RouterScratch| {
+        route_optimized(&dag, &coords, &target, &config, case.random_layout, scratch)
+    };
 
     // Warm-up pass: fills the target's cost cache and sizes the scratch, so
     // the timed runs are steady-state; its output feeds the fingerprint pin.
-    let routed = route_optimized(&dag, &coords, &target, &config, &mut scratch);
+    let routed = route(&mut scratch);
 
-    let optimized_ms = report::best_ms(BEST_OF, || {
-        route_optimized(&dag, &coords, &target, &config, &mut scratch)
-    });
+    let optimized_ms = report::best_ms(BEST_OF, || route(&mut scratch));
 
     Measured {
-        name,
-        n_qubits: circuit.n_qubits,
+        name: case.name,
+        topology: case.topo.name().to_owned(),
+        router: if case.aggression.is_some() {
+            "A2"
+        } else {
+            "sabre"
+        },
+        random_layout: case.random_layout,
+        n_qubits: case.circuit.n_qubits,
         twoq_gates: cc.two_qubit_gate_count(),
         optimized_ms,
         swaps: routed.swaps_inserted,
@@ -161,7 +294,8 @@ fn measure((name, circuit): &(&'static str, Circuit)) -> Measured {
 fn main() -> ExitCode {
     let args = CLI.parse_env();
     println!(
-        "routing_runtime — line topology, A2, best-of-{BEST_OF} ({})\n",
+        "routing_runtime — line (trivial layout, A2) and Fig. 12 devices \
+         (random layout, A2 and SABRE), best-of-{BEST_OF} ({})\n",
         args.mode()
     );
 
@@ -179,8 +313,6 @@ fn main() -> ExitCode {
     let mut verdict = Verdict::default();
     verdict.pins("SANITY", SANITY, &pins);
     let config = Json::Obj(vec![
-        ("topology", "line".into()),
-        ("aggression", "A2".into()),
         ("seed", ROUTE_SEED.into()),
         ("best_of", BEST_OF.into()),
     ]);

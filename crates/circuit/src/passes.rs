@@ -10,18 +10,49 @@ use mirage_math::{Mat2, Mat4};
 /// Remove gates that are (numerically) the identity: `RZ(0)`, `Phase(0)`,
 /// identity `Unitary1`/`Unitary2` blocks, and friends.
 pub fn remove_identities(c: &Circuit) -> Circuit {
-    let out = c
-        .instructions
-        .iter()
-        .filter(|instr| match &instr.gate {
-            g if g.is_two_qubit() => !g.matrix2().approx_eq_up_to_phase(&Mat4::identity(), 1e-10),
-            g => !g.matrix1().approx_eq_up_to_phase(&Mat2::identity(), 1e-10),
-        })
-        .cloned()
-        .collect();
     Circuit {
         n_qubits: c.n_qubits,
-        instructions: out,
+        instructions: without_identities(c),
+    }
+}
+
+/// The instructions of `c` that are not (numerically) the identity.
+fn without_identities(c: &Circuit) -> Vec<Instruction> {
+    c.instructions
+        .iter()
+        .filter(|instr| !is_identity(&instr.gate))
+        .cloned()
+        .collect()
+}
+
+/// True for the gates without parameters: each has one fixed matrix.
+fn is_fixed(g: &Gate) -> bool {
+    matches!(
+        g,
+        Gate::H
+            | Gate::X
+            | Gate::Y
+            | Gate::Z
+            | Gate::S
+            | Gate::Sdg
+            | Gate::T
+            | Gate::Tdg
+            | Gate::Cx
+            | Gate::Cz
+            | Gate::Swap
+            | Gate::ISwap
+    )
+}
+
+/// True when `g` is the identity up to global phase (tolerance 1e-10).
+/// No fixed gate is, so only parameterized gates build their matrix.
+fn is_identity(g: &Gate) -> bool {
+    if is_fixed(g) {
+        false
+    } else if g.is_two_qubit() {
+        g.matrix2().approx_eq_up_to_phase(&Mat4::identity(), 1e-10)
+    } else {
+        g.matrix1().approx_eq_up_to_phase(&Mat2::identity(), 1e-10)
     }
 }
 
@@ -29,32 +60,39 @@ pub fn remove_identities(c: &Circuit) -> Circuit {
 /// `T·T†`, …), repeating until a fixpoint. Gates must be *immediately*
 /// adjacent on all of their wires for cancellation.
 pub fn cancel_adjacent_inverses(c: &Circuit) -> Circuit {
-    let mut instrs: Vec<Option<Instruction>> = c.instructions.iter().cloned().map(Some).collect();
+    Circuit {
+        n_qubits: c.n_qubits,
+        instructions: cancel_inverses(c.instructions.clone(), c.n_qubits),
+    }
+}
+
+/// [`cancel_adjacent_inverses`] on an owned instruction list over
+/// `n_qubits` wires: each pass marks cancelled pairs dead in place, and
+/// the survivors are compacted once at the fixpoint.
+fn cancel_inverses(instrs: Vec<Instruction>, n_qubits: usize) -> Vec<Instruction> {
+    let mut alive = vec![true; instrs.len()];
+    let mut last_on_wire: Vec<Option<usize>> = vec![None; n_qubits];
     loop {
         let mut changed = false;
-        let mut last_on_wire: Vec<Option<usize>> = vec![None; c.n_qubits];
-        for i in 0..instrs.len() {
-            let Some(instr) = instrs[i].clone() else {
+        last_on_wire.fill(None);
+        for (i, instr) in instrs.iter().enumerate() {
+            if !alive[i] {
                 continue;
-            };
+            }
             // Previous instruction index if it is the same on every wire.
-            let prevs: Vec<Option<usize>> = instr.qubits.iter().map(|&q| last_on_wire[q]).collect();
-            let same_prev = prevs
-                .first()
-                .copied()
-                .flatten()
-                .filter(|&p| prevs.iter().all(|&x| x == Some(p)));
+            let first = instr.qubits.first().and_then(|&q| last_on_wire[q]);
+            let same_prev =
+                first.filter(|_| instr.qubits.iter().all(|&q| last_on_wire[q] == first));
             if let Some(p) = same_prev {
-                if let Some(prev) = instrs[p].clone() {
-                    if prev.qubits == instr.qubits && cancels(&prev.gate, &instr.gate) {
-                        instrs[p] = None;
-                        instrs[i] = None;
-                        changed = true;
-                        for &q in &instr.qubits {
-                            last_on_wire[q] = None;
-                        }
-                        continue;
+                let prev = &instrs[p];
+                if alive[p] && prev.qubits == instr.qubits && cancels(&prev.gate, &instr.gate) {
+                    alive[p] = false;
+                    alive[i] = false;
+                    changed = true;
+                    for &q in &instr.qubits {
+                        last_on_wire[q] = None;
                     }
+                    continue;
                 }
             }
             for &q in &instr.qubits {
@@ -65,16 +103,22 @@ pub fn cancel_adjacent_inverses(c: &Circuit) -> Circuit {
             break;
         }
     }
-    Circuit {
-        n_qubits: c.n_qubits,
-        instructions: instrs.into_iter().flatten().collect(),
-    }
+    instrs
+        .into_iter()
+        .zip(alive)
+        .filter_map(|(instr, alive)| alive.then_some(instr))
+        .collect()
 }
 
-/// True when `b` undoes `a` on identical operand order.
+/// True when `b` undoes `a` on identical operand order. Two fixed gates
+/// cancel exactly when one is the other's [`Gate::inverse`], so only
+/// parameterized gates multiply matrices.
 fn cancels(a: &Gate, b: &Gate) -> bool {
     if a.arity() != b.arity() {
         return false;
+    }
+    if is_fixed(a) && is_fixed(b) {
+        return a.inverse() == *b;
     }
     if a.is_two_qubit() {
         a.matrix2()
@@ -90,9 +134,18 @@ fn cancels(a: &Gate, b: &Gate) -> bool {
 /// Merge runs of equal-axis rotations on a wire: `RZ(a)·RZ(b) → RZ(a+b)`
 /// (likewise RX/RY/Phase), dropping merged gates that reach the identity.
 pub fn merge_rotations(c: &Circuit) -> Circuit {
-    let mut out: Vec<Instruction> = Vec::with_capacity(c.instructions.len());
-    let mut last_on_wire: Vec<Option<usize>> = vec![None; c.n_qubits];
-    for instr in &c.instructions {
+    Circuit {
+        n_qubits: c.n_qubits,
+        instructions: merge_runs(c.instructions.clone(), c.n_qubits),
+    }
+}
+
+/// [`merge_rotations`] on an owned instruction list over `n_qubits`
+/// wires (instructions move, never clone).
+fn merge_runs(instrs: Vec<Instruction>, n_qubits: usize) -> Vec<Instruction> {
+    let mut out: Vec<Instruction> = Vec::with_capacity(instrs.len());
+    let mut last_on_wire: Vec<Option<usize>> = vec![None; n_qubits];
+    for instr in instrs {
         if instr.qubits.len() == 1 {
             let q = instr.qubits[0];
             if let Some(p) = last_on_wire[q] {
@@ -102,31 +155,24 @@ pub fn merge_rotations(c: &Circuit) -> Circuit {
                 }
             }
             last_on_wire[q] = Some(out.len());
-            out.push(instr.clone());
+            out.push(instr);
         } else {
             for &q in &instr.qubits {
                 last_on_wire[q] = None;
             }
-            out.push(instr.clone());
+            out.push(instr);
         }
     }
     // Drop rotations that merged to zero.
-    let kept = out
-        .into_iter()
-        .filter(|i| match i.gate {
-            Gate::Rx(t) | Gate::Ry(t) | Gate::Rz(t) | Gate::Phase(t) => {
-                mirage_math::wrap_mod(t, std::f64::consts::TAU).abs() > 1e-12
-                    && (mirage_math::wrap_mod(t, std::f64::consts::TAU) - std::f64::consts::TAU)
-                        .abs()
-                        > 1e-12
-            }
-            _ => true,
-        })
-        .collect();
-    Circuit {
-        n_qubits: c.n_qubits,
-        instructions: kept,
-    }
+    out.retain(|i| match i.gate {
+        Gate::Rx(t) | Gate::Ry(t) | Gate::Rz(t) | Gate::Phase(t) => {
+            mirage_math::wrap_mod(t, std::f64::consts::TAU).abs() > 1e-12
+                && (mirage_math::wrap_mod(t, std::f64::consts::TAU) - std::f64::consts::TAU).abs()
+                    > 1e-12
+        }
+        _ => true,
+    });
+    out
 }
 
 fn merge_pair(a: &Gate, b: &Gate) -> Option<Gate> {
@@ -175,13 +221,16 @@ pub fn elide_swaps(c: &Circuit) -> (Circuit, Vec<usize>) {
 /// because it changes the output permutation; the pipeline calls it
 /// explicitly.
 pub fn clean(c: &Circuit) -> Circuit {
-    let mut cur = remove_identities(c);
+    let mut cur = without_identities(c);
     loop {
-        let next = cancel_adjacent_inverses(&merge_rotations(&cur));
-        if next.instructions.len() == cur.instructions.len() {
-            return next;
+        let len = cur.len();
+        cur = cancel_inverses(merge_runs(cur, c.n_qubits), c.n_qubits);
+        if cur.len() == len {
+            return Circuit {
+                n_qubits: c.n_qubits,
+                instructions: cur,
+            };
         }
-        cur = next;
     }
 }
 
@@ -313,6 +362,166 @@ mod tests {
         let out = clean(&c);
         assert_eq!(out.instructions.len(), 1);
         assert_eq!(out.instructions[0].gate, Gate::T);
+    }
+
+    /// Every fixed gate, with a matrix built only to check the fast paths.
+    const FIXED: [Gate; 12] = [
+        Gate::H,
+        Gate::X,
+        Gate::Y,
+        Gate::Z,
+        Gate::S,
+        Gate::Sdg,
+        Gate::T,
+        Gate::Tdg,
+        Gate::Cx,
+        Gate::Cz,
+        Gate::Swap,
+        Gate::ISwap,
+    ];
+
+    #[test]
+    fn fixed_gate_fast_paths_agree_with_matrices() {
+        for a in &FIXED {
+            assert!(is_fixed(a));
+            let identity = if a.is_two_qubit() {
+                a.matrix2().approx_eq_up_to_phase(&Mat4::identity(), 1e-10)
+            } else {
+                a.matrix1().approx_eq_up_to_phase(&Mat2::identity(), 1e-10)
+            };
+            assert!(!identity, "{a:?} is the identity");
+            for b in FIXED.iter().filter(|b| b.arity() == a.arity()) {
+                let by_matrix = if a.is_two_qubit() {
+                    a.matrix2()
+                        .mul(&b.matrix2())
+                        .approx_eq_up_to_phase(&Mat4::identity(), 1e-10)
+                } else {
+                    a.matrix1()
+                        .mul(&b.matrix1())
+                        .approx_eq_up_to_phase(&Mat2::identity(), 1e-10)
+                };
+                assert_eq!(cancels(a, b), by_matrix, "{a:?} then {b:?}");
+            }
+        }
+    }
+
+    /// A seeded circuit full of input-cleaning work: every gate kind, angles
+    /// at and near the identity (0, ±2π, 4π, ±1e-12), immediate inverse
+    /// pairs on equal and swapped operands, and identity unitaries.
+    fn messy_circuit(n: usize, len: usize, seed: u64) -> Circuit {
+        use std::f64::consts::{PI, TAU};
+        let mut rng = mirage_math::Rng::new(seed);
+        let angles = [0.0, TAU, -TAU, 2.0 * TAU, 1e-12, -1e-12, PI, 0.3, -0.3];
+        let mut c = Circuit::new(n);
+        for _ in 0..len {
+            let a = rng.below(n);
+            let b = (a + 1 + rng.below(n - 1)) % n;
+            let t = if rng.chance(0.5) {
+                angles[rng.below(angles.len())]
+            } else {
+                rng.uniform_range(-PI, PI)
+            };
+            let gate = match rng.below(27) {
+                0 => Gate::H,
+                1 => Gate::X,
+                2 => Gate::Y,
+                3 => Gate::Z,
+                4 => Gate::S,
+                5 => Gate::Sdg,
+                6 => Gate::T,
+                7 => Gate::Tdg,
+                8 => Gate::Rx(t),
+                9 => Gate::Ry(t),
+                10 => Gate::Rz(t),
+                11 => Gate::Phase(t),
+                12 => Gate::U3(t, if rng.chance(0.5) { 0.0 } else { t }, 0.0),
+                13 => Gate::Unitary1(if rng.chance(0.5) {
+                    Mat2::identity()
+                } else {
+                    Gate::Rz(t).matrix1()
+                }),
+                14 => Gate::Cx,
+                15 => Gate::Cz,
+                16 => Gate::Cphase(t),
+                17 => Gate::Cry(t),
+                18 => Gate::Swap,
+                19 => Gate::ISwap,
+                20 => Gate::ISwapPow(if rng.chance(0.5) { 4.0 } else { t }),
+                21 => Gate::Rxx(t),
+                22 => Gate::Ryy(t),
+                23 => Gate::Rzz(t),
+                24 => Gate::Unitary2(if rng.chance(0.5) {
+                    Mat4::identity()
+                } else {
+                    Gate::Rzz(t).matrix2()
+                }),
+                _ => Gate::Unitary2(Gate::Cx.matrix2()),
+            };
+            let qubits: Vec<usize> = if gate.is_two_qubit() {
+                vec![a, b]
+            } else {
+                vec![a]
+            };
+            let inverse = rng.chance(0.3).then(|| gate.inverse());
+            c.push(gate, &qubits);
+            if let Some(inv) = inverse {
+                if inv.is_two_qubit() && rng.chance(0.3) {
+                    c.push(inv, &[b, a]);
+                } else {
+                    c.push(inv, &qubits);
+                }
+            }
+        }
+        c
+    }
+
+    /// Input cleaning is pinned output for output: an FNV-1a fold of the
+    /// `clean` result's fingerprint over the paper suite, every generator
+    /// family, and seeded messy circuits. Any rewrite of the passes must
+    /// reproduce it exactly.
+    #[test]
+    fn clean_outputs_pinned() {
+        use crate::generators::*;
+        let mut circuits: Vec<Circuit> = paper_suite().into_iter().map(|(_, c)| c).collect();
+        circuits.extend([
+            ghz(12),
+            wstate(9),
+            bv(14, 7),
+            qft(12, false),
+            qft(12, true),
+            qft_entangled(10),
+            qpe_exact(9),
+            amplitude_estimation(8),
+            cuccaro_adder(5),
+            multiplier(2),
+            qec9xz(),
+            seca(),
+            qram(),
+            sat(),
+            portfolio_qaoa(10, 2, 7),
+            swap_test(9),
+            knn(9),
+            two_local_full(8, 2, 3),
+            two_local_linear(8, 3, 4),
+            quantum_volume(6, 6, 5),
+        ]);
+        circuits.extend((0..40).map(|seed| messy_circuit(2 + (seed as usize % 4), 60, seed)));
+        let mut h = mirage_math::hash::Fnv1a::new();
+        let mut removed = 0;
+        for c in &circuits {
+            let out = clean(c);
+            removed += c.instructions.len() - out.instructions.len();
+            h.write_u64(out.fingerprint());
+        }
+        assert!(
+            removed > 500,
+            "the sweep must give cleaning work: {removed}"
+        );
+        assert_eq!(
+            h.finish(),
+            0x6350_1105_553E_5BCA,
+            "clean outputs moved (removed {removed})"
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! # The hot path
 //!
 //! The router core runs once per refinement pass and routing trial of
-//! every layout trial (~45 times per quick MIRAGE call), and only one of
+//! every layout trial (48 times per quick MIRAGE call), and only one of
 //! those routes is ever output. So the core **routes without building a
 //! circuit**:
 //!
@@ -32,15 +32,28 @@
 //!   trace). [`route_with_scratch`] threads one through repeated calls;
 //!   [`crate::trials::TrialEngine`] gives each trial worker one for its
 //!   run.
+//! * Candidate SWAPs need **no sort**: the coupling edges incident to the
+//!   home of any front 2Q operand are marked in a `u64` bitset by edge id.
+//!   [`CouplingMap`] numbers its edges in sorted `(min, max)` order, so
+//!   walking the set bits upward visits the candidates sorted and
+//!   deduplicated — the order the seed's `BTreeSet` produced — and clears
+//!   the bitset for the next step as it goes.
 //! * Candidate SWAPs are ranked by **delta scoring**: the per-node
 //!   residual distances of the front and extended sets are computed once
-//!   per SWAP step, and each candidate re-prices only the nodes whose
-//!   operands sit on the two swapped physical qubits. The extended set is
-//!   reused across consecutive SWAP-only steps (front and `done` do not
-//!   change between them); everything else is rebuilt every step, which
-//!   at ~12 candidates and ~21 entries per step costs no more than
-//!   carrying it. Only the BFS seen-marks are epoch-stamped: clearing
-//!   them would cost O(DAG) per lookahead.
+//!   per SWAP step into packed (`u32`/`i32`) score entries, and each
+//!   candidate re-prices only the entries whose operands sit on the two
+//!   swapped physical qubits, adding each delta into a two-lane
+//!   front/extended accumulator indexed by the entry's lane (no branch).
+//!   Every distance the loop reads — scoring, the mirror lookahead's sums
+//!   — comes from the map's flat residual table
+//!   ([`CouplingMap::residual`], `distance − 1` saturating), and
+//!   adjacency from its edge-id table ([`CouplingMap::edge_id`]). The
+//!   extended set is reused across consecutive SWAP-only steps (front and
+//!   `done` do not change between them); everything else is rebuilt every
+//!   step, which at ~12 candidates and ~21 entries per step costs no more
+//!   than carrying it. The decay table is refilled only when a SWAP has
+//!   bumped it since the last reset. Only the BFS seen-marks are
+//!   epoch-stamped: clearing them would cost O(DAG) per lookahead.
 //! * The mirror decision reads a per-run [`PriceTable`]: pricing the gate
 //!   and its mirror on the executing coupler is
 //!   `class_cost[k] * edge_factor[e]`. At A0 and A3, whose acceptance
@@ -356,14 +369,20 @@ impl RouteCounts {
 }
 
 /// One scored node of the current SWAP step: its operands' physical homes
-/// and residual distance under the current layout, tagged front/extended.
+/// and residual distance under the current layout, and the accumulator
+/// lane it feeds ([`FRONT`] or [`EXTENDED`]).
 #[derive(Debug, Clone, Copy)]
 struct ScoreEntry {
-    pa: usize,
-    pb: usize,
-    dist: i64,
-    in_front: bool,
+    pa: u32,
+    pb: u32,
+    dist: i32,
+    lane: u32,
 }
+
+/// [`ScoreEntry::lane`] of an extended-set node.
+const EXTENDED: u32 = 0;
+/// [`ScoreEntry::lane`] of a front-layer node.
+const FRONT: u32 = 1;
 
 /// Reusable working storage for [`route_with_scratch`].
 ///
@@ -396,9 +415,10 @@ pub struct RouterScratch {
     queue: VecDeque<usize>,
     node_mark: Vec<u64>,
     node_epoch: u64,
-    // Per-SWAP-step candidates, score entries and the phys→entry inverted
+    // Per-SWAP-step candidate edges (one bit per edge id, cleared as the
+    // scoring walk reads them), score entries and the phys→entry inverted
     // index, all rebuilt every step.
-    candidates: Vec<(usize, usize)>,
+    candidates: Vec<u64>,
     entries: Vec<ScoreEntry>,
     touch: Vec<Vec<u32>>,
     // Score-tie buffer fed to the RNG.
@@ -417,14 +437,17 @@ impl RouterScratch {
         &self.trace
     }
 
-    /// Grow the per-node and per-qubit arrays to fit a routing problem.
-    fn prepare(&mut self, n_nodes: usize, n_phys: usize) {
+    /// Grow the per-node and per-qubit arrays to fit a routing problem,
+    /// and size the candidate bitset (all clear) to `n_edges` bits.
+    fn prepare(&mut self, n_nodes: usize, n_phys: usize, n_edges: usize) {
         if self.node_mark.len() < n_nodes {
             self.node_mark.resize(n_nodes, 0);
         }
         if self.touch.len() < n_phys {
             self.touch.resize_with(n_phys, Vec::new);
         }
+        self.candidates.clear();
+        self.candidates.resize(n_edges.div_ceil(64), 0);
     }
 }
 
@@ -488,6 +511,13 @@ fn swapped_home(x: usize, p1: usize, p2: usize) -> usize {
     }
 }
 
+/// [`CouplingMap::residual`] as the scorers add it up: finite on the
+/// connected maps a route can finish on, so it fits `i32`.
+#[inline]
+fn residual(topo: &CouplingMap, a: usize, b: usize) -> i32 {
+    topo.residual(a, b) as i32
+}
+
 /// One pass over `ids`: the summed residual distances (hops beyond
 /// adjacency) of their 2Q nodes under `layout`, plus the delta that
 /// swapping the occupants of `p1`/`p2` would apply — accumulated only over
@@ -511,14 +541,11 @@ fn sum_and_swap_delta(
             continue;
         }
         let (pa, pb) = dag.homes(nid, layout);
-        let d = i64::from(topo.distance(pa, pb).saturating_sub(1));
-        sum += d;
+        let d = residual(topo, pa, pb);
+        sum += i64::from(d);
         if pa == p1 || pa == p2 || pb == p1 || pb == p2 {
-            let dm = i64::from(
-                topo.distance(swapped_home(pa, p1, p2), swapped_home(pb, p1, p2))
-                    .saturating_sub(1),
-            );
-            delta += dm - d;
+            let dm = residual(topo, swapped_home(pa, p1, p2), swapped_home(pb, p1, p2));
+            delta += i64::from(dm - d);
         }
     }
     (sum, delta)
@@ -601,7 +628,7 @@ pub(crate) fn route_trace(
     let n_phys = topo.n_qubits();
     assert!(dag.n_qubits <= n_phys, "circuit larger than device");
 
-    scratch.prepare(dag.len(), n_phys);
+    scratch.prepare(dag.len(), n_phys, topo.n_edges());
     let RouterScratch {
         trace,
         indeg,
@@ -630,6 +657,9 @@ pub(crate) fn route_trace(
     decay.resize(n_phys, 1.0);
     let mut counts = RouteCounts::default();
     let mut swaps_since_reset = 0usize;
+    // True once a SWAP has bumped `decay` since its last reset; resets
+    // refill the table only then.
+    let mut decay_dirty = false;
     let mut stall_swaps = 0usize;
     // `ext` holds the swap ranker's extended set of the current front
     // until a gate executes (front and `done` are unchanged until then).
@@ -650,7 +680,7 @@ pub(crate) fn route_trace(
                 None
             } else {
                 let (p1, p2) = dag.homes(id, layout);
-                if !topo.are_adjacent(p1, p2) {
+                if topo.edge_id(p1, p2) == u32::MAX {
                     i += 1;
                     continue;
                 }
@@ -753,7 +783,10 @@ pub(crate) fn route_trace(
             executed_any = true;
             ext_current = false;
             // "Reset after every five steps or gate mapping."
-            decay.fill(1.0);
+            if decay_dirty {
+                decay.fill(1.0);
+                decay_dirty = false;
+            }
             swaps_since_reset = 0;
             stall_swaps = 0;
             i = 0; // restart scan: new nodes may be executable
@@ -792,87 +825,85 @@ pub(crate) fn route_trace(
         // integers, so base-plus-delta sums are exact — each candidate's
         // score is bit-identical to a full re-walk under the trial layout.
         // The candidate SWAPs are the coupling edges incident to the home
-        // of any front 2Q operand, sorted and deduplicated (the order the
-        // seed's `BTreeSet` produced).
-        candidates.clear();
+        // of any front 2Q operand: each is marked in a bitset by edge id,
+        // and ids number the edges in sorted `(min, max)` order, so walking
+        // the set bits upward visits them sorted and deduplicated (the
+        // order the seed's `BTreeSet` produced).
         entries.clear();
         touch.iter_mut().for_each(Vec::clear);
         let mut n_f = 0usize;
-        let mut f_base = 0i64;
-        let mut e_base = 0i64;
+        // Base sums per lane: [extended, front].
+        let mut base = [0i64; 2];
         let front_2q = front.iter().copied().filter(|&id| dag.is_2q(id));
-        for (in_front, id) in front_2q
-            .map(|id| (true, id))
-            .chain(ext.iter().map(|&id| (false, id)))
+        for (lane, id) in front_2q
+            .map(|id| (FRONT, id))
+            .chain(ext.iter().map(|&id| (EXTENDED, id)))
         {
             let (pa, pb) = dag.homes(id, layout);
-            let d = i64::from(topo.distance(pa, pb).saturating_sub(1));
-            if in_front {
+            let d = residual(topo, pa, pb);
+            base[lane as usize] += i64::from(d);
+            if lane == FRONT {
                 n_f += 1;
-                f_base += d;
                 for p in [pa, pb] {
-                    candidates.extend(topo.neighbors(p).iter().map(|&q| (p.min(q), p.max(q))));
+                    for &q in topo.neighbors(p) {
+                        let e = topo.edge_id(p, q);
+                        candidates[(e >> 6) as usize] |= 1 << (e & 63);
+                    }
                 }
-            } else {
-                e_base += d;
             }
             let ei = entries.len() as u32;
             entries.push(ScoreEntry {
-                pa,
-                pb,
+                pa: pa as u32,
+                pb: pb as u32,
                 dist: d,
-                in_front,
+                lane,
             });
             touch[pa].push(ei);
             touch[pb].push(ei);
         }
-        candidates.sort_unstable();
-        candidates.dedup();
-        debug_assert!(
-            !candidates.is_empty(),
-            "connected topology yields candidates"
-        );
+        let [e_base, f_base] = base;
         let n_e = ext.len();
 
         best.clear();
         let mut best_score = f64::INFINITY;
-        for &(p1, p2) in candidates.iter() {
-            // An entry sits in both lists only when its operands are
-            // exactly {p1, p2}; the SWAP keeps its distance, so its two
-            // visits each add a zero delta.
-            let mut df = 0i64;
-            let mut de = 0i64;
-            for &ei in touch[p1].iter().chain(&touch[p2]) {
-                let e = entries[ei as usize];
-                let pa = swapped_home(e.pa, p1, p2);
-                let pb = swapped_home(e.pb, p1, p2);
-                let delta = i64::from(topo.distance(pa, pb).saturating_sub(1)) - e.dist;
-                if e.in_front {
-                    df += delta;
+        for (w, word) in candidates.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let (p1, p2) = topo.edge(((w as u32) << 6) | bits.trailing_zeros());
+                bits &= bits - 1;
+                // An entry sits in both lists only when its operands are
+                // exactly {p1, p2}; the SWAP keeps its distance, so its two
+                // visits each add a zero delta.
+                let mut delta = [0i64; 2];
+                for &ei in touch[p1].iter().chain(&touch[p2]) {
+                    let e = entries[ei as usize];
+                    let pa = swapped_home(e.pa as usize, p1, p2);
+                    let pb = swapped_home(e.pb as usize, p1, p2);
+                    delta[e.lane as usize] += i64::from(residual(topo, pa, pb) - e.dist);
+                }
+                let [de, df] = delta;
+                let f_term = if n_f == 0 {
+                    0.0
                 } else {
-                    de += delta;
+                    (f_base + df) as f64 / n_f as f64
+                };
+                let e_term = if n_e == 0 {
+                    0.0
+                } else {
+                    (e_base + de) as f64 / n_e as f64
+                };
+                let h = f_term + EXTENDED_SET_WEIGHT * e_term;
+                let score = h * decay[p1].max(decay[p2]);
+                if score < best_score - 1e-12 {
+                    best_score = score;
+                    best.clear();
+                    best.push((p1, p2));
+                } else if (score - best_score).abs() <= 1e-12 {
+                    best.push((p1, p2));
                 }
             }
-            let f_term = if n_f == 0 {
-                0.0
-            } else {
-                (f_base + df) as f64 / n_f as f64
-            };
-            let e_term = if n_e == 0 {
-                0.0
-            } else {
-                (e_base + de) as f64 / n_e as f64
-            };
-            let h = f_term + EXTENDED_SET_WEIGHT * e_term;
-            let score = h * decay[p1].max(decay[p2]);
-            if score < best_score - 1e-12 {
-                best_score = score;
-                best.clear();
-                best.push((p1, p2));
-            } else if (score - best_score).abs() <= 1e-12 {
-                best.push((p1, p2));
-            }
         }
+        debug_assert!(!best.is_empty(), "connected topology yields candidates");
         let &(p1, p2) = rng.choose(best);
 
         // Anti-livelock: after long swap droughts, force progress along the
@@ -889,9 +920,11 @@ pub(crate) fn route_trace(
         counts.swaps_inserted += 1;
         decay[p1] += DECAY_RATE;
         decay[p2] += DECAY_RATE;
+        decay_dirty = true;
         swaps_since_reset += 1;
         if swaps_since_reset >= DECAY_RESET {
             decay.fill(1.0);
+            decay_dirty = false;
             swaps_since_reset = 0;
         }
     }
@@ -1617,7 +1650,7 @@ mod tests {
     /// layouts, same counters — across circuits, topologies, aggression
     /// levels, calibrations, and seeds. The 16-qubit cases give long SWAP
     /// runs (decay resets mid-run) and score entries on both swapped
-    /// qubits.
+    /// qubits; the 9×9 grid has more edges than one bitset word holds.
     #[test]
     fn route_matches_legacy_bit_for_bit() {
         let topos = [
@@ -1627,6 +1660,8 @@ mod tests {
             (CouplingMap::heavy_hex(3), 6),
             (CouplingMap::grid(4, 4), 16),
             (CouplingMap::heavy_hex(3), 16),
+            // 144 edges: the candidate bitset spans three words.
+            (CouplingMap::grid(9, 9), 16),
         ];
         let mut case = 0u64;
         for (topo, n) in topos {

@@ -30,8 +30,7 @@ use mirage_circuit::{Circuit, Dag};
 use mirage_math::Rng;
 use mirage_weyl::coords::coords_of;
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Post-selection metric across routing trials.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,12 +71,14 @@ pub struct TrialOptions {
     pub strategy_mix: [f64; crate::placement::N_STRATEGIES],
     /// Base RNG seed.
     pub seed: u64,
-    /// Workers for the layout trials: `0` is the host's available
-    /// parallelism, `1` runs every trial inline on the calling thread,
-    /// `n` uses `n` workers. Capped at `layout_trials`. Never affects
-    /// results, only wall-clock: seeds come from the pre-split
-    /// [`SeedSchedule`] and the winner is reduced in trial-index order
-    /// (see [`TrialEngine::run_detailed`]).
+    /// Workers for the trial loop: `0` is the host's available
+    /// parallelism, `1` runs every task inline on the calling thread,
+    /// `n` uses `n` workers. Capped at `layout_trials × routing_trials`,
+    /// the number of route tasks, so even one layout trial can spread its
+    /// routing trials over several workers. Never affects results, only
+    /// wall-clock: seeds come from the pre-split [`SeedSchedule`] and the
+    /// winner is reduced in `(trial, routing trial)` order (see
+    /// [`TrialEngine::run_detailed`]).
     pub threads: usize,
     /// Override for the mirror-decision weight λ (None = engine default).
     pub mirror_lambda: Option<f64>,
@@ -151,10 +152,11 @@ impl TrialOptions {
 
     /// The worker count a run uses: `threads`, or the host's available
     /// parallelism when `threads == 0` (1 if the host won't say), capped
-    /// at `layout_trials` — idle workers would be pure overhead. The host
-    /// is asked only when more than one trial could use the answer.
+    /// at `layout_trials × routing_trials` — more workers than route tasks
+    /// would be pure overhead. The host is asked only when more than one
+    /// task could use the answer.
     fn workers(&self) -> usize {
-        let n = self.layout_trials;
+        let n = self.layout_trials.saturating_mul(self.routing_trials);
         match self.threads {
             0 if n > 1 => std::thread::available_parallelism()
                 .map_or(1, std::num::NonZeroUsize::get)
@@ -373,6 +375,121 @@ struct Run<'r, 'a> {
     /// engine's own when the snapshot is the one it was built under.
     ctx: Cow<'r, PlacementContext<'a>>,
     prices: PriceTable,
+    /// The router settings every router run of the loop uses (λ from
+    /// [`TrialOptions::mirror_lambda`]); each run sets its own aggression.
+    base: RouterConfig,
+}
+
+/// What a layout trial's refine task hands its route tasks.
+struct Refined {
+    /// The mirror-free refinement.
+    plain: Layout,
+    /// The mirror-aware refinement (MIRAGE only).
+    mirrored: Option<Layout>,
+    /// One RNG stream per routing trial, spawned from the trial's stream
+    /// after both refinements, in routing-trial order.
+    streams: Vec<Rng>,
+}
+
+/// One unit of the trial loop's work.
+#[derive(Debug, Clone, Copy)]
+enum Task {
+    /// Seed and refine layout trial `trial`.
+    Refine(usize),
+    /// Routing trial `t` of layout trial `trial`.
+    Route { trial: usize, t: usize },
+}
+
+/// The claim state of one run's tasks, behind [`Board`]'s mutex.
+struct Claims {
+    /// The lowest layout trial whose refine task is unclaimed.
+    next_refine: usize,
+    /// Per layout trial: its refine task has finished.
+    refined: Vec<bool>,
+    /// Per layout trial: the lowest routing trial not yet claimed.
+    next_route: Vec<usize>,
+    /// Route tasks not yet claimed.
+    routes_left: usize,
+    /// A task panicked: workers stop claiming.
+    poisoned: bool,
+}
+
+/// The trial loop's task board: workers claim refine tasks in trial order
+/// first, then ready route tasks in `(trial, t)` order, and wait on the
+/// condvar while every unclaimed route task still waits for its refine.
+struct Board {
+    routing_trials: usize,
+    claims: Mutex<Claims>,
+    ready: Condvar,
+}
+
+impl Board {
+    fn new(layout_trials: usize, routing_trials: usize) -> Board {
+        Board {
+            routing_trials,
+            claims: Mutex::new(Claims {
+                next_refine: 0,
+                refined: vec![false; layout_trials],
+                next_route: vec![0; layout_trials],
+                routes_left: layout_trials * routing_trials,
+                poisoned: false,
+            }),
+            ready: Condvar::new(),
+        }
+    }
+
+    /// The claim state. A panic never happens while the lock is held (tasks
+    /// run unlocked), so a poisoned lock still holds consistent state.
+    fn lock(&self) -> MutexGuard<'_, Claims> {
+        self.claims.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The next task for a worker, blocking while none is ready; `None`
+    /// once every task is claimed or a task panicked.
+    fn claim(&self) -> Option<Task> {
+        let mut c = self.lock();
+        loop {
+            if c.poisoned {
+                return None;
+            }
+            if c.next_refine < c.refined.len() {
+                c.next_refine += 1;
+                return Some(Task::Refine(c.next_refine - 1));
+            }
+            if c.routes_left == 0 {
+                return None;
+            }
+            let ready = (0..c.refined.len())
+                .find(|&trial| c.refined[trial] && c.next_route[trial] < self.routing_trials);
+            if let Some(trial) = ready {
+                let t = c.next_route[trial];
+                c.next_route[trial] += 1;
+                c.routes_left -= 1;
+                return Some(Task::Route { trial, t });
+            }
+            c = self.ready.wait(c).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Mark layout trial `trial`'s route tasks ready.
+    fn refined(&self, trial: usize) {
+        self.lock().refined[trial] = true;
+        self.ready.notify_all();
+    }
+}
+
+/// Held while a task runs: if the task panics, the guard poisons the board
+/// on unwind and wakes every waiting worker, so the panic reaches the
+/// caller instead of leaving workers blocked on a refine that never ends.
+struct PanicGuard<'b>(&'b Board);
+
+impl Drop for PanicGuard<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().poisoned = true;
+            self.0.ready.notify_all();
+        }
+    }
 }
 
 /// The unified trial engine: one object owning layout generation (via the
@@ -511,19 +628,21 @@ impl<'a> TrialEngine<'a> {
         layout
     }
 
-    /// One layout trial: seed a layout via the mix-selected strategy,
-    /// refine it, and run the configured routing trials. The trial's
-    /// entire stream of randomness comes from its [`SeedSchedule`] seed,
-    /// so the result is a pure function of `(trial, mirage, opts)` — the
-    /// caller-provided scratch is working storage only.
-    fn one_layout_trial(
+    /// Layout trial `trial`'s refine task: seed a layout via the
+    /// mix-selected strategy, refine it, and spawn one RNG stream per
+    /// routing trial. The trial's entire stream of randomness comes from
+    /// its [`SeedSchedule`] seed and [`Rng::choose`] draws once per SWAP
+    /// step, so this chain is sequential; the result is a pure function of
+    /// `(trial, mirage, opts)` — the caller-provided scratch is working
+    /// storage only.
+    fn refine_trial(
         &self,
         trial: usize,
         mirage: bool,
         opts: &TrialOptions,
         run: &Run<'_, 'a>,
         scratch: &mut RouterScratch,
-    ) -> Vec<Traced> {
+    ) -> Refined {
         let mut rng = Rng::new(SeedSchedule::new(opts.seed).trial_seed(trial));
         let kind = StrategyKind::for_trial(trial, opts.layout_trials, &opts.strategy_mix);
         let ctx: &PlacementContext<'a> = &run.ctx;
@@ -539,12 +658,6 @@ impl<'a> TrialEngine<'a> {
         let layout =
             proposed.unwrap_or_else(|| Layout::random(ctx.n_logical(), ctx.n_physical(), &mut rng));
         let prices = &run.prices;
-        // Every router run of the trial, refinement included, prices
-        // mirrors with the same λ.
-        let mut base = RouterConfig::default();
-        if let Some(lambda) = opts.mirror_lambda {
-            base.mirror_heuristic_weight = lambda;
-        }
 
         // Two refinements per layout trial: a mirror-free one (placements
         // that suit the A0 safety net and conservative trials) and, for
@@ -553,19 +666,21 @@ impl<'a> TrialEngine<'a> {
         // qft-family placements improve markedly under mirror-aware
         // refinement while ripple-adder placements degrade — so routing
         // trials are spread over both and post-selection arbitrates.
+        // Every router run of the trial, refinement included, prices
+        // mirrors with the same λ.
         let plain = self.refine_layout(
-            &base,
+            &run.base,
             layout.clone(),
             opts.fwd_bwd_iters,
             &mut rng,
             prices,
             scratch,
         );
-        let mirrored = if mirage {
+        let mirrored = mirage.then(|| {
             self.refine_layout(
                 &RouterConfig {
                     aggression: Some(Aggression::A1),
-                    ..base
+                    ..run.base
                 },
                 layout,
                 opts.fwd_bwd_iters,
@@ -573,56 +688,64 @@ impl<'a> TrialEngine<'a> {
                 prices,
                 scratch,
             )
-        } else {
-            plain.clone()
-        };
+        });
+        let streams = (0..opts.routing_trials).map(|_| rng.spawn()).collect();
+        Refined {
+            plain,
+            mirrored,
+            streams,
+        }
+    }
 
-        (0..opts.routing_trials)
-            .map(|t| {
-                let aggression = if mirage {
-                    Some(aggression_for_trial(
-                        t,
-                        opts.routing_trials,
-                        &opts.aggression_mix,
-                    ))
-                } else {
-                    None
-                };
-                let config = RouterConfig { aggression, ..base };
-                let mut trial_rng = rng.spawn();
-                // A0 trials anchor on the mirror-free placement; the rest
-                // alternate between the two refinements.
-                let start = if aggression == Some(Aggression::A0) || t % 2 == 0 {
-                    &plain
-                } else {
-                    &mirrored
-                };
-                let topo = self.target.topology();
-                let mut final_layout = start.clone();
-                let mut counts = route_trace(
-                    &self.routing_state().fwd,
-                    topo,
-                    prices,
-                    &mut final_layout,
-                    &config,
-                    &mut trial_rng,
-                    scratch,
-                );
-                let mut ops = scratch.trace().to_vec();
-                if mirage && aggression != Some(Aggression::A0) {
-                    // Mirage-SWAP absorption: fold leftover SWAPs that sit
-                    // next to a same-pair gate into mirror blocks.
-                    let fused = absorb_swaps(&mut ops, topo.n_qubits(), |k| prices.mirror(k));
-                    counts.absorb(fused);
-                }
-                Traced {
-                    ops,
-                    initial_layout: start.clone(),
-                    final_layout,
-                    counts,
-                }
-            })
-            .collect()
+    /// Routing trial `t` of a refined layout trial: route from one of the
+    /// refinements on the trial's pre-spawned stream `t`, then absorb
+    /// leftover SWAPs. A pure function of `(refined, t, mirage, opts)`.
+    fn route_trial(
+        &self,
+        refined: &Refined,
+        t: usize,
+        mirage: bool,
+        opts: &TrialOptions,
+        run: &Run<'_, 'a>,
+        scratch: &mut RouterScratch,
+    ) -> Traced {
+        let aggression =
+            mirage.then(|| aggression_for_trial(t, opts.routing_trials, &opts.aggression_mix));
+        let config = RouterConfig {
+            aggression,
+            ..run.base
+        };
+        // A0 trials anchor on the mirror-free placement; the rest
+        // alternate between the two refinements.
+        let start = match &refined.mirrored {
+            Some(mirrored) if aggression != Some(Aggression::A0) && t % 2 == 1 => mirrored,
+            _ => &refined.plain,
+        };
+        let topo = self.target.topology();
+        let prices = &run.prices;
+        let mut final_layout = start.clone();
+        let mut counts = route_trace(
+            &self.routing_state().fwd,
+            topo,
+            prices,
+            &mut final_layout,
+            &config,
+            &mut refined.streams[t].clone(),
+            scratch,
+        );
+        let mut ops = scratch.trace().to_vec();
+        if mirage && aggression != Some(Aggression::A0) {
+            // Mirage-SWAP absorption: fold leftover SWAPs that sit next to
+            // a same-pair gate into mirror blocks.
+            let fused = absorb_swaps(&mut ops, topo.n_qubits(), |k| prices.mirror(k));
+            counts.absorb(fused);
+        }
+        Traced {
+            ops,
+            initial_layout: start.clone(),
+            final_layout,
+            counts,
+        }
     }
 
     /// Materialize a traced candidate from the engine's circuit (forward
@@ -676,53 +799,67 @@ impl<'a> TrialEngine<'a> {
         } else {
             Cow::Owned(self.ctx.clone().with_snapshot(Arc::clone(&snapshot)))
         };
+        let mut base = RouterConfig::default();
+        if let Some(lambda) = opts.mirror_lambda {
+            base.mirror_heuristic_weight = lambda;
+        }
         let run = Run {
             ctx,
             prices: self.price_table(snapshot),
+            base,
         };
-        let n = opts.layout_trials;
-        let workers = opts.workers();
-        let next = AtomicUsize::new(0);
-        // One worker: claim trial indices until none are left. One
-        // scratch per worker for its whole run of trials; scratches carry
-        // only buffer capacity, never routing or cost state.
+        let routing_trials = opts.routing_trials;
+        let board = Board::new(opts.layout_trials, routing_trials);
+        let refined: Vec<OnceLock<Refined>> =
+            (0..opts.layout_trials).map(|_| OnceLock::new()).collect();
+        // One worker: claim tasks until none are left. One scratch per
+        // worker for its whole run of tasks; scratches carry only buffer
+        // capacity, never routing or cost state.
         let work = || {
             let mut scratch = RouterScratch::new();
             let mut local = Vec::new();
-            loop {
-                let t = next.fetch_add(1, Ordering::Relaxed);
-                if t >= n {
-                    break;
+            while let Some(task) = board.claim() {
+                let _guard = PanicGuard(&board);
+                match task {
+                    Task::Refine(trial) => {
+                        let r = self.refine_trial(trial, mirage, opts, &run, &mut scratch);
+                        assert!(refined[trial].set(r).is_ok(), "one refine per trial");
+                        board.refined(trial);
+                    }
+                    Task::Route { trial, t } => {
+                        let r = refined[trial]
+                            .get()
+                            .expect("route tasks wait for their refine");
+                        let traced = self.route_trial(r, t, mirage, opts, &run, &mut scratch);
+                        local.push((trial * routing_trials + t, traced));
+                    }
                 }
-                local.push((
-                    t,
-                    self.one_layout_trial(t, mirage, opts, &run, &mut scratch),
-                ));
             }
             local
         };
         // The caller is worker 0; only `workers - 1` helpers are spawned.
         // The lazy precomputes are `OnceLock`s, so whichever worker needs
-        // them first builds them and the others wait.
-        let per_worker: Vec<Vec<(usize, Vec<Traced>)>> = std::thread::scope(|s| {
-            let helpers: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
+        // them first builds them and the others wait. A helper's panic is
+        // re-raised on the caller with its own payload.
+        let per_worker: Vec<Vec<(usize, Traced)>> = std::thread::scope(|s| {
+            let helpers: Vec<_> = (1..opts.workers()).map(|_| s.spawn(work)).collect();
             let mut per_worker = vec![work()];
-            per_worker.extend(
-                helpers
-                    .into_iter()
-                    .map(|h| h.join().expect("routing thread panicked")),
-            );
+            for h in helpers {
+                per_worker.push(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+            }
             per_worker
         });
-        // Trial-indexed result slots: whatever order workers finish in,
-        // they are read back in trial order.
-        let mut slots: Vec<Option<Vec<Traced>>> = (0..n).map(|_| None).collect();
-        for (t, result) in per_worker.into_iter().flatten() {
-            slots[t] = Some(result);
+        // `(trial, t)`-indexed result slots: whatever order workers finish
+        // in, they are read back in trial order, routing trials in order.
+        let mut slots: Vec<Option<Traced>> = (0..opts.layout_trials * routing_trials)
+            .map(|_| None)
+            .collect();
+        for (k, traced) in per_worker.into_iter().flatten() {
+            slots[k] = Some(traced);
         }
         let traced = slots
             .into_iter()
-            .flat_map(|slot| slot.expect("every trial index was claimed by a worker"))
+            .map(|slot| slot.expect("every route task was claimed by a worker"))
             .collect();
         Ok((traced, run.prices))
     }
@@ -736,18 +873,29 @@ impl<'a> TrialEngine<'a> {
     /// # Determinism
     ///
     /// Results are bit-identical at every thread count, the inline
-    /// `threads = 1` run included. The calling thread is worker 0 and
-    /// `min(threads, layout_trials) - 1` scoped helpers join it; all of
-    /// them claim trial indices from one counter. Two invariants make
-    /// the result independent of who ran what:
+    /// `threads = 1` run included. The loop is split into tasks: one
+    /// *refine* task per layout trial (strategy proposal, both
+    /// refinements, then one RNG stream spawned per routing trial, in
+    /// routing-trial order) and one *route* task per routing trial, ready
+    /// once its trial's refine task is done. The calling thread is worker 0
+    /// and `min(threads, layout_trials × routing_trials) - 1` scoped
+    /// helpers join it; every worker claims refine tasks in trial order
+    /// first, then ready route tasks in `(trial, t)` order, and waits on a
+    /// condvar while none is ready. A panicking task poisons the board and
+    /// wakes every waiter, so the panic reaches the caller. Two invariants
+    /// make the result independent of who ran what:
     ///
-    /// 1. **Pre-split seeds.** Each trial's randomness is a pure function
-    ///    of `(opts.seed, trial index)` via [`SeedSchedule`]; which worker
-    ///    runs a trial (and when) cannot influence its stream.
-    /// 2. **Fixed reduction order.** Results land in trial-indexed slots
-    ///    and are flattened in index order; post-selection scores each
-    ///    candidate's op trace exactly once and keeps the *first* of equal
-    ///    minima, so ties break by trial index, never by completion order
+    /// 1. **Pre-split seeds.** Each layout trial's randomness is a pure
+    ///    function of `(opts.seed, trial index)` via [`SeedSchedule`], and
+    ///    a refine task consumes it sequentially ([`Rng::choose`] draws
+    ///    once per SWAP step). Routing trial `t` routes on the `t`-th
+    ///    stream its refine task pre-spawned — the stream the sequential
+    ///    loop spawned right before routing it — so neither the worker
+    ///    that runs a task nor when can influence any stream.
+    /// 2. **Fixed reduction order.** Results land in `(trial, t)`-indexed
+    ///    slots and are flattened in that order; post-selection scores
+    ///    each candidate's op trace exactly once and keeps the *first* of
+    ///    equal minima, so ties break by index, never by completion order
     ///    or pool size. Only the winner is materialized into a circuit.
     ///
     /// # Errors
@@ -1013,6 +1161,87 @@ mod tests {
             let parallel = engine.run_detailed(true, &opts).unwrap();
             assert_eq!(serial.best.circuit, parallel.best.circuit);
             assert_eq!(serial.candidates, parallel.candidates);
+        }
+    }
+
+    /// Every candidate of a run, as comparable values.
+    fn candidate_keys(run: &TrialRun) -> Vec<(u64, Layout, Layout, usize, usize)> {
+        run.candidates
+            .iter()
+            .map(|c| {
+                let r = &c.routed;
+                (
+                    r.circuit.fingerprint(),
+                    r.initial_layout.clone(),
+                    r.final_layout.clone(),
+                    r.swaps_inserted,
+                    r.mirrors_accepted,
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn route_tasks_match_inline_at_every_pool_shape() {
+        // Shapes the layout-trial pool never had: one layout trial whose
+        // routing trials spread over several workers, and an odd number
+        // of layout trials with more route tasks than workers. Every
+        // candidate, in order, must equal the inline run's.
+        let topo = CouplingMap::grid(2, 3);
+        let cal = crate::calibration::Calibration::synthetic(&topo, &mut Rng::new(0x3A5));
+        let target = Target::sqrt_iswap(topo).with_calibration(cal).unwrap();
+        let c = consolidate(&two_local_full(6, 1, 12));
+        let engine = TrialEngine::new(&c, &target);
+        for (layout_trials, routing_trials, pools) in
+            [(1, 4, &[1usize, 2, 3, 4][..]), (3, 5, &[2, 3, 8][..])]
+        {
+            for mirage in [true, false] {
+                let mut opts = TrialOptions::quick(Metric::Depth, 17);
+                opts.layout_trials = layout_trials;
+                opts.routing_trials = routing_trials;
+                opts.threads = 1;
+                let inline = candidate_keys(&engine.run_candidates(mirage, &opts).unwrap());
+                assert_eq!(inline.len(), layout_trials * routing_trials);
+                for &threads in pools {
+                    opts.threads = threads;
+                    let pooled = candidate_keys(&engine.run_candidates(mirage, &opts).unwrap());
+                    assert_eq!(
+                        inline, pooled,
+                        "{layout_trials} x {routing_trials} (mirage {mirage}) at {threads} threads"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn panicking_task_panics_the_call_instead_of_deadlocking() {
+        // Two disjoint 3-qubit lines and a 6-qubit GHZ chain: every
+        // placement splits the chain across the components, so every
+        // router run (refinement first) exhausts its SWAP budget and
+        // panics. With fewer layout trials than workers, the workers
+        // without a refine task wait for route tasks that never become
+        // ready; they must be released and the call must panic.
+        let topo = CouplingMap::from_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5)], "split");
+        let target = Arc::new(Target::sqrt_iswap(topo));
+        let c = Arc::new(consolidate(&mirage_circuit::generators::ghz(6)));
+        for (layout_trials, threads) in [(1, 1), (1, 2), (1, 4), (2, 3), (4, 4)] {
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let (target, c) = (Arc::clone(&target), Arc::clone(&c));
+            std::thread::spawn(move || {
+                let outcome = std::panic::catch_unwind(|| {
+                    let mut opts = TrialOptions::quick(Metric::Depth, 1);
+                    opts.layout_trials = layout_trials;
+                    opts.threads = threads;
+                    let _ = TrialEngine::new(&c, &target).run_detailed(true, &opts);
+                });
+                let _ = done_tx.send(outcome.is_err());
+            });
+            let shape = format!("{layout_trials} layout trials on {threads} threads");
+            let panicked = done_rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("{shape}: the trial loop deadlocked"));
+            assert!(panicked, "{shape}: the call returned normally");
         }
     }
 

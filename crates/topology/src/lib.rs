@@ -6,7 +6,8 @@
 //! decomposition studies.
 //!
 //! * [`CouplingMap`] — an undirected connectivity graph with all-pairs
-//!   shortest-path distances (BFS).
+//!   shortest-path distances (BFS), residual distances and edge ids
+//!   (edges numbered in sorted order) for the router's hot path.
 //! * [`vf2::find_embedding`] — subgraph-monomorphism search used as the
 //!   `VF2Layout` pre-pass: when a circuit's interaction graph embeds
 //!   directly into the hardware graph, no routing is needed and the
@@ -35,6 +36,14 @@ pub struct CouplingMap {
     adjacency: Vec<Vec<usize>>,
     /// All-pairs hop distances, row-major `n × n`.
     dist: Vec<u32>,
+    /// `dist − 1` (saturating), row-major `n × n`: see
+    /// [`CouplingMap::residual`].
+    residual: Vec<u32>,
+    /// Edge id of every ordered pair, row-major `n × n` (`u32::MAX`
+    /// off-edge): see [`CouplingMap::edge_id`].
+    edge_ids: Vec<u32>,
+    /// The edges in id order: sorted `(min, max)` pairs.
+    sorted_edges: Vec<(usize, usize)>,
     name: String,
 }
 
@@ -62,11 +71,23 @@ impl CouplingMap {
             adj.sort_unstable();
         }
         let dist = all_pairs_bfs(n, &adjacency);
+        let residual = dist.iter().map(|d| d.saturating_sub(1)).collect();
+        let mut sorted_edges = edges.clone();
+        sorted_edges.sort_unstable();
+        let mut edge_ids = vec![u32::MAX; n * n];
+        for (id, &(a, b)) in sorted_edges.iter().enumerate() {
+            let id = u32::try_from(id).expect("edge count fits u32");
+            edge_ids[a * n + b] = id;
+            edge_ids[b * n + a] = id;
+        }
         CouplingMap {
             n,
             edges,
             adjacency,
             dist,
+            residual,
+            edge_ids,
+            sorted_edges,
             name: name.to_owned(),
         }
     }
@@ -175,9 +196,40 @@ impl CouplingMap {
         self.n
     }
 
-    /// The normalized undirected edge list (`lo < hi`).
+    /// The normalized undirected edge list (`lo < hi`), in construction
+    /// order (calibrations draw per-edge values in this order).
     pub fn edges(&self) -> &[(usize, usize)] {
         &self.edges
+    }
+
+    /// Number of (deduplicated) edges.
+    pub fn n_edges(&self) -> usize {
+        self.sorted_edges.len()
+    }
+
+    /// The id of the edge `{a, b}`, or `u32::MAX` when `a` and `b` are not
+    /// coupled: one read of a dense `n × n` table. Ids run
+    /// `0..n_edges()` over the edges in sorted `(min, max)` order, so
+    /// walking ids in increasing order visits the edges in sorted order;
+    /// [`CouplingMap::edge`] inverts the map.
+    pub fn edge_id(&self, a: usize, b: usize) -> u32 {
+        debug_assert!(b < self.n, "qubit {b} out of range for n={}", self.n);
+        self.edge_ids[a * self.n + b]
+    }
+
+    /// The `(min, max)` endpoints of edge `id`.
+    pub fn edge(&self, id: u32) -> (usize, usize) {
+        self.sorted_edges[id as usize]
+    }
+
+    /// The residual distance `distance(a, b) − 1` (saturating, so `0` on
+    /// the diagonal): the hops a gate on `a` and `b` still needs before it
+    /// can execute. One read of a precomputed `n × n` table, with no range
+    /// check in release builds — the router's hot path reads it for every
+    /// score.
+    pub fn residual(&self, a: usize, b: usize) -> u32 {
+        debug_assert!(b < self.n, "qubit {b} out of range for n={}", self.n);
+        self.residual[a * self.n + b]
     }
 
     /// Neighbors of a qubit (sorted).
@@ -330,6 +382,36 @@ mod tests {
         let m = CouplingMap::from_edges(4, &[(0, 1), (2, 3)], "t");
         assert!(!m.is_connected());
         assert_eq!(m.distance(0, 2), u32::MAX);
+    }
+
+    /// Edge ids are symmetric, number the edges in sorted `(min, max)`
+    /// order, and are `u32::MAX` exactly off the edges.
+    #[test]
+    fn edge_ids_follow_sorted_order() {
+        for m in [
+            CouplingMap::line(7),
+            CouplingMap::grid(4, 5),
+            CouplingMap::heavy_hex(5),
+            CouplingMap::all_to_all(6),
+            CouplingMap::from_edges(4, &[(3, 2), (1, 0), (2, 0), (0, 1)], "t"),
+        ] {
+            let n = m.n_qubits();
+            let mut sorted = m.edges().to_vec();
+            sorted.sort_unstable();
+            assert_eq!(m.n_edges(), sorted.len(), "{}", m.name());
+            for (id, &(a, b)) in sorted.iter().enumerate() {
+                assert_eq!(m.edge_id(a, b), id as u32, "{}: ({a}, {b})", m.name());
+                assert_eq!(m.edge(id as u32), (a, b));
+            }
+            for a in 0..n {
+                for b in 0..n {
+                    let id = m.edge_id(a, b);
+                    assert_eq!(id, m.edge_id(b, a), "{}: symmetric", m.name());
+                    assert_eq!(id != u32::MAX, m.are_adjacent(a, b), "{}", m.name());
+                    assert_eq!(m.residual(a, b), m.distance(a, b).saturating_sub(1));
+                }
+            }
+        }
     }
 
     #[test]

@@ -177,7 +177,7 @@ const TRIALS_KINDS: [TrialsKind; 3] = [
 
 /// Thread count for golden trial runs: `MIRAGE_TEST_THREADS=<n>` runs the
 /// trial engine with `n` workers, `1` being the inline path (CI runs the
-/// suite at 1, 4 and unset to gate pool-size invariance); unset keeps the
+/// suite at 1, 3, 4 and unset to gate pool-size invariance); unset keeps the
 /// default, every core.
 fn env_threads() -> Option<usize> {
     std::env::var("MIRAGE_TEST_THREADS")
@@ -245,8 +245,9 @@ fn run_all() -> Vec<(String, Case)> {
 }
 
 /// Pool-size invariance: the golden trials fingerprints must come out of
-/// the engine unchanged at every thread count, including more workers
-/// than trials. Pre-split seeds + trial-index reduction order make the
+/// the engine unchanged at every thread count, including an odd worker
+/// count over the route tasks and more workers than layout trials.
+/// Pre-split seeds + `(trial, routing trial)` reduction order make the
 /// winner independent of scheduling; this is the proof.
 #[test]
 fn trials_fingerprints_invariant_across_thread_counts() {
@@ -257,7 +258,7 @@ fn trials_fingerprints_invariant_across_thread_counts() {
                 .iter()
                 .find(|(l, ..)| *l == label)
                 .expect("every topology has pinned trials cases");
-            for threads in [1usize, 2, 4, 8] {
+            for threads in [1usize, 2, 3, 4, 8] {
                 let case = trials_case_threaded(topo, kind, Some(threads));
                 assert_eq!(
                     (case.fingerprint, case.swaps, case.mirrors),
