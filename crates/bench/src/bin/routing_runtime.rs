@@ -4,15 +4,20 @@
 //! Times the optimized, scratch-reusing router
 //! ([`mirage_core::router::route_with_scratch`]) on the QFT family
 //! (n = 16 … 64, line topology, trivial layout, seed `0x1313`) plus a
-//! two_local suite, best-of-3 wall times, and emits the machine-readable
-//! `BENCH_routing.json` that future PRs are held against.
+//! two_local suite, and emits the machine-readable `BENCH_routing.json`
+//! that future PRs are held against. Each case is timed over seven runs
+//! and records the fastest, the median and the spread
+//! (`(max - min) / median`); `gates_per_s` comes from the median, so a
+//! stage gain shows only where it exceeds the case's own spread.
 //!
 //! The line cases start from the trivial layout, so they insert only
 //! 0–63 SWAPs and time mostly the execute layer and the mirror decision.
 //! The `grid6x6-*` and `heavyhex5-*` cases start from a random layout
 //! (drawn from the route seed) on the paper's two Fig. 12 devices, under
-//! A2 and plain SABRE: there the SWAP-step kernel (candidate build and
-//! scoring) dominates the route time, as it does inside the trial engine.
+//! A2 and plain SABRE, and QFT-32 also under A1 (the level of the
+//! mirror-aware refinement and of routing trial 1): there the SWAP-step
+//! kernel (candidate build and scoring) dominates the route time, as it
+//! does inside the trial engine.
 //!
 //! One hard gate (nonzero exit on failure): **pinned fingerprints** —
 //! every case's routed-circuit fingerprint, SWAP count, and mirror count
@@ -25,7 +30,7 @@
 //!
 //! Usage: `routing_runtime [--quick] [--out PATH] [--print-fingerprints]`
 
-use mirage_bench::report::{self, hex, num, CacheStats, Cli, Json, Sanity, Verdict};
+use mirage_bench::report::{self, hex, num, CacheStats, Cli, Json, Sanity, Timing, Verdict};
 use mirage_circuit::consolidate::consolidate;
 use mirage_circuit::generators::{qft, two_local_full, two_local_linear};
 use mirage_circuit::{Circuit, Dag};
@@ -39,7 +44,8 @@ use mirage_topology::CouplingMap;
 use std::process::ExitCode;
 
 const ROUTE_SEED: u64 = 0x1313;
-const BEST_OF: usize = 3;
+/// Timed runs per case (after one warm-up run).
+const RUNS: usize = 7;
 
 /// name, fingerprint, swaps, mirrors — pinned to the pre-rewrite router's
 /// output (bit-identical by construction; regenerate with
@@ -54,6 +60,7 @@ const SANITY: &[(&str, Sanity)] = &[
     ("twolocal-full-16", (0xCE22E0695E2D8363, 3, 237)),
     ("twolocal-linear-24", (0x551A34CDC86E5D27, 0, 1)),
     ("grid6x6-qft-32-a2", (0x93D88B3590BD892C, 325, 216)),
+    ("grid6x6-qft-32-a1", (0x93D88B3590BD892C, 325, 216)),
     ("grid6x6-qft-32-sabre", (0xA6D818A13635BEE5, 501, 0)),
     (
         "grid6x6-twolocal-full-24-a2",
@@ -64,6 +71,7 @@ const SANITY: &[(&str, Sanity)] = &[
         (0x40768798D8914CFB, 539, 0),
     ),
     ("heavyhex5-qft-32-a2", (0xEE58FEFFFF7038D6, 736, 239)),
+    ("heavyhex5-qft-32-a1", (0xEE58FEFFFF7038D6, 736, 239)),
     ("heavyhex5-qft-32-sabre", (0x7BC2AA0048BACE59, 934, 0)),
     (
         "heavyhex5-twolocal-full-24-a2",
@@ -121,8 +129,9 @@ fn device(
 }
 
 /// The benchmark cases; `--quick` keeps qft-32 and the random-layout
-/// grid qft-32 under A2.
+/// grid qft-32 under A2 and A1.
 fn cases(quick: bool) -> Vec<Case> {
+    let a1 = Some(Aggression::A1);
     let a2 = Some(Aggression::A2);
     let cases = vec![
         line("qft-16", qft(16, false)),
@@ -138,6 +147,12 @@ fn cases(quick: bool) -> Vec<Case> {
             qft(32, false),
             CouplingMap::grid(6, 6),
             a2,
+        ),
+        device(
+            "grid6x6-qft-32-a1",
+            qft(32, false),
+            CouplingMap::grid(6, 6),
+            a1,
         ),
         device(
             "grid6x6-qft-32-sabre",
@@ -164,6 +179,12 @@ fn cases(quick: bool) -> Vec<Case> {
             a2,
         ),
         device(
+            "heavyhex5-qft-32-a1",
+            qft(32, false),
+            CouplingMap::heavy_hex(5),
+            a1,
+        ),
+        device(
             "heavyhex5-qft-32-sabre",
             qft(32, false),
             CouplingMap::heavy_hex(5),
@@ -184,7 +205,9 @@ fn cases(quick: bool) -> Vec<Case> {
     ];
     cases
         .into_iter()
-        .filter(|c| !quick || c.name == "qft-32" || c.name == "grid6x6-qft-32-a2")
+        .filter(|c| {
+            !quick || matches!(c.name, "qft-32" | "grid6x6-qft-32-a2" | "grid6x6-qft-32-a1")
+        })
         .collect()
 }
 
@@ -195,7 +218,7 @@ struct Measured {
     random_layout: bool,
     n_qubits: usize,
     twoq_gates: usize,
-    optimized_ms: f64,
+    timing: Timing,
     swaps: usize,
     mirrors: usize,
     fingerprint: u64,
@@ -203,12 +226,13 @@ struct Measured {
 }
 
 impl Measured {
-    /// Routed 2Q gates per second — the machine-portable throughput view.
+    /// Routed 2Q gates per second at the median run — the
+    /// machine-portable throughput view.
     fn gates_per_s(&self) -> f64 {
-        if self.optimized_ms <= 0.0 {
+        if self.timing.median_ms <= 0.0 {
             0.0
         } else {
-            self.twoq_gates as f64 / (self.optimized_ms / 1e3)
+            self.twoq_gates as f64 / (self.timing.median_ms / 1e3)
         }
     }
 
@@ -224,7 +248,9 @@ impl Measured {
             ("random_layout", self.random_layout.into()),
             ("n_qubits", self.n_qubits.into()),
             ("twoq_gates", self.twoq_gates.into()),
-            ("optimized_ms", num(self.optimized_ms, 3)),
+            ("min_ms", num(self.timing.min_ms, 3)),
+            ("median_ms", num(self.timing.median_ms, 3)),
+            ("spread", num(self.timing.spread, 3)),
             ("gates_per_s", num(self.gates_per_s(), 0)),
             ("swaps", self.swaps.into()),
             ("mirrors", self.mirrors.into()),
@@ -270,20 +296,22 @@ fn measure(case: &Case) -> Measured {
     // the timed runs are steady-state; its output feeds the fingerprint pin.
     let routed = route(&mut scratch);
 
-    let optimized_ms = report::best_ms(BEST_OF, || route(&mut scratch));
+    let timing = Timing::of(RUNS, || route(&mut scratch));
 
     Measured {
         name: case.name,
         topology: case.topo.name().to_owned(),
-        router: if case.aggression.is_some() {
-            "A2"
-        } else {
-            "sabre"
+        router: match case.aggression {
+            None => "sabre",
+            Some(Aggression::A0) => "A0",
+            Some(Aggression::A1) => "A1",
+            Some(Aggression::A2) => "A2",
+            Some(Aggression::A3) => "A3",
         },
         random_layout: case.random_layout,
         n_qubits: case.circuit.n_qubits,
         twoq_gates: cc.two_qubit_gate_count(),
-        optimized_ms,
+        timing,
         swaps: routed.swaps_inserted,
         mirrors: routed.mirrors_accepted,
         fingerprint: routed.circuit.fingerprint(),
@@ -295,7 +323,7 @@ fn main() -> ExitCode {
     let args = CLI.parse_env();
     println!(
         "routing_runtime — line (trivial layout, A2) and Fig. 12 devices \
-         (random layout, A2 and SABRE), best-of-{BEST_OF} ({})\n",
+         (random layout, A1, A2 and SABRE), {RUNS} runs per case ({})\n",
         args.mode()
     );
 
@@ -312,10 +340,7 @@ fn main() -> ExitCode {
 
     let mut verdict = Verdict::default();
     verdict.pins("SANITY", SANITY, &pins);
-    let config = Json::Obj(vec![
-        ("seed", ROUTE_SEED.into()),
-        ("best_of", BEST_OF.into()),
-    ]);
+    let config = Json::Obj(vec![("seed", ROUTE_SEED.into()), ("runs", RUNS.into())]);
     let doc = report::document(CLI.bin, &args, config, cases, vec![]);
     report::finish(CLI.bin, &args.out, &doc, verdict)
 }

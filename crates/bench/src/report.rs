@@ -21,8 +21,8 @@ pub fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// The fastest of `runs` calls of `f`, in milliseconds.
-pub fn best_ms<T>(runs: usize, mut f: impl FnMut() -> T) -> f64 {
+/// The wall times of `runs` calls of `f`, in milliseconds, in call order.
+fn samples_ms<T>(runs: usize, mut f: impl FnMut() -> T) -> Vec<f64> {
     (0..runs)
         .map(|_| {
             let t0 = Instant::now();
@@ -31,7 +31,56 @@ pub fn best_ms<T>(runs: usize, mut f: impl FnMut() -> T) -> f64 {
             std::hint::black_box(out);
             ms
         })
+        .collect()
+}
+
+/// The fastest of `runs` calls of `f`, in milliseconds.
+pub fn best_ms<T>(runs: usize, f: impl FnMut() -> T) -> f64 {
+    samples_ms(runs, f)
+        .into_iter()
         .fold(f64::INFINITY, f64::min)
+}
+
+/// The spread of repeated wall times: fastest, median and
+/// `(max - min) / median`. A case whose spread exceeds the change it is
+/// meant to show cannot show that change.
+#[derive(Debug, Clone, Copy)]
+pub struct Timing {
+    /// The fastest run, in milliseconds.
+    pub min_ms: f64,
+    /// The median run, in milliseconds.
+    pub median_ms: f64,
+    /// `(max - min) / median`.
+    pub spread: f64,
+}
+
+impl Timing {
+    /// Time `runs` calls of `f`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `runs` is 0.
+    pub fn of<T>(runs: usize, f: impl FnMut() -> T) -> Timing {
+        assert!(runs > 0, "timing needs at least one run");
+        let mut ms = samples_ms(runs, f);
+        ms.sort_by(f64::total_cmp);
+        let mid = ms.len() / 2;
+        let median_ms = if ms.len() % 2 == 1 {
+            ms[mid]
+        } else {
+            (ms[mid - 1] + ms[mid]) / 2.0
+        };
+        let (min_ms, max_ms) = (ms[0], ms[ms.len() - 1]);
+        Timing {
+            min_ms,
+            median_ms,
+            spread: if median_ms > 0.0 {
+                (max_ms - min_ms) / median_ms
+            } else {
+                0.0
+            },
+        }
+    }
 }
 
 /// One bin's command line: `--quick`, `--out PATH`, and the bin's own
