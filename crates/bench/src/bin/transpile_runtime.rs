@@ -5,9 +5,10 @@
 //! whole [`mirage_core::transpile`] pipeline — layout strategies, SABRE
 //! refinement, routing trials, metric post-selection — once with the
 //! trials inline (`trials.threads = 1`) and once on every core
-//! (`trials.threads = 0`, the default), best-of-3 wall times,
-//! and emits the machine-readable `BENCH_transpile.json` that future PRs
-//! are held against.
+//! (`trials.threads = 0`, the default), seven runs each (fastest, median
+//! and spread `(max - min) / median`), and emits the machine-readable
+//! `BENCH_transpile.json` that future PRs are held against. The speedup
+//! is the ratio of the medians.
 //!
 //! Two hard gates (nonzero exit on failure):
 //!
@@ -23,7 +24,7 @@
 //!
 //! Usage: `transpile_runtime [--quick] [--out PATH] [--print-fingerprints]`
 
-use mirage_bench::report::{self, hex, num, CacheStats, Cli, Json, Sanity, Verdict};
+use mirage_bench::report::{self, hex, num, CacheStats, Cli, Json, Sanity, Timing, Verdict};
 use mirage_circuit::generators::{qft, two_local_full};
 use mirage_circuit::Circuit;
 use mirage_core::{transpile, RouterKind, Target, TranspileOptions, TranspiledCircuit};
@@ -31,7 +32,8 @@ use mirage_topology::CouplingMap;
 use std::process::ExitCode;
 
 const TRANSPILE_SEED: u64 = 0x7147;
-const BEST_OF: usize = 3;
+/// Timed runs per mode and case (after the bit-identity runs).
+const RUNS: usize = 7;
 
 /// name, fingerprint, swaps, mirrors — pinned to the inline trial
 /// loop's output (the every-core run must reproduce it bit for bit;
@@ -80,8 +82,8 @@ struct Measured {
     name: &'static str,
     n_qubits: usize,
     twoq_gates: usize,
-    serial_ms: f64,
-    parallel_ms: f64,
+    serial: Timing,
+    parallel: Timing,
     swaps: usize,
     mirrors: usize,
     fingerprint: u64,
@@ -89,11 +91,12 @@ struct Measured {
 }
 
 impl Measured {
+    /// Serial over parallel median wall time.
     fn speedup(&self) -> f64 {
-        if self.parallel_ms <= 0.0 {
+        if self.parallel.median_ms <= 0.0 {
             0.0
         } else {
-            self.serial_ms / self.parallel_ms
+            self.serial.median_ms / self.parallel.median_ms
         }
     }
 
@@ -106,8 +109,12 @@ impl Measured {
             ("name", self.name.into()),
             ("n_qubits", self.n_qubits.into()),
             ("twoq_gates", self.twoq_gates.into()),
-            ("serial_ms", num(self.serial_ms, 3)),
-            ("parallel_ms", num(self.parallel_ms, 3)),
+            ("serial_min_ms", num(self.serial.min_ms, 3)),
+            ("serial_median_ms", num(self.serial.median_ms, 3)),
+            ("serial_spread", num(self.serial.spread, 3)),
+            ("parallel_min_ms", num(self.parallel.min_ms, 3)),
+            ("parallel_median_ms", num(self.parallel.median_ms, 3)),
+            ("parallel_spread", num(self.parallel.spread, 3)),
             ("speedup", num(self.speedup(), 2)),
             ("swaps", self.swaps.into()),
             ("mirrors", self.mirrors.into()),
@@ -142,15 +149,15 @@ fn measure((name, circuit): &(&'static str, Circuit)) -> Measured {
         parallel.metrics.mirrors_accepted
     );
 
-    let serial_ms = report::best_ms(BEST_OF, || run(circuit, &target, 1));
-    let parallel_ms = report::best_ms(BEST_OF, || run(circuit, &target, 0));
+    let serial_time = Timing::of(RUNS, || run(circuit, &target, 1));
+    let parallel_time = Timing::of(RUNS, || run(circuit, &target, 0));
 
     Measured {
         name,
         n_qubits: circuit.n_qubits,
         twoq_gates: serial.metrics.two_qubit_gates,
-        serial_ms,
-        parallel_ms,
+        serial: serial_time,
+        parallel: parallel_time,
         swaps: serial.metrics.swaps_inserted,
         mirrors: serial.metrics.mirrors_accepted,
         fingerprint: serial.circuit.fingerprint(),
@@ -161,7 +168,7 @@ fn measure((name, circuit): &(&'static str, Circuit)) -> Measured {
 fn main() -> ExitCode {
     let args = CLI.parse_env();
     println!(
-        "transpile_runtime — line topology, mirage quick trials, best-of-{BEST_OF} \
+        "transpile_runtime — line topology, mirage quick trials, {RUNS} runs per mode \
          ({}, {} threads)\n",
         args.mode(),
         report::host_cores()
@@ -192,7 +199,7 @@ fn main() -> ExitCode {
         ("topology", "line".into()),
         ("router", "mirage".into()),
         ("seed", TRANSPILE_SEED.into()),
-        ("best_of", BEST_OF.into()),
+        ("runs", RUNS.into()),
     ]);
     let doc = report::document(CLI.bin, &args, config, cases, vec![]);
     report::finish(CLI.bin, &args.out, &doc, verdict)

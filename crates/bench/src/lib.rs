@@ -6,7 +6,7 @@
 //! ---
 //! **Owns:** [`coverage_for`], [`geo_mean`], [`pct_improvement`],
 //! [`print_table`], the gate harness in [`report`] (arguments, pins,
-//! `BENCH_*.json` writer, verdict, `best_ms` timing), and the binaries.
+//! `BENCH_*.json` writer, verdict, `best_ms` and `Timing`), and the binaries.
 //! **Paper:** §§V–VI — Tables I–II and Figs. 8–12 in `paper`, Fig. 13b's
 //! runtime axis in `routing_runtime`.
 

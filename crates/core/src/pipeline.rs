@@ -229,6 +229,17 @@ impl std::fmt::Display for TranspileError {
 
 impl std::error::Error for TranspileError {}
 
+/// [`TranspileError::DisconnectedTopology`] unless `target`'s coupling map
+/// is connected: a gate whose operands sit on different components can
+/// never be routed.
+pub(crate) fn require_connected(target: &Target) -> Result<(), TranspileError> {
+    if target.topology().is_connected() {
+        Ok(())
+    } else {
+        Err(TranspileError::DisconnectedTopology)
+    }
+}
+
 /// Transpile `circuit` onto `target`.
 ///
 /// One calibration snapshot prices the whole call; the result records its
@@ -250,9 +261,7 @@ pub fn transpile(
             device: topo.n_qubits(),
         });
     }
-    if !topo.is_connected() {
-        return Err(TranspileError::DisconnectedTopology);
-    }
+    require_connected(target)?;
 
     // Input cleaning (paper §V): drop identities, cancel inverses, merge
     // rotations, and elide explicit SWAPs into a wire relabeling — a SWAP

@@ -16,10 +16,14 @@
 //! those routes is ever output. So the core **routes without building a
 //! circuit**:
 //!
-//! * It walks a `RouteDag`: per node two `u32` operands, a class id and
-//!   an in-degree, with successors in one CSR array. The engine builds its
-//!   forward and backward `RouteDag` once; the large [`Dag`] nodes (gate
-//!   plus three `Vec`s) never enter the loop.
+//! * It walks a `RouteDag`: per node two `u32` operands, a class id, an
+//!   in-degree and its successors inline (a node has at most one successor
+//!   per wire, so two slots and a count). One constructor builds it from
+//!   any ordered gate sequence by tracking the last node on each wire: the
+//!   engine feeds it the circuit's instructions forward and reversed, once
+//!   per engine, and [`route_with_scratch`] feeds it a [`Dag`]'s nodes.
+//!   The large [`Dag`] nodes (gate plus three `Vec`s) never enter the
+//!   loop.
 //! * It writes an **op trace** (`Op`): per emitted gate the node it came
 //!   from (or a SWAP sentinel), its physical operands, its class id and its
 //!   count of mirror steps. No `Gate` clone, no matrix product, no
@@ -47,13 +51,26 @@
 //!   Every distance the loop reads — scoring, the mirror lookahead's sums
 //!   — comes from the map's flat residual table
 //!   ([`CouplingMap::residual`], `distance − 1` saturating), and
-//!   adjacency from its edge-id table ([`CouplingMap::edge_id`]). The
-//!   extended set is reused across consecutive SWAP-only steps (front and
-//!   `done` do not change between them); everything else is rebuilt every
-//!   step, which at ~12 candidates and ~21 entries per step costs no more
-//!   than carrying it. The decay table is refilled only when a SWAP has
-//!   bumped it since the last reset. Only the BFS seen-marks are
-//!   epoch-stamped: clearing them would cost O(DAG) per lookahead.
+//!   adjacency from its edge-id table ([`CouplingMap::edge_id`]).
+//!   Everything but the extended set is rebuilt every step, which at ~12
+//!   candidates and ~21 entries per step costs no more than carrying it.
+//!   The decay table is refilled only when a SWAP has bumped it since the
+//!   last reset.
+//! * **One lookahead walk per front change.** The breadth-first lookahead
+//!   (a flat queue read from a moving head; only its seen-marks are
+//!   epoch-stamped, since clearing them would cost O(DAG) per walk) runs
+//!   at most once between two changes of the front. The swap ranker's
+//!   extended set is kept across consecutive SWAP-only steps, since front
+//!   and `done` do not change between them. And when the last gate to
+//!   execute was a 2Q gate whose A1/A2 mirror decision walked its 40-node
+//!   window, the ranker takes that window's first 20 nodes instead of
+//!   walking again. That is exact: the decision's `probe` is the new front
+//!   in the same order (the front after the gate's `swap_remove`, then the
+//!   successors the gate releases, in successor order), `done` has not
+//!   changed since, and the walk only appends, so its output for limit 20
+//!   is a prefix of its output for limit 40. Any later executed gate
+//!   drops the window, and debug builds check every reused window against
+//!   a fresh walk.
 //! * The mirror decision reads a per-run [`PriceTable`]: pricing the gate
 //!   and its mirror on the executing coupler is
 //!   `class_cost[k] * edge_factor[e]`. At A0 and A3, whose acceptance
@@ -75,7 +92,6 @@ use mirage_circuit::{Circuit, Dag, Gate, Instruction};
 use mirage_math::{Mat4, Rng};
 use mirage_topology::CouplingMap;
 use mirage_weyl::coords::{coords_of, WeylCoord};
-use std::collections::VecDeque;
 
 /// Mirror-acceptance aggression levels (paper Algorithm 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -231,53 +247,75 @@ struct RouteNode {
     source: u32,
     /// Number of predecessors.
     indeg: u32,
+    /// Successors in id order, `succ[..n_succ]`: a node has at most one
+    /// successor per wire, and one reached through both wires counts once.
+    succ: [u32; 2],
+    n_succ: u32,
 }
 
 /// The router's compact view of a circuit DAG: per node its operands,
-/// class id and in-degree, and the successor lists in one CSR array.
+/// class id, in-degree and (inline) successors.
 #[derive(Debug, Clone)]
 pub(crate) struct RouteDag {
     n_qubits: usize,
     nodes: Vec<RouteNode>,
-    /// Node `i`'s successors are `succ[succ_start[i]..succ_start[i + 1]]`.
-    succ_start: Vec<u32>,
-    succ: Vec<u32>,
 }
 
 impl RouteDag {
-    /// The compact form of `dag`, whose node `i` has class `classes[i]`.
+    /// The dependency DAG of an ordered gate sequence on `n_qubits`
+    /// wires: node `i` is item `i`, given as its operands, its gate and its
+    /// class id, and depends on the latest earlier node on each of its
+    /// wires. The nodes, in-degrees and successor order are
+    /// [`Dag::from_circuit`]'s for the same sequence.
     ///
     /// # Panics
     ///
     /// Panics on a gate of more than two qubits.
-    pub(crate) fn new(dag: &Dag, classes: &[ClassId]) -> RouteDag {
-        assert_eq!(dag.len(), classes.len(), "one class id per node");
+    pub(crate) fn new<'g>(
+        n_qubits: usize,
+        gates: impl IntoIterator<Item = (&'g [usize], &'g Gate, ClassId)>,
+    ) -> RouteDag {
+        const NONE: u32 = u32::MAX;
         let index = |x: usize| u32::try_from(x).expect("DAG fits u32 indices");
-        let mut nodes = Vec::with_capacity(dag.len());
-        let mut succ_start = Vec::with_capacity(dag.len() + 1);
-        let mut succ = Vec::new();
-        succ_start.push(0);
-        for (n, &class) in dag.nodes.iter().zip(classes) {
-            let qubits = match n.qubits[..] {
+        // The latest node on each wire so far.
+        let mut last = vec![NONE; n_qubits];
+        let mut nodes: Vec<RouteNode> = Vec::new();
+        for (i, (qubits, gate, class)) in gates.into_iter().enumerate() {
+            let id = index(i);
+            let qubits = match *qubits {
                 [a] => [index(a), NO_QUBIT],
                 [a, b] => [index(a), index(b)],
                 _ => panic!("the router handles one- and two-qubit gates only"),
             };
+            let [pa, pb] = qubits.map(|q| {
+                if q == NO_QUBIT {
+                    NONE
+                } else {
+                    last[q as usize]
+                }
+            });
+            let mut indeg = 0;
+            for p in [pa, if pb == pa { NONE } else { pb }] {
+                if p != NONE {
+                    let n = &mut nodes[p as usize];
+                    n.succ[n.n_succ as usize] = id;
+                    n.n_succ += 1;
+                    indeg += 1;
+                }
+            }
+            for q in qubits.into_iter().filter(|&q| q != NO_QUBIT) {
+                last[q as usize] = id;
+            }
             nodes.push(RouteNode {
                 qubits,
                 class,
-                source: source(&n.gate, n.id),
-                indeg: index(n.preds.len()),
+                source: source(gate, i),
+                indeg,
+                succ: [NONE; 2],
+                n_succ: 0,
             });
-            succ.extend(n.succs.iter().map(|&s| index(s)));
-            succ_start.push(index(succ.len()));
         }
-        RouteDag {
-            n_qubits: dag.n_qubits,
-            nodes,
-            succ_start,
-            succ,
-        }
+        RouteDag { n_qubits, nodes }
     }
 
     fn len(&self) -> usize {
@@ -285,7 +323,8 @@ impl RouteDag {
     }
 
     fn succs(&self, id: usize) -> &[u32] {
-        &self.succ[self.succ_start[id] as usize..self.succ_start[id + 1] as usize]
+        let n = &self.nodes[id];
+        &n.succ[..n.n_succ as usize]
     }
 
     fn is_2q(&self, id: usize) -> bool {
@@ -412,7 +451,7 @@ pub struct RouterScratch {
     // Mirror-decision probe front and the shared extended-set BFS.
     probe: Vec<usize>,
     ext: Vec<usize>,
-    queue: VecDeque<usize>,
+    queue: Vec<u32>,
     node_mark: Vec<u64>,
     node_epoch: u64,
     // Per-SWAP-step candidate edges (one bit per edge id, cleared as the
@@ -454,7 +493,10 @@ impl RouterScratch {
 /// The lookahead window: up to `limit` unexecuted two-qubit descendants of
 /// `seeds`, breadth-first, into the reusable `out` buffer. Identical
 /// traversal (and therefore output order) to the seed implementation's
-/// `HashSet`/`VecDeque` version; the seen-set is an epoch-stamped array.
+/// `HashSet`/`VecDeque` version; the seen-set is an epoch-stamped array
+/// and the queue a flat buffer read from a moving head. The walk only
+/// appends to `out`, so the window for a smaller `limit` is a prefix of
+/// the window for a larger one.
 #[allow(clippy::too_many_arguments)]
 fn extended_set_into(
     dag: &RouteDag,
@@ -463,7 +505,7 @@ fn extended_set_into(
     limit: usize,
     node_mark: &mut [u64],
     node_epoch: &mut u64,
-    queue: &mut VecDeque<usize>,
+    queue: &mut Vec<u32>,
     out: &mut Vec<usize>,
 ) {
     out.clear();
@@ -472,12 +514,12 @@ fn extended_set_into(
     let ep = *node_epoch;
     for &id in seeds {
         node_mark[id] = ep;
-        queue.push_back(id);
+        queue.push(id as u32);
     }
-    while let Some(id) = queue.pop_front() {
-        if out.len() >= limit {
-            break;
-        }
+    let mut head = 0;
+    while head < queue.len() && out.len() < limit {
+        let id = queue[head] as usize;
+        head += 1;
         for &s in dag.succs(id) {
             let s = s as usize;
             if node_mark[s] != ep {
@@ -489,7 +531,7 @@ fn extended_set_into(
                             break;
                         }
                     }
-                    queue.push_back(s);
+                    queue.push(s as u32);
                 }
             }
         }
@@ -560,6 +602,12 @@ fn sum_and_swap_delta(
 ///
 /// Allocates a fresh [`RouterScratch`] per call; hot loops should hold one
 /// and call [`route_with_scratch`] instead.
+///
+/// # Panics
+///
+/// Panics when the circuit is wider than the device or the coupling map
+/// is disconnected; [`crate::trials::TrialEngine`] and
+/// [`crate::transpile`] return a [`crate::TranspileError`] instead.
 pub fn route(
     dag: &Dag,
     coords: &[Option<WeylCoord>],
@@ -587,6 +635,10 @@ pub fn route(
 /// `RouteDag`, routes, and materializes the trace from `dag`'s gates.
 /// [`crate::trials::TrialEngine`] builds its classes and DAGs once per
 /// engine and its table once per run instead.
+///
+/// # Panics
+///
+/// As [`route`].
 pub fn route_with_scratch(
     dag: &Dag,
     coords: &[Option<WeylCoord>],
@@ -596,9 +648,19 @@ pub fn route_with_scratch(
     rng: &mut Rng,
     scratch: &mut RouterScratch,
 ) -> RoutedCircuit {
+    assert!(
+        target.topology().is_connected(),
+        "coupling map is disconnected"
+    );
     let (classes, node_classes) = Classes::build(coords);
     let prices = PriceTable::new(target, &classes, target.calibration_snapshot());
-    let route_dag = RouteDag::new(dag, &node_classes);
+    let route_dag = RouteDag::new(
+        dag.n_qubits,
+        dag.nodes
+            .iter()
+            .zip(node_classes)
+            .map(|(n, k)| (&n.qubits[..], &n.gate, k)),
+    );
     let mut final_layout = layout.clone();
     let counts = route_trace(
         &route_dag,
@@ -661,8 +723,11 @@ pub(crate) fn route_trace(
     // refill the table only then.
     let mut decay_dirty = false;
     let mut stall_swaps = 0usize;
-    // `ext` holds the swap ranker's extended set of the current front
-    // until a gate executes (front and `done` are unchanged until then).
+    // `ext` holds the swap ranker's extended set of the current front:
+    // from the last SWAP step's walk (front and `done` are unchanged until
+    // a gate executes), or the first `|E|` nodes of the mirror decision's
+    // window when that decision's gate was the last to execute (see the
+    // module docs).
     let mut ext_current = false;
 
     // Upper bound to catch non-termination bugs early (generously above any
@@ -688,6 +753,9 @@ pub(crate) fn route_trace(
             };
             front.swap_remove(i);
             done[id] = true;
+            // Set when the mirror decision walks its window from the front
+            // this gate leaves behind.
+            let mut probed = false;
 
             if let Some((p1, p2)) = pair {
                 let k = node.class;
@@ -749,6 +817,11 @@ pub(crate) fn route_trace(
                                 sum_and_swap_delta(dag, probe, layout, topo, p1, p2);
                             let (e_sum, e_delta) =
                                 sum_and_swap_delta(dag, ext, layout, topo, p1, p2);
+                            // The window's first `|E|` nodes are the
+                            // ranker's extended set of the front this gate
+                            // leaves behind (see the module docs).
+                            ext.truncate(EXTENDED_SET_SIZE);
+                            probed = true;
                             let h_plain = f_sum as f64 + EXTENDED_SET_WEIGHT * e_sum as f64;
                             let h_mirror = (f_sum + f_delta) as f64
                                 + EXTENDED_SET_WEIGHT * ((e_sum + e_delta) as f64);
@@ -781,7 +854,8 @@ pub(crate) fn route_trace(
                 }
             }
             executed_any = true;
-            ext_current = false;
+            // Any later executed gate changes the front again.
+            ext_current = probed;
             // "Reset after every five steps or gate mapping."
             if decay_dirty {
                 decay.fill(1.0);
@@ -816,6 +890,19 @@ pub(crate) fn route_trace(
                 ext,
             );
             ext_current = true;
+        } else if cfg!(debug_assertions) {
+            let mut fresh = Vec::new();
+            extended_set_into(
+                dag,
+                front,
+                done,
+                EXTENDED_SET_SIZE,
+                node_mark,
+                node_epoch,
+                queue,
+                &mut fresh,
+            );
+            debug_assert_eq!(*ext, fresh, "a reused extended set went stale");
         }
 
         // Base scores for this step, computed once: per-node residual
@@ -1470,6 +1557,15 @@ mod tests {
         Target::sqrt_iswap(topo)
     }
 
+    /// The `RouteDag` of `dag`'s nodes, as [`route_with_scratch`] builds it.
+    fn route_dag(dag: &Dag, classes: &[ClassId]) -> RouteDag {
+        let gates = dag.nodes.iter().zip(classes);
+        RouteDag::new(
+            dag.n_qubits,
+            gates.map(|(n, &k)| (&n.qubits[..], &n.gate, k)),
+        )
+    }
+
     fn route_simple(
         c: &Circuit,
         target: &Target,
@@ -1585,6 +1681,13 @@ mod tests {
             }
         }
         assert!(verify_routed(&c, &r, &t));
+    }
+
+    #[test]
+    #[should_panic(expected = "coupling map is disconnected")]
+    fn split_map_panics_up_front() {
+        let topo = CouplingMap::from_edges(4, &[(0, 1), (2, 3)], "split");
+        route_simple(&ghz(4), &target(topo), Some(Aggression::A2), 1);
     }
 
     #[test]
@@ -1733,7 +1836,7 @@ mod tests {
                     c.h(spectator).cx(a, b);
                     let dag = Dag::from_circuit(&c);
                     let (_, node_classes) = Classes::build(&node_coords(&dag));
-                    let route_dag = RouteDag::new(&dag, &node_classes);
+                    let route_dag = route_dag(&dag, &node_classes);
                     let front = dag.front_layer();
                     let layout = Layout::trivial(n, n);
                     let (p1, p2) = force_step(&route_dag, &front, &layout, &topo);
@@ -1755,6 +1858,77 @@ mod tests {
             }
             assert!(stalled > 0, "no pair at distance >= 3 on {n} qubits");
         }
+    }
+
+    /// `RouteDag::new` against [`Dag::from_circuit`] on seeded random
+    /// circuits, forward and reversed: operands, class ids, sources,
+    /// in-degrees and successors in order. The circuits repeat same-pair
+    /// gates (one successor through both wires), include bare SWAPs (the
+    /// [`SWAP_OP`] source) and keep one wire for 1Q gates only.
+    #[test]
+    fn route_dag_matches_dag_forward_and_reversed() {
+        let mut rng = Rng::new(0xDA6);
+        let mut both_wires = 0;
+        for _ in 0..200 {
+            let n = 2 + rng.below(6);
+            // Wire `n` only ever carries 1Q gates.
+            let mut c = Circuit::new(n + 1);
+            let mut pair = (0, 1);
+            for _ in 0..rng.below(40) {
+                if rng.chance(0.3) {
+                    let gate = [Gate::H, Gate::T][rng.below(2)].clone();
+                    c.push(gate, &[rng.below(n + 1)]);
+                    continue;
+                }
+                if !rng.chance(0.3) {
+                    let a = rng.below(n);
+                    pair = (a, (a + 1 + rng.below(n - 1)) % n);
+                }
+                let gate = [Gate::Cx, Gate::Cz, Gate::Swap][rng.below(3)].clone();
+                c.push(gate, &[pair.0, pair.1]);
+            }
+            for circuit in [c.clone(), c.reversed()] {
+                let dag = Dag::from_circuit(&circuit);
+                let classes: Vec<ClassId> = (0..dag.len())
+                    .map(|i| {
+                        if dag.nodes[i].qubits.len() == 2 {
+                            i as ClassId
+                        } else {
+                            NO_CLASS
+                        }
+                    })
+                    .collect();
+                let rd = route_dag(&dag, &classes);
+                assert_eq!(rd.len(), dag.len());
+                assert_eq!(rd.n_qubits, dag.n_qubits);
+                for (i, node) in dag.nodes.iter().enumerate() {
+                    let r = rd.nodes[i];
+                    let qubits: Vec<usize> = r
+                        .qubits
+                        .iter()
+                        .filter(|&&q| q != NO_QUBIT)
+                        .map(|&q| q as usize)
+                        .collect();
+                    assert_eq!(qubits, node.qubits, "node {i}");
+                    assert_eq!(r.class, classes[i]);
+                    assert_eq!(r.source, source(&node.gate, i));
+                    assert_eq!(r.indeg as usize, node.preds.len(), "node {i}");
+                    let succs: Vec<usize> = rd.succs(i).iter().map(|&s| s as usize).collect();
+                    assert_eq!(succs, node.succs, "node {i}");
+                    let mut ops = node.qubits.clone();
+                    ops.sort_unstable();
+                    if let [s] = node.succs[..] {
+                        let mut next = dag.nodes[s].qubits.clone();
+                        next.sort_unstable();
+                        both_wires += usize::from(ops.len() == 2 && next == ops);
+                    }
+                }
+            }
+        }
+        assert!(
+            both_wires > 0,
+            "no successor was reached through both wires"
+        );
     }
 
     /// Scratch reuse across different DAGs, devices, and configs must not
@@ -1820,7 +1994,7 @@ mod tests {
                 let dag = Dag::from_circuit(&cc);
                 let (classes, node_classes) = Classes::build(&node_coords(&dag));
                 let prices = PriceTable::new(&t, &classes, t.calibration_snapshot());
-                let route_dag = RouteDag::new(&dag, &node_classes);
+                let route_dag = route_dag(&dag, &node_classes);
                 let gate = |i: usize| &dag.nodes[i].gate;
                 for aggression in [Aggression::A0, Aggression::A2] {
                     let config = RouterConfig {

@@ -18,7 +18,7 @@
 //! `transpile`, the bench harness, and `mirage-cli` all sit on.
 
 use crate::layout::Layout;
-use crate::pipeline::TranspileError;
+use crate::pipeline::{require_connected, TranspileError};
 use crate::placement::{LayoutStrategy, PlacementContext, StrategyKind, Vf2Embed};
 use crate::pricing::{ClassId, Classes, PriceTable};
 use crate::router::{
@@ -26,7 +26,7 @@ use crate::router::{
     RouterConfig, RouterScratch,
 };
 use crate::target::Target;
-use mirage_circuit::{Circuit, Dag};
+use mirage_circuit::Circuit;
 use mirage_math::Rng;
 use mirage_weyl::coords::coords_of;
 use std::borrow::Cow;
@@ -513,6 +513,10 @@ pub struct TrialEngine<'a> {
     /// proposal is computed once and shared by the pre-pass and every
     /// vf2-lane layout trial.
     vf2: std::sync::OnceLock<Option<Layout>>,
+    /// Fault injection for the scheduler tests: this layout trial's refine
+    /// task panics.
+    #[cfg(test)]
+    panic_in_refine: Option<usize>,
 }
 
 impl<'a> TrialEngine<'a> {
@@ -530,6 +534,8 @@ impl<'a> TrialEngine<'a> {
             classes: OnceLock::new(),
             routing: OnceLock::new(),
             vf2: std::sync::OnceLock::new(),
+            #[cfg(test)]
+            panic_in_refine: None,
         }
     }
 
@@ -593,13 +599,15 @@ impl<'a> TrialEngine<'a> {
     fn routing_state(&self) -> &RoutingState {
         self.routing.get_or_init(|| {
             let circuit = self.ctx.circuit();
-            let classes = self.circuit_classes();
+            let gates = circuit
+                .instructions
+                .iter()
+                .zip(self.circuit_classes())
+                .map(|(i, &k)| (&i.qubits[..], &i.gate, k));
             // The backward DAG's node `i` is instruction `len - 1 - i`.
-            let mut classes_bwd = classes.to_vec();
-            classes_bwd.reverse();
             RoutingState {
-                fwd: RouteDag::new(&Dag::from_circuit(circuit), classes),
-                bwd: RouteDag::new(&Dag::from_circuit(&circuit.reversed()), &classes_bwd),
+                fwd: RouteDag::new(circuit.n_qubits, gates.clone()),
+                bwd: RouteDag::new(circuit.n_qubits, gates.rev()),
             }
         })
     }
@@ -643,6 +651,8 @@ impl<'a> TrialEngine<'a> {
         run: &Run<'_, 'a>,
         scratch: &mut RouterScratch,
     ) -> Refined {
+        #[cfg(test)]
+        assert_ne!(self.panic_in_refine, Some(trial), "injected refine panic");
         let mut rng = Rng::new(SeedSchedule::new(opts.seed).trial_seed(trial));
         let kind = StrategyKind::for_trial(trial, opts.layout_trials, &opts.strategy_mix);
         let ctx: &PlacementContext<'a> = &run.ctx;
@@ -769,7 +779,8 @@ impl<'a> TrialEngine<'a> {
     /// # Errors
     ///
     /// [`TranspileError::NoTrials`] or [`TranspileError::InvalidTrialMix`]
-    /// when `opts` fails [`TrialOptions::validate`].
+    /// when `opts` fails [`TrialOptions::validate`], and
+    /// [`TranspileError::DisconnectedTopology`] on a split coupling map.
     pub fn run_candidates(
         &self,
         mirage: bool,
@@ -790,6 +801,7 @@ impl<'a> TrialEngine<'a> {
         opts: &TrialOptions,
     ) -> Result<(Vec<Traced>, PriceTable), TranspileError> {
         opts.validate()?;
+        require_connected(self.target)?;
         let snapshot = self.target.calibration_snapshot();
         // Placement sees the run's snapshot too: the engine's own context
         // when nothing was swapped since it was built, a re-based copy
@@ -901,7 +913,8 @@ impl<'a> TrialEngine<'a> {
     /// # Errors
     ///
     /// [`TranspileError::NoTrials`] or [`TranspileError::InvalidTrialMix`]
-    /// when `opts` fails [`TrialOptions::validate`].
+    /// when `opts` fails [`TrialOptions::validate`], and
+    /// [`TranspileError::DisconnectedTopology`] on a split coupling map.
     pub fn run_detailed(
         &self,
         mirage: bool,
@@ -1216,15 +1229,11 @@ mod tests {
 
     #[test]
     fn panicking_task_panics_the_call_instead_of_deadlocking() {
-        // Two disjoint 3-qubit lines and a 6-qubit GHZ chain: every
-        // placement splits the chain across the components, so every
-        // router run (refinement first) exhausts its SWAP budget and
-        // panics. With fewer layout trials than workers, the workers
-        // without a refine task wait for route tasks that never become
-        // ready; they must be released and the call must panic.
-        let topo = CouplingMap::from_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5)], "split");
-        let target = Arc::new(Target::sqrt_iswap(topo));
-        let c = Arc::new(consolidate(&mirage_circuit::generators::ghz(6)));
+        // The last layout trial's refine task panics. Workers without a
+        // refine task wait for its route tasks, which never become ready;
+        // they must be released and the call must panic.
+        let target = Arc::new(Target::sqrt_iswap(CouplingMap::grid(2, 3)));
+        let c = Arc::new(consolidate(&two_local_full(6, 1, 12)));
         for (layout_trials, threads) in [(1, 1), (1, 2), (1, 4), (2, 3), (4, 4)] {
             let (done_tx, done_rx) = std::sync::mpsc::channel();
             let (target, c) = (Arc::clone(&target), Arc::clone(&c));
@@ -1233,7 +1242,9 @@ mod tests {
                     let mut opts = TrialOptions::quick(Metric::Depth, 1);
                     opts.layout_trials = layout_trials;
                     opts.threads = threads;
-                    let _ = TrialEngine::new(&c, &target).run_detailed(true, &opts);
+                    let mut engine = TrialEngine::new(&c, &target);
+                    engine.panic_in_refine = Some(layout_trials - 1);
+                    let _ = engine.run_detailed(true, &opts);
                 });
                 let _ = done_tx.send(outcome.is_err());
             });
@@ -1242,6 +1253,32 @@ mod tests {
                 .recv_timeout(std::time::Duration::from_secs(60))
                 .unwrap_or_else(|_| panic!("{shape}: the trial loop deadlocked"));
             assert!(panicked, "{shape}: the call returned normally");
+        }
+    }
+
+    #[test]
+    fn split_map_is_a_typed_error_not_a_panic() {
+        // Two disjoint 3-qubit lines and a 6-qubit GHZ chain: every
+        // placement splits the chain across the components, so no route
+        // could finish.
+        let topo = CouplingMap::from_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5)], "split");
+        let target = Target::sqrt_iswap(topo);
+        let c = consolidate(&mirage_circuit::generators::ghz(6));
+        let engine = TrialEngine::new(&c, &target);
+        for threads in [1, 4] {
+            let mut opts = TrialOptions::quick(Metric::Depth, 1);
+            opts.threads = threads;
+            for mirage in [true, false] {
+                let detailed = engine.run_detailed(mirage, &opts).map(|_| ());
+                let candidates = engine.run_candidates(mirage, &opts).map(|_| ());
+                for got in [detailed, candidates] {
+                    assert_eq!(
+                        got,
+                        Err(TranspileError::DisconnectedTopology),
+                        "{threads} threads, mirage {mirage}"
+                    );
+                }
+            }
         }
     }
 
