@@ -14,10 +14,12 @@
 //! 0–63 SWAPs and time mostly the execute layer and the mirror decision.
 //! The `grid6x6-*` and `heavyhex5-*` cases start from a random layout
 //! (drawn from the route seed) on the paper's two Fig. 12 devices, under
-//! A2 and plain SABRE, and QFT-32 also under A1 (the level of the
-//! mirror-aware refinement and of routing trial 1): there the SWAP-step
-//! kernel (candidate build and scoring) dominates the route time, as it
-//! does inside the trial engine.
+//! A1 (the level of the mirror-aware refinement and of routing trial 1),
+//! A2 and plain SABRE: there the SWAP-step kernel (candidate build and
+//! scoring) dominates the route time, as it does inside the trial engine.
+//! QFT's mirror costs never tie, so its A1 and A2 routes coincide; the
+//! two_local A1 routes differ from their A2 ones and pin A1's strict
+//! acceptance rule.
 //!
 //! One hard gate (nonzero exit on failure): **pinned fingerprints** —
 //! every case's routed-circuit fingerprint, SWAP count, and mirror count
@@ -67,6 +69,10 @@ const SANITY: &[(&str, Sanity)] = &[
         (0x4462FF674A3035E5, 292, 292),
     ),
     (
+        "grid6x6-twolocal-full-24-a1",
+        (0x38797D214ED0E8B2, 373, 234),
+    ),
+    (
         "grid6x6-twolocal-full-24-sabre",
         (0x40768798D8914CFB, 539, 0),
     ),
@@ -76,6 +82,10 @@ const SANITY: &[(&str, Sanity)] = &[
     (
         "heavyhex5-twolocal-full-24-a2",
         (0x1D142E944FDEF8E0, 719, 310),
+    ),
+    (
+        "heavyhex5-twolocal-full-24-a1",
+        (0xA2750B24CD37DE31, 689, 287),
     ),
     (
         "heavyhex5-twolocal-full-24-sabre",
@@ -167,6 +177,12 @@ fn cases(quick: bool) -> Vec<Case> {
             a2,
         ),
         device(
+            "grid6x6-twolocal-full-24-a1",
+            two_local_full(24, 2, 0xB24),
+            CouplingMap::grid(6, 6),
+            a1,
+        ),
+        device(
             "grid6x6-twolocal-full-24-sabre",
             two_local_full(24, 2, 0xB24),
             CouplingMap::grid(6, 6),
@@ -195,6 +211,12 @@ fn cases(quick: bool) -> Vec<Case> {
             two_local_full(24, 2, 0xB24),
             CouplingMap::heavy_hex(5),
             a2,
+        ),
+        device(
+            "heavyhex5-twolocal-full-24-a1",
+            two_local_full(24, 2, 0xB24),
+            CouplingMap::heavy_hex(5),
+            a1,
         ),
         device(
             "heavyhex5-twolocal-full-24-sabre",
