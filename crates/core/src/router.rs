@@ -451,9 +451,7 @@ pub struct RouterScratch {
     // Mirror-decision probe front and the shared extended-set BFS.
     probe: Vec<usize>,
     ext: Vec<usize>,
-    queue: Vec<u32>,
-    node_mark: Vec<u64>,
-    node_epoch: u64,
+    lookahead: Lookahead,
     // Per-SWAP-step candidate edges (one bit per edge id, cleared as the
     // scoring walk reads them), score entries and the phys→entry inverted
     // index, all rebuilt every step.
@@ -479,8 +477,8 @@ impl RouterScratch {
     /// Grow the per-node and per-qubit arrays to fit a routing problem,
     /// and size the candidate bitset (all clear) to `n_edges` bits.
     fn prepare(&mut self, n_nodes: usize, n_phys: usize, n_edges: usize) {
-        if self.node_mark.len() < n_nodes {
-            self.node_mark.resize(n_nodes, 0);
+        if self.lookahead.mark.len() < n_nodes {
+            self.lookahead.mark.resize(n_nodes, 0);
         }
         if self.touch.len() < n_phys {
             self.touch.resize_with(n_phys, Vec::new);
@@ -490,48 +488,56 @@ impl RouterScratch {
     }
 }
 
-/// The lookahead window: up to `limit` unexecuted two-qubit descendants of
-/// `seeds`, breadth-first, into the reusable `out` buffer. Identical
-/// traversal (and therefore output order) to the seed implementation's
-/// `HashSet`/`VecDeque` version; the seen-set is an epoch-stamped array
-/// and the queue a flat buffer read from a moving head. The walk only
-/// appends to `out`, so the window for a smaller `limit` is a prefix of
-/// the window for a larger one.
-#[allow(clippy::too_many_arguments)]
-fn extended_set_into(
-    dag: &RouteDag,
-    seeds: &[usize],
-    done: &[bool],
-    limit: usize,
-    node_mark: &mut [u64],
-    node_epoch: &mut u64,
-    queue: &mut Vec<u32>,
-    out: &mut Vec<usize>,
-) {
-    out.clear();
-    queue.clear();
-    *node_epoch += 1;
-    let ep = *node_epoch;
-    for &id in seeds {
-        node_mark[id] = ep;
-        queue.push(id as u32);
-    }
-    let mut head = 0;
-    while head < queue.len() && out.len() < limit {
-        let id = queue[head] as usize;
-        head += 1;
-        for &s in dag.succs(id) {
-            let s = s as usize;
-            if node_mark[s] != ep {
-                node_mark[s] = ep;
-                if !done[s] {
-                    if dag.is_2q(s) {
-                        out.push(s);
-                        if out.len() >= limit {
-                            break;
+/// The lookahead walk's reusable state: a flat queue read from a moving
+/// head, and per-node seen-marks stamped with the walk's epoch.
+#[derive(Debug, Default)]
+struct Lookahead {
+    queue: Vec<u32>,
+    mark: Vec<u64>,
+    epoch: u64,
+}
+
+impl Lookahead {
+    /// The lookahead window: up to `limit` unexecuted two-qubit
+    /// descendants of `seeds`, breadth-first, into the reusable `out`
+    /// buffer. Identical traversal (and therefore output order) to the
+    /// seed implementation's `HashSet`/`VecDeque` version. The walk only
+    /// appends to `out`, so the window for a smaller `limit` is a prefix
+    /// of the window for a larger one.
+    fn window(
+        &mut self,
+        dag: &RouteDag,
+        seeds: &[usize],
+        done: &[bool],
+        limit: usize,
+        out: &mut Vec<usize>,
+    ) {
+        let Lookahead { queue, mark, epoch } = self;
+        out.clear();
+        queue.clear();
+        *epoch += 1;
+        let ep = *epoch;
+        for &id in seeds {
+            mark[id] = ep;
+            queue.push(id as u32);
+        }
+        let mut head = 0;
+        while head < queue.len() && out.len() < limit {
+            let id = queue[head] as usize;
+            head += 1;
+            for &s in dag.succs(id) {
+                let s = s as usize;
+                if mark[s] != ep {
+                    mark[s] = ep;
+                    if !done[s] {
+                        if dag.is_2q(s) {
+                            out.push(s);
+                            if out.len() >= limit {
+                                break;
+                            }
                         }
+                        queue.push(s as u32);
                     }
-                    queue.push(s as u32);
                 }
             }
         }
@@ -699,9 +705,7 @@ pub(crate) fn route_trace(
         decay,
         probe,
         ext,
-        queue,
-        node_mark,
-        node_epoch,
+        lookahead,
         candidates,
         entries,
         touch,
@@ -793,16 +797,7 @@ pub(crate) fn route_trace(
                             // The mirror decision looks deeper than the
                             // swap ranker: mirrors are rarer, higher-stakes
                             // moves.
-                            extended_set_into(
-                                dag,
-                                probe,
-                                done,
-                                MIRROR_LOOKAHEAD,
-                                node_mark,
-                                node_epoch,
-                                queue,
-                                ext,
-                            );
+                            lookahead.window(dag, probe, done, MIRROR_LOOKAHEAD, ext);
                             // The mirror decision uses *summed* distances,
                             // not the swap-ranking average: the
                             // decomposition-cost delta is an absolute
@@ -879,29 +874,11 @@ pub(crate) fn route_trace(
         );
 
         if !ext_current {
-            extended_set_into(
-                dag,
-                front,
-                done,
-                EXTENDED_SET_SIZE,
-                node_mark,
-                node_epoch,
-                queue,
-                ext,
-            );
+            lookahead.window(dag, front, done, EXTENDED_SET_SIZE, ext);
             ext_current = true;
         } else if cfg!(debug_assertions) {
             let mut fresh = Vec::new();
-            extended_set_into(
-                dag,
-                front,
-                done,
-                EXTENDED_SET_SIZE,
-                node_mark,
-                node_epoch,
-                queue,
-                &mut fresh,
-            );
+            lookahead.window(dag, front, done, EXTENDED_SET_SIZE, &mut fresh);
             debug_assert_eq!(*ext, fresh, "a reused extended set went stale");
         }
 
