@@ -263,25 +263,35 @@ fn parse_gate(
         message: message.to_string(),
     };
 
-    // Split "name(args) operands".
-    let (head, operands) = match stmt.find(')') {
-        Some(p) => (&stmt[..=p], stmt[p + 1..].trim()),
-        None => match stmt.find(' ') {
-            Some(p) => (&stmt[..p], stmt[p + 1..].trim()),
+    // Split "name(args) operands"; the argument list may nest parentheses.
+    let (name, args, operands) = match stmt.find('(') {
+        Some(open) => {
+            let mut depth = 0usize;
+            let close = open
+                + stmt[open..]
+                    .find(|ch| {
+                        match ch {
+                            '(' => depth += 1,
+                            ')' => depth -= 1,
+                            _ => {}
+                        }
+                        depth == 0
+                    })
+                    .ok_or_else(|| err("unclosed parameter list"))?;
+            let args: Result<Vec<f64>, QasmError> = stmt[open + 1..close]
+                .split(',')
+                .map(|e| match eval_expr(e) {
+                    Some(v) if v.is_finite() => Ok(v),
+                    Some(_) => Err(err("non-finite parameter")),
+                    None => Err(err("bad parameter expression")),
+                })
+                .collect();
+            (stmt[..open].trim(), args?, stmt[close + 1..].trim())
+        }
+        None => match stmt.split_once(' ') {
+            Some((name, operands)) => (name, Vec::new(), operands.trim()),
             None => return Err(err("malformed statement")),
         },
-    };
-    let (name, args) = match head.find('(') {
-        Some(p) => {
-            let name = head[..p].trim();
-            let inner = head[p + 1..head.len() - 1].trim();
-            let args: Result<Vec<f64>, QasmError> = inner
-                .split(',')
-                .map(|e| eval_expr(e).ok_or_else(|| err("bad parameter expression")))
-                .collect();
-            (name, args?)
-        }
-        None => (head.trim(), Vec::new()),
     };
 
     let qubits: Result<Vec<usize>, QasmError> = operands
@@ -569,6 +579,11 @@ mod tests {
         assert!((eval_expr("pi/2").unwrap() - std::f64::consts::FRAC_PI_2).abs() < 1e-12);
         assert!((eval_expr("-pi/4").unwrap() + std::f64::consts::FRAC_PI_4).abs() < 1e-12);
         assert!((eval_expr("3*(1+1)/2").unwrap() - 3.0).abs() < 1e-12);
+        let c = from_qasm("qreg q[2];\ncp(3*(pi+1)/2) q[0], q[1];").expect("nested parentheses");
+        assert_eq!(
+            c.instructions[0].gate,
+            Gate::Cphase(3.0 * (std::f64::consts::PI + 1.0) / 2.0)
+        );
         assert!((eval_expr("1.5e-3").unwrap() - 0.0015).abs() < 1e-15);
         assert!(eval_expr("pi pi").is_none());
         assert!(eval_expr("(1").is_none());
@@ -631,6 +646,8 @@ mod tests {
             ("qreg q[2];\nccx q[0],q[0],q[1];", "repeated qubit operand"),
             ("qreg q[2];\nh q]0[;", "unknown qubit operand"),
             ("qreg q]2[;", "qreg missing ]"),
+            ("qreg q[1];\nrz(1e309) q[0];", "non-finite parameter"),
+            ("qreg q[1];\nrz(0/0) q[0];", "non-finite parameter"),
             (
                 "qreg a[18446744073709551615];\nqreg b[1];",
                 "qreg sizes overflow",
@@ -638,6 +655,21 @@ mod tests {
         ] {
             let e = from_qasm(src).unwrap_err();
             assert!(e.message.contains(want), "{src:?}: got {e}");
+        }
+    }
+
+    #[test]
+    fn unclosed_parameter_lists_are_errors_not_panics() {
+        // No closing parenthesis: with nothing after `(`, with a multi-byte
+        // character before the operands, and with a plausible argument.
+        for stmt in ["h( q[0];", "rz(0.5é q[0];", "rz(0.5 q[0];"] {
+            let src = format!("qreg q[1];\n{stmt}");
+            let e = from_qasm(&src).unwrap_err();
+            assert_eq!(e.line, 2, "{stmt:?}: got {e}");
+            assert!(
+                e.message.contains("unclosed parameter list"),
+                "{stmt:?}: got {e}"
+            );
         }
     }
 

@@ -974,3 +974,24 @@ fn unparseable_qasm_is_rejected_not_queued() {
     let stats = server.shutdown();
     assert_eq!(stats.service.jobs, 0, "nothing was ever queued");
 }
+
+#[test]
+fn unclosed_parameter_list_is_rejected_and_the_connection_keeps_serving() {
+    let server = NetServer::bind(grid_target(), "127.0.0.1:0", &ServeConfig::new(1)).unwrap();
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
+    // An unclosed parameter list is a typed rejection, not a panic inside
+    // the connection handler.
+    match client.submit(sample_submit("bad", "qreg q[1];\nh( q[0];", 1)) {
+        Err(ClientError::Rejected { message }) => {
+            assert!(message.contains("qasm parse error"), "got: {message}")
+        }
+        other => panic!("expected Rejected, got {other:?}"),
+    }
+    let outcome = client
+        .submit(sample_submit("good", &to_qasm(&ghz(3)), 1))
+        .expect("the same connection serves a valid job");
+    assert!(outcome.done.metrics.two_qubit_gates > 0);
+    let stats = server.shutdown();
+    assert_eq!(stats.connections, 1);
+    assert_eq!(stats.service.jobs, 1, "only the valid job was queued");
+}
