@@ -21,8 +21,10 @@
 //!   [`JobError::DeadlineExceeded`] without being run — stale interactive
 //!   requests don't burn pool time.
 //! * Each handle streams [`JobEvent`]s — `Started` when a worker picks the
-//!   job up, then `Finished` with the [`JobResult`] — which is what the
-//!   [`net`] front forwards over the wire as queued → running → done.
+//!   job up, then `Finished` with the [`JobResult`]. The [`net`] front
+//!   sends a connection's jobs into one channel
+//!   ([`TranspileService::submit_to`]) and forwards their events over the
+//!   wire as running → done.
 //! * **Workers are supervised.** Per-job execution runs under
 //!   `catch_unwind`: a panicking transpile delivers a terminal
 //!   [`JobError::WorkerPanicked`] for *that job only* and the worker keeps
@@ -343,8 +345,7 @@ impl JobHandle {
     }
 
     /// Block until the next [`JobEvent`] — `Started` when a worker claims
-    /// the job, then `Finished`. The network front uses this to stream
-    /// status updates; callers that only want the result use
+    /// the job, then `Finished`. Callers that only want the result use
     /// [`JobHandle::wait`]. A severed delivery channel yields a terminal
     /// `Finished` carrying [`JobError::WorkerPanicked`].
     pub fn recv_event(&self) -> JobEvent {
@@ -540,24 +541,44 @@ impl TranspileService {
     ///
     /// Same as [`TranspileService::submit`].
     pub fn submit_from(&self, client: u64, job: TranspileJob) -> Result<JobHandle, ServeError> {
-        let id = self.next_id.fetch_add(1, Ordering::SeqCst);
         let (tx, rx) = mpsc::channel();
-        let lane = job.lane;
         let label = job.label.clone();
-        self.queue
-            .push(QueuedJob { id, job, tx }, lane, client)
-            .map_err(|e| match e {
-                PushError::Closed(_) => ServeError::ShutDown,
-                PushError::Full(_) => ServeError::Busy {
-                    lane,
-                    capacity: self.queue.capacity().expect("Full implies bounded"),
-                },
-            })?;
-        Ok(JobHandle {
-            job_id: id,
-            label,
-            rx,
-        })
+        let job_id = self.submit_to(client, job, tx)?;
+        Ok(JobHandle { job_id, label, rx })
+    }
+
+    /// Submit one job on behalf of `client`, streaming its [`JobEvent`]s
+    /// into `events`; returns the job id. Many jobs may share one channel
+    /// (the network front uses one per connection): each accepted job
+    /// sends one `Started`, then one `Finished` carrying its
+    /// [`JobResult::label`], then drops its sender, so the receiver
+    /// disconnects once the caller's senders are gone and every accepted
+    /// job has delivered.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`TranspileService::submit`]; a refused job sends nothing.
+    pub fn submit_to(
+        &self,
+        client: u64,
+        job: TranspileJob,
+        events: mpsc::Sender<JobEvent>,
+    ) -> Result<u64, ServeError> {
+        let id = self.next_id.fetch_add(1, Ordering::SeqCst);
+        let lane = job.lane;
+        let queued = QueuedJob {
+            id,
+            job,
+            tx: events,
+        };
+        self.queue.push(queued, lane, client).map_err(|e| match e {
+            PushError::Closed(_) => ServeError::ShutDown,
+            PushError::Full(_) => ServeError::Busy {
+                lane,
+                capacity: self.queue.capacity().expect("Full implies bounded"),
+            },
+        })?;
+        Ok(id)
     }
 
     /// Submit a batch and block until every job has finished; results come
@@ -1203,5 +1224,38 @@ mod tests {
             JobEvent::Finished(result) => assert!(result.outcome.is_ok()),
             JobEvent::Started { .. } => panic!("only one Started per job"),
         }
+    }
+
+    #[test]
+    fn jobs_sharing_a_channel_each_deliver_then_disconnect_it() {
+        let target = Arc::new(Target::sqrt_iswap(CouplingMap::line(3)));
+        let service = TranspileService::new(target, 2);
+        let (tx, rx) = mpsc::channel();
+        let ids: Vec<u64> = (0..3)
+            .map(|i| {
+                let job = quick_job(&format!("shared-{i}"), ghz(3), i);
+                service.submit_to(5, job, tx.clone()).unwrap()
+            })
+            .collect();
+        drop(tx);
+        // The receiver disconnects only after every job's one Started and
+        // one Finished, each Finished after its own Started.
+        let mut started = Vec::new();
+        let mut finished = Vec::new();
+        for event in rx {
+            match event {
+                JobEvent::Started { job_id, .. } => started.push(job_id),
+                JobEvent::Finished(result) => {
+                    assert!(started.contains(&result.job_id));
+                    assert_eq!(result.label, format!("shared-{}", result.job_id));
+                    assert!(result.outcome.is_ok());
+                    finished.push(result.job_id);
+                }
+            }
+        }
+        started.sort_unstable();
+        finished.sort_unstable();
+        assert_eq!(started, ids);
+        assert_eq!(finished, ids);
     }
 }

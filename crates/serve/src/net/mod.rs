@@ -16,10 +16,13 @@
 //!   served [`Target`]'s calibration.
 //!
 //! A connection carries **pipelined** conversations: the handler thread
-//! keeps reading [`Request`]s while a per-job forwarder thread streams
-//! each accepted job's `Queued` → `Running` → `Done`/`Failed` responses
-//! back through a shared, frame-atomic writer. A client may therefore
-//! have many jobs in flight on one socket; protocol v2 echoes the
+//! keeps reading [`Request`]s and answers each accepted submission with
+//! `Queued`, while the connection's one forwarder thread streams every
+//! accepted job's `Running` → `Done`/`Failed` responses back through a
+//! shared, frame-atomic writer — two threads per connection, however
+//! many jobs it pipelines. A job's `Queued` always precedes its
+//! `Running` on the wire. A client may therefore have many jobs in
+//! flight on one socket; protocol v2 echoes the
 //! submission label on every job-specific response so the client can
 //! correlate them. Every connection feeds the same two-lane queue — the
 //! pool, the lanes, the deadlines, and admission control are shared
@@ -67,7 +70,7 @@ use mirage_core::{Target, TranspileOptions};
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// How to run a [`NetServer`].
@@ -371,7 +374,7 @@ impl Read for Resumable<'_> {
 }
 
 /// Write one response frame through the connection's shared writer. The
-/// lock is held across the whole frame, so forwarder threads and the
+/// lock is held across the whole frame, so the forwarder thread and the
 /// handler interleave at frame granularity — never mid-frame.
 fn send(writer: &Mutex<TcpStream>, response: &Response) -> std::io::Result<()> {
     let mut stream = writer
@@ -381,9 +384,9 @@ fn send(writer: &Mutex<TcpStream>, response: &Response) -> std::io::Result<()> {
 }
 
 /// One connection's conversation loop. Requests are **pipelined**: this
-/// loop keeps reading while per-job forwarder threads stream each
-/// accepted job's statuses back through the shared writer — so a client
-/// can have many jobs in flight on one socket, and one connection's
+/// loop keeps reading while the connection's one forwarder thread streams
+/// every accepted job's statuses back through the shared writer — so a
+/// client can have many jobs in flight on one socket, and one connection's
 /// flood of submissions never has to finish before later requests are
 /// even read.
 fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>, client: u64) {
@@ -395,7 +398,15 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>, client: u64) {
         Ok(write_half) => Arc::new(Mutex::new(write_half)),
         Err(_) => return,
     };
-    let mut forwarders: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    let (events, received) = mpsc::channel();
+    let forward_writer = Arc::clone(&writer);
+    let forwarder = match std::thread::Builder::new()
+        .name(format!("mirage-net-fwd-{client}"))
+        .spawn(move || forward_events(&received, &forward_writer))
+    {
+        Ok(forwarder) => forwarder,
+        Err(_) => return,
+    };
     loop {
         let payload = match next_frame(&mut stream, shared) {
             NextFrame::Payload(payload) => payload,
@@ -441,31 +452,20 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>, client: u64) {
                 },
             )
             .is_ok(),
-            Request::Submit(submit) => {
-                handle_submit(&writer, shared, client, submit, &mut forwarders)
-            }
+            Request::Submit(submit) => handle_submit(&writer, shared, client, submit, &events),
         };
-        // Reap finished forwarders as we go so a long-lived connection
-        // does not accumulate dead join handles.
-        let mut live = Vec::with_capacity(forwarders.len());
-        for handle in forwarders.drain(..) {
-            if handle.is_finished() {
-                let _ = handle.join();
-            } else {
-                live.push(handle);
-            }
-        }
-        forwarders = live;
         if !keep_going {
             break;
         }
     }
     // Every accepted job still delivers its terminal response (or
     // discovers the peer is gone) before the conversation closes — this
-    // is what makes server shutdown graceful from the client's side.
-    for handle in forwarders {
-        let _ = handle.join();
-    }
+    // is what makes server shutdown graceful from the client's side: the
+    // channel disconnects once this sender and every accepted job's are gone.
+    drop(events);
+    // A forwarder that panicked has already lost its statuses; the
+    // conversation still closes (and is counted) normally.
+    let _ = forwarder.join();
 }
 
 /// The most layout trials, routing trials, refinement passes or trial
@@ -495,15 +495,15 @@ fn admit_options(wire: &WireOptions, seed: u64) -> Result<TranspileOptions, Stri
 }
 
 /// Admit one submission; returns false when the connection should close
-/// (write failure — any accepted job keeps running in the pool). On
-/// acceptance, spawns a forwarder thread that streams the job's statuses
-/// so the caller can immediately read the next request.
+/// (write failure — any accepted job keeps running in the pool). An
+/// accepted job streams its statuses into `events`, the connection's one
+/// forwarder channel, so the caller can immediately read the next request.
 fn handle_submit(
-    writer: &Arc<Mutex<TcpStream>>,
+    writer: &Mutex<TcpStream>,
     shared: &Shared,
     client: u64,
     submit: SubmitRequest,
-    forwarders: &mut Vec<std::thread::JoinHandle<()>>,
+    events: &mpsc::Sender<JobEvent>,
 ) -> bool {
     let received = Instant::now();
     if submit.fault.is_some() && !shared.chaos {
@@ -542,102 +542,73 @@ fn handle_submit(
         job = job.with_deadline(received + Duration::from_millis(ms));
     }
     let pending = shared.service.pending();
-    let handle = match shared.service.submit_from(client, job) {
-        Ok(handle) => handle,
-        Err(ServeError::Busy { lane, capacity }) => {
-            return send(
-                writer,
-                &Response::Busy {
-                    lane,
-                    capacity: capacity as u32,
-                },
-            )
-            .is_ok()
-        }
-        Err(ServeError::ShutDown) => {
-            return send(
-                writer,
-                &Response::Rejected {
-                    message: "server is shutting down".to_owned(),
-                },
-            )
-            .is_ok()
-        }
-    };
-    if send(
-        writer,
-        &Response::Queued {
-            job_id: handle.job_id,
+    // Hold the writer from queueing until the answer is written: the
+    // forwarder needs the same lock, so a job's `Queued` always reaches
+    // the wire before its `Running` (the client skips job traffic that
+    // precedes its `Queued`).
+    let mut stream = writer
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let response = match shared.service.submit_to(client, job, events.clone()) {
+        Ok(job_id) => Response::Queued {
+            job_id,
             label,
             lane: submit.lane,
             pending: pending as u32,
         },
-    )
-    .is_err()
-    {
-        // Client gone; drop the handle — the pool still runs the job and
-        // discards the undeliverable result.
-        return false;
-    }
-    let forward_writer = Arc::clone(writer);
-    let thread = std::thread::Builder::new()
-        .name(format!("mirage-net-fwd-{client}-{}", handle.job_id))
-        .spawn(move || forward_events(&handle, &forward_writer))
-        .expect("failed to spawn forwarder thread");
-    forwarders.push(thread);
-    true
+        Err(ServeError::Busy { lane, capacity }) => Response::Busy {
+            lane,
+            capacity: capacity as u32,
+        },
+        Err(ServeError::ShutDown) => Response::Rejected {
+            message: "server is shutting down".to_owned(),
+        },
+    };
+    // On a write failure the client is gone; an accepted job still runs
+    // and the forwarder discards its undeliverable statuses.
+    frame::write_frame(&mut *stream, &response.encode()).is_ok()
 }
 
-/// Stream one job's events to the connection's shared writer; stops
-/// early (discarding the rest) only if the peer is unwritable.
-fn forward_events(handle: &crate::JobHandle, writer: &Mutex<TcpStream>) {
-    let label = handle.label.clone();
-    loop {
-        match handle.recv_event() {
+/// Stream a connection's job events to its shared writer until the
+/// channel disconnects; stops early (discarding the rest) only if the peer
+/// is unwritable.
+fn forward_events(events: &mpsc::Receiver<JobEvent>, writer: &Mutex<TcpStream>) {
+    for event in events {
+        let response = match event {
             JobEvent::Started {
                 job_id,
                 worker,
                 generation,
                 ..
-            } => {
-                if send(
-                    writer,
-                    &Response::Running {
-                        job_id,
-                        worker: worker as u32,
-                        generation,
+            } => Response::Running {
+                job_id,
+                worker: worker as u32,
+                generation,
+            },
+            JobEvent::Finished(result) => match result.outcome {
+                Ok(out) => Response::Done(JobDone {
+                    job_id: result.job_id,
+                    label: result.label,
+                    qasm: to_qasm(&out.circuit),
+                    fingerprint: out.circuit.fingerprint(),
+                    generation: out.generation,
+                    elapsed_us: u64::try_from(result.elapsed.as_micros()).unwrap_or(u64::MAX),
+                    metrics: WireMetrics::from_metrics(&out.metrics),
+                }),
+                Err(error) => Response::Failed {
+                    job_id: result.job_id,
+                    label: result.label,
+                    kind: match error {
+                        JobError::Transpile(_) => FailureKind::Transpile,
+                        JobError::DeadlineExceeded { .. } => FailureKind::DeadlineExceeded,
+                        JobError::WorkerPanicked { .. } => FailureKind::WorkerPanicked,
                     },
-                )
-                .is_err()
-                {
-                    return;
-                }
-            }
-            JobEvent::Finished(result) => {
-                let response = match result.outcome {
-                    Ok(out) => Response::Done(JobDone {
-                        job_id: result.job_id,
-                        label,
-                        qasm: to_qasm(&out.circuit),
-                        fingerprint: out.circuit.fingerprint(),
-                        generation: out.generation,
-                        elapsed_us: u64::try_from(result.elapsed.as_micros()).unwrap_or(u64::MAX),
-                        metrics: WireMetrics::from_metrics(&out.metrics),
-                    }),
-                    Err(error) => Response::Failed {
-                        job_id: result.job_id,
-                        label,
-                        kind: match error {
-                            JobError::Transpile(_) => FailureKind::Transpile,
-                            JobError::DeadlineExceeded { .. } => FailureKind::DeadlineExceeded,
-                            JobError::WorkerPanicked { .. } => FailureKind::WorkerPanicked,
-                        },
-                        message: error.to_string(),
-                    },
-                };
-                let _ = send(writer, &response);
-                return;
-            }
+                    message: error.to_string(),
+                },
+            },
+        };
+        if send(writer, &response).is_err() {
+            return;
         }
     }
 }
