@@ -261,15 +261,6 @@ impl Target {
             .clone()
     }
 
-    /// Replace the shared cost cache with one of the given capacity
-    /// (builder style; the runtime-figure binary uses capacity 1 to
-    /// emulate the pre-caching behaviour the paper compares against).
-    #[must_use]
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Target {
-        self.cache = SharedCostCache::new(capacity);
-        self
-    }
-
     /// The coupling topology.
     pub fn topology(&self) -> &CouplingMap {
         &self.topo
