@@ -32,45 +32,50 @@
 //!   and the class-priced post-selection run on traces, and
 //!   `materialize` turns only the winner into a [`Circuit`].
 //! * All working storage lives in a reusable [`RouterScratch`]
-//!   (front/extended-set/candidate/entry buffers, the decay table, the
+//!   (front/extended-set/candidate/touch buffers, the decay table, the
 //!   trace). [`route_with_scratch`] threads one through repeated calls;
 //!   [`crate::trials::TrialEngine`] gives each trial worker one for its
 //!   run.
 //! * Candidate SWAPs need **no sort**: the coupling edges incident to the
-//!   home of any front 2Q operand are marked in a `u64` bitset by edge id.
-//!   [`CouplingMap`] numbers its edges in sorted `(min, max)` order, so
-//!   walking the set bits upward visits the candidates sorted and
-//!   deduplicated — the order the seed's `BTreeSet` produced — and clears
-//!   the bitset for the next step as it goes.
+//!   home of any front 2Q operand are marked in a `u64` bitset by edge id,
+//!   by ORing in each home's incident-edge mask
+//!   ([`CouplingMap::incident`], same word layout). [`CouplingMap`]
+//!   numbers its edges in sorted `(min, max)` order, so walking the set
+//!   bits upward visits the candidates sorted and deduplicated — the
+//!   order the seed's `BTreeSet` produced — and clears the bitset for the
+//!   next step as it goes.
 //! * Candidate SWAPs are ranked by **delta scoring**: the per-node
 //!   residual distances of the front and extended sets are computed once
-//!   per SWAP step into packed (`u32`/`i32`) score entries, and each
-//!   candidate re-prices only the entries whose operands sit on the two
-//!   swapped physical qubits, adding each delta into a two-lane
-//!   front/extended accumulator indexed by the entry's lane (no branch).
-//!   Every distance the loop reads — scoring, the mirror lookahead's sums
-//!   — comes from the map's flat residual table
-//!   ([`CouplingMap::residual`], `distance − 1` saturating), and
-//!   adjacency from its edge-id table ([`CouplingMap::edge_id`]).
-//!   Everything but the extended set is rebuilt every step, which at ~12
-//!   candidates and ~21 entries per step costs no more than carrying it.
-//!   The decay table is refilled only when a SWAP has bumped it since the
-//!   last reset.
+//!   per SWAP step into per-qubit **touch lists**. A node is listed under
+//!   both its operands' homes, each time with its partner's home, its
+//!   distance and its lane. A candidate `(p1, p2)` re-prices only the
+//!   nodes listed under `p1` (moved to `p2`, partner fixed) and under `p2`
+//!   (moved to `p1`), adding each delta into a two-lane front/extended
+//!   accumulator indexed by the node's lane (no branch). Every distance
+//!   the loop reads — scoring, the mirror lookahead's sums — comes from
+//!   the map's flat residual table ([`CouplingMap::residual`],
+//!   `distance − 1` saturating), and adjacency from its edge-id table
+//!   ([`CouplingMap::edge_id`]). Everything but the extended set is
+//!   rebuilt every step, which at ~12 candidates and ~21 scored nodes per
+//!   step costs no more than carrying it. The decay table is refilled
+//!   only when a SWAP has bumped it since the last reset.
 //! * **One lookahead walk per front change.** The breadth-first lookahead
 //!   (a flat queue read from a moving head; only its seen-marks are
 //!   epoch-stamped, since clearing them would cost O(DAG) per walk) runs
-//!   at most once between two changes of the front. The swap ranker's
-//!   extended set is kept across consecutive SWAP-only steps, since front
-//!   and `done` do not change between them. And when the last gate to
-//!   execute was a 2Q gate whose A1/A2 mirror decision walked its 40-node
-//!   window, the ranker takes that window's first 20 nodes instead of
-//!   walking again. That is exact: the decision's `probe` is the new front
-//!   in the same order (the front after the gate's `swap_remove`, then the
-//!   successors the gate releases, in successor order), `done` has not
-//!   changed since, and the walk only appends, so its output for limit 20
-//!   is a prefix of its output for limit 40. Any later executed gate
-//!   drops the window, and debug builds check every reused window against
-//!   a fresh walk.
+//!   at most once between two changes of the front. It needs no executed
+//!   marks: it starts from unexecuted nodes (the front, or the successors
+//!   an executing gate releases), and every descendant of an unexecuted
+//!   node is unexecuted. The swap ranker's extended set is kept across
+//!   consecutive SWAP-only steps, since the front does not change between
+//!   them. And when the last gate to execute was a 2Q gate whose A1/A2
+//!   mirror decision walked its 40-node window, the ranker takes that
+//!   window's first 20 nodes instead of walking again. That is exact: the
+//!   decision's `probe` is the new front in the same order (the front
+//!   after the gate's `swap_remove`, then the successors the gate
+//!   releases, in successor order), and the walk only appends, so its
+//!   output for limit 20 is a prefix of its output for limit 40. Any later
+//!   executed gate drops the window, and debug builds check every reused
+//!   window against a fresh walk.
 //! * The mirror decision reads a per-run [`PriceTable`]: pricing the gate
 //!   and its mirror on the executing coupler is
 //!   `class_cost[k] * edge_factor[e]`. At A0 and A3, whose acceptance
@@ -89,6 +94,7 @@ use crate::layout::Layout;
 use crate::pricing::{ClassId, Classes, Operands, PriceTable, NO_CLASS};
 use crate::target::Target;
 use mirage_circuit::{Circuit, Dag, Gate, Instruction};
+use mirage_math::mat4::MatrixMemo;
 use mirage_math::{Mat4, Rng};
 use mirage_topology::CouplingMap;
 use mirage_weyl::coords::{coords_of, WeylCoord};
@@ -205,13 +211,14 @@ impl RoutedCircuit {
 }
 
 /// Pre-computed per-node canonical coordinates for the two-qubit nodes of a
-/// DAG (1Q nodes get `None`).
+/// DAG (1Q nodes get `None`), one `coords_of` per distinct matrix.
 pub fn node_coords(dag: &Dag) -> Vec<Option<WeylCoord>> {
+    let mut memo = MatrixMemo::default();
     dag.nodes
         .iter()
         .map(|n| {
             if n.gate.is_two_qubit() {
-                Some(coords_of(&n.gate.matrix2()))
+                Some(memo.get_or_insert_with(&n.gate.matrix2(), coords_of))
             } else {
                 None
             }
@@ -407,20 +414,20 @@ impl RouteCounts {
     }
 }
 
-/// One scored node of the current SWAP step: its operands' physical homes
-/// and residual distance under the current layout, and the accumulator
-/// lane it feeds ([`FRONT`] or [`EXTENDED`]).
+/// One scored node of the current SWAP step, as listed under the home of
+/// one of its operands: the other operand's home, the node's residual
+/// distance under the current layout, and the accumulator lane it feeds
+/// ([`FRONT`] or [`EXTENDED`]).
 #[derive(Debug, Clone, Copy)]
-struct ScoreEntry {
-    pa: u32,
-    pb: u32,
+struct Touch {
+    other: u32,
     dist: i32,
     lane: u32,
 }
 
-/// [`ScoreEntry::lane`] of an extended-set node.
+/// [`Touch::lane`] of an extended-set node.
 const EXTENDED: u32 = 0;
-/// [`ScoreEntry::lane`] of a front-layer node.
+/// [`Touch::lane`] of a front-layer node.
 const FRONT: u32 = 1;
 
 /// Reusable working storage for [`route_with_scratch`].
@@ -444,7 +451,6 @@ pub struct RouterScratch {
     trace: Vec<Op>,
     // Per-route bookkeeping (cleared and refilled each call).
     indeg: Vec<u32>,
-    done: Vec<bool>,
     front: Vec<usize>,
     // Per-qubit decay, refilled with 1.0 on every reset.
     decay: Vec<f64>,
@@ -453,11 +459,11 @@ pub struct RouterScratch {
     ext: Vec<usize>,
     lookahead: Lookahead,
     // Per-SWAP-step candidate edges (one bit per edge id, cleared as the
-    // scoring walk reads them), score entries and the phys→entry inverted
-    // index, all rebuilt every step.
+    // scoring walk reads them) and, per physical qubit, the scored nodes
+    // with an operand there, each carrying its partner's home; both
+    // rebuilt every step.
     candidates: Vec<u64>,
-    entries: Vec<ScoreEntry>,
-    touch: Vec<Vec<u32>>,
+    touch: Vec<Vec<Touch>>,
     // Score-tie buffer fed to the RNG.
     best: Vec<(usize, usize)>,
 }
@@ -498,20 +504,15 @@ struct Lookahead {
 }
 
 impl Lookahead {
-    /// The lookahead window: up to `limit` unexecuted two-qubit
-    /// descendants of `seeds`, breadth-first, into the reusable `out`
-    /// buffer. Identical traversal (and therefore output order) to the
-    /// seed implementation's `HashSet`/`VecDeque` version. The walk only
+    /// The lookahead window: up to `limit` two-qubit descendants of
+    /// `seeds`, breadth-first, into the reusable `out` buffer. Seeds are
+    /// unexecuted (front nodes, or successors the executing gate
+    /// releases), so every descendant is too: the walk needs no executed
+    /// marks. Identical traversal (and therefore output order) to the seed
+    /// implementation's `HashSet`/`VecDeque` version. The walk only
     /// appends to `out`, so the window for a smaller `limit` is a prefix
     /// of the window for a larger one.
-    fn window(
-        &mut self,
-        dag: &RouteDag,
-        seeds: &[usize],
-        done: &[bool],
-        limit: usize,
-        out: &mut Vec<usize>,
-    ) {
+    fn window(&mut self, dag: &RouteDag, seeds: &[usize], limit: usize, out: &mut Vec<usize>) {
         let Lookahead { queue, mark, epoch } = self;
         out.clear();
         queue.clear();
@@ -529,15 +530,13 @@ impl Lookahead {
                 let s = s as usize;
                 if mark[s] != ep {
                     mark[s] = ep;
-                    if !done[s] {
-                        if dag.is_2q(s) {
-                            out.push(s);
-                            if out.len() >= limit {
-                                break;
-                            }
+                    if dag.is_2q(s) {
+                        out.push(s);
+                        if out.len() >= limit {
+                            break;
                         }
-                        queue.push(s as u32);
                     }
+                    queue.push(s as u32);
                 }
             }
         }
@@ -700,14 +699,12 @@ pub(crate) fn route_trace(
     let RouterScratch {
         trace,
         indeg,
-        done,
         front,
         decay,
         probe,
         ext,
         lookahead,
         candidates,
-        entries,
         touch,
         best,
     } = scratch;
@@ -715,8 +712,6 @@ pub(crate) fn route_trace(
     trace.clear();
     indeg.clear();
     indeg.extend(dag.nodes.iter().map(|n| n.indeg));
-    done.clear();
-    done.resize(dag.len(), false);
     front.clear();
     front.extend((0..dag.len()).filter(|&id| indeg[id] == 0));
     decay.clear();
@@ -728,8 +723,8 @@ pub(crate) fn route_trace(
     let mut decay_dirty = false;
     let mut stall_swaps = 0usize;
     // `ext` holds the swap ranker's extended set of the current front:
-    // from the last SWAP step's walk (front and `done` are unchanged until
-    // a gate executes), or the first `|E|` nodes of the mirror decision's
+    // from the last SWAP step's walk (the front is unchanged until a gate
+    // executes), or the first `|E|` nodes of the mirror decision's
     // window when that decision's gate was the last to execute (see the
     // module docs).
     let mut ext_current = false;
@@ -756,7 +751,6 @@ pub(crate) fn route_trace(
                 Some((p1, p2))
             };
             front.swap_remove(i);
-            done[id] = true;
             // Set when the mirror decision walks its window from the front
             // this gate leaves behind.
             let mut probed = false;
@@ -790,14 +784,14 @@ pub(crate) fn route_trace(
                             probe.extend_from_slice(front);
                             for &s in dag.succs(id) {
                                 let s = s as usize;
-                                if !done[s] && indeg[s] == 1 {
+                                if indeg[s] == 1 {
                                     probe.push(s);
                                 }
                             }
                             // The mirror decision looks deeper than the
                             // swap ranker: mirrors are rarer, higher-stakes
                             // moves.
-                            lookahead.window(dag, probe, done, MIRROR_LOOKAHEAD, ext);
+                            lookahead.window(dag, probe, MIRROR_LOOKAHEAD, ext);
                             // The mirror decision uses *summed* distances,
                             // not the swap-ranking average: the
                             // decomposition-cost delta is an absolute
@@ -874,26 +868,26 @@ pub(crate) fn route_trace(
         );
 
         if !ext_current {
-            lookahead.window(dag, front, done, EXTENDED_SET_SIZE, ext);
+            lookahead.window(dag, front, EXTENDED_SET_SIZE, ext);
             ext_current = true;
         } else if cfg!(debug_assertions) {
             let mut fresh = Vec::new();
-            lookahead.window(dag, front, done, EXTENDED_SET_SIZE, &mut fresh);
+            lookahead.window(dag, front, EXTENDED_SET_SIZE, &mut fresh);
             debug_assert_eq!(*ext, fresh, "a reused extended set went stale");
         }
 
         // Base scores for this step, computed once: per-node residual
-        // distances over the front's 2Q nodes and the extended set, plus a
-        // phys→entry inverted index so each candidate re-prices only the
-        // nodes whose operands sit on its two qubits. Distances are
-        // integers, so base-plus-delta sums are exact — each candidate's
-        // score is bit-identical to a full re-walk under the trial layout.
-        // The candidate SWAPs are the coupling edges incident to the home
-        // of any front 2Q operand: each is marked in a bitset by edge id,
-        // and ids number the edges in sorted `(min, max)` order, so walking
-        // the set bits upward visits them sorted and deduplicated (the
-        // order the seed's `BTreeSet` produced).
-        entries.clear();
+        // distances over the front's 2Q nodes and the extended set, listed
+        // under both operands' homes with the partner's home, so each
+        // candidate re-prices only the nodes whose operands sit on its two
+        // qubits. Distances are integers, so base-plus-delta sums are
+        // exact — each candidate's score is bit-identical to a full re-walk
+        // under the trial layout. The candidate SWAPs are the coupling
+        // edges incident to the home of any front 2Q operand: each home's
+        // incident-edge mask is ORed into a bitset over edge ids, and ids
+        // number the edges in sorted `(min, max)` order, so walking the set
+        // bits upward visits them sorted and deduplicated (the order the
+        // seed's `BTreeSet` produced).
         touch.iter_mut().for_each(Vec::clear);
         let mut n_f = 0usize;
         // Base sums per lane: [extended, front].
@@ -904,26 +898,26 @@ pub(crate) fn route_trace(
             .chain(ext.iter().map(|&id| (EXTENDED, id)))
         {
             let (pa, pb) = dag.homes(id, layout);
-            let d = residual(topo, pa, pb);
-            base[lane as usize] += i64::from(d);
+            let dist = residual(topo, pa, pb);
+            base[lane as usize] += i64::from(dist);
             if lane == FRONT {
                 n_f += 1;
                 for p in [pa, pb] {
-                    for &q in topo.neighbors(p) {
-                        let e = topo.edge_id(p, q);
-                        candidates[(e >> 6) as usize] |= 1 << (e & 63);
+                    for (word, &mask) in candidates.iter_mut().zip(topo.incident(p)) {
+                        *word |= mask;
                     }
                 }
             }
-            let ei = entries.len() as u32;
-            entries.push(ScoreEntry {
-                pa: pa as u32,
-                pb: pb as u32,
-                dist: d,
+            touch[pa].push(Touch {
+                other: pb as u32,
+                dist,
                 lane,
             });
-            touch[pa].push(ei);
-            touch[pb].push(ei);
+            touch[pb].push(Touch {
+                other: pa as u32,
+                dist,
+                lane,
+            });
         }
         let [e_base, f_base] = base;
         let n_e = ext.len();
@@ -935,15 +929,18 @@ pub(crate) fn route_trace(
             while bits != 0 {
                 let (p1, p2) = topo.edge(((w as u32) << 6) | bits.trailing_zeros());
                 bits &= bits - 1;
-                // An entry sits in both lists only when its operands are
-                // exactly {p1, p2}; the SWAP keeps its distance, so its two
-                // visits each add a zero delta.
+                // The SWAP moves the operand a node has on `from` to `to`
+                // and keeps its partner's home (the residual table is
+                // symmetric). A node whose operands are exactly {p1, p2}
+                // keeps its distance, and both its visits add a zero delta
+                // with no branch: it sits on an edge, so its distance is 0,
+                // and `residual(to, to)` is 0 too.
                 let mut delta = [0i64; 2];
-                for &ei in touch[p1].iter().chain(&touch[p2]) {
-                    let e = entries[ei as usize];
-                    let pa = swapped_home(e.pa as usize, p1, p2);
-                    let pb = swapped_home(e.pb as usize, p1, p2);
-                    delta[e.lane as usize] += i64::from(residual(topo, pa, pb) - e.dist);
+                for (from, to) in [(p1, p2), (p2, p1)] {
+                    for t in &touch[from] {
+                        let moved = residual(topo, to, t.other as usize);
+                        delta[t.lane as usize] += i64::from(moved - t.dist);
+                    }
                 }
                 let [de, df] = delta;
                 let f_term = if n_f == 0 {
@@ -1729,7 +1726,7 @@ mod tests {
     /// the legacy router's output exactly — same instructions, same
     /// layouts, same counters — across circuits, topologies, aggression
     /// levels, calibrations, and seeds. The 16-qubit cases give long SWAP
-    /// runs (decay resets mid-run) and score entries on both swapped
+    /// runs (decay resets mid-run) and scored nodes on both swapped
     /// qubits; the 9×9 grid has more edges than one bitset word holds.
     #[test]
     fn route_matches_legacy_bit_for_bit() {

@@ -64,6 +64,7 @@ use crate::pricing::{ln_survival, CalibrationSnapshot, Priced};
 use mirage_circuit::Circuit;
 use mirage_coverage::cache::SharedCostCache;
 use mirage_coverage::set::{BasisGate, CoverageOptions, CoverageSet};
+use mirage_math::mat4::MatrixMemo;
 use mirage_topology::CouplingMap;
 use mirage_weyl::coords::{coords_of, WeylCoord};
 use std::sync::{Arc, OnceLock, RwLock};
@@ -324,13 +325,15 @@ impl Target {
     }
 
     /// Every instruction of `c` with its class cost derived from its matrix
-    /// (`0.0` for single-qubit gates): the input of the matrix-path
-    /// scorers, which hand it to the same [`CalibrationSnapshot`] pricing
-    /// core the engine's class-priced path uses.
+    /// (`0.0` for single-qubit gates), once per distinct matrix: the input
+    /// of the matrix-path scorers, which hand it to the same
+    /// [`CalibrationSnapshot`] pricing core the engine's class-priced path
+    /// uses.
     fn matrix_items<'c>(&'c self, c: &'c Circuit) -> impl Iterator<Item = Priced> + 'c {
-        c.instructions.iter().map(|i| {
+        let mut memo = MatrixMemo::default();
+        c.instructions.iter().map(move |i| {
             let cost = if i.gate.is_two_qubit() {
-                self.gate_cost(&coords_of(&i.gate.matrix2()))
+                memo.get_or_insert_with(&i.gate.matrix2(), |u| self.gate_cost(&coords_of(u)))
             } else {
                 0.0
             };

@@ -27,6 +27,7 @@ use crate::router::{
 };
 use crate::target::Target;
 use mirage_circuit::Circuit;
+use mirage_math::mat4::MatrixMemo;
 use mirage_math::Rng;
 use mirage_weyl::coords::coords_of;
 use std::borrow::Cow;
@@ -565,16 +566,21 @@ impl<'a> TrialEngine<'a> {
     }
 
     /// The lazily-built class precompute: the circuit's coordinate
-    /// classes (one `coords_of` per two-qubit instruction, ever) and the
-    /// class id of each instruction.
+    /// classes (one `coords_of` per distinct two-qubit matrix, ever) and
+    /// the class id of each instruction.
     fn class_state(&self) -> &(Classes, Vec<ClassId>) {
         self.classes.get_or_init(|| {
+            let mut memo = MatrixMemo::default();
             let coords: Vec<_> = self
                 .ctx
                 .circuit()
                 .instructions
                 .iter()
-                .map(|i| i.gate.is_two_qubit().then(|| coords_of(&i.gate.matrix2())))
+                .map(|i| {
+                    i.gate
+                        .is_two_qubit()
+                        .then(|| memo.get_or_insert_with(&i.gate.matrix2(), coords_of))
+                })
                 .collect();
             Classes::build(&coords)
         })

@@ -20,6 +20,43 @@ pub struct Mat4 {
     pub e: [[Complex64; 4]; 4],
 }
 
+/// Values computed once per distinct matrix, keyed on the matrix's exact
+/// bits, for callers that meet a few matrices many times: a consolidated
+/// circuit repeats its blocks, and a routed one its SWAPs. A value that is
+/// a function of the matrix reads the same from the memo as computed
+/// afresh.
+///
+/// ```
+/// use mirage_math::mat4::MatrixMemo;
+/// use mirage_math::Mat4;
+/// let mut memo = MatrixMemo::default();
+/// let mut calls = 0;
+/// for u in [Mat4::swap(), Mat4::identity(), Mat4::swap()] {
+///     memo.get_or_insert_with(&u, |_| {
+///         calls += 1;
+///         calls
+///     });
+/// }
+/// assert_eq!(calls, 2);
+/// assert_eq!(memo.get_or_insert_with(&Mat4::swap(), |_| 0), 1);
+/// ```
+#[derive(Debug)]
+pub struct MatrixMemo<V>(std::collections::HashMap<[[[u64; 2]; 4]; 4], V>);
+
+impl<V> Default for MatrixMemo<V> {
+    fn default() -> Self {
+        MatrixMemo(std::collections::HashMap::new())
+    }
+}
+
+impl<V: Copy> MatrixMemo<V> {
+    /// The value stored for `u`, or `f(u)` stored on first sight.
+    pub fn get_or_insert_with(&mut self, u: &Mat4, f: impl FnOnce(&Mat4) -> V) -> V {
+        let bits = u.e.map(|row| row.map(|z| [z.re.to_bits(), z.im.to_bits()]));
+        *self.0.entry(bits).or_insert_with(|| f(u))
+    }
+}
+
 impl Default for Mat4 {
     fn default() -> Self {
         Mat4::zero()

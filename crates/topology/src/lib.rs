@@ -44,6 +44,10 @@ pub struct CouplingMap {
     edge_ids: Vec<u32>,
     /// The edges in id order: sorted `(min, max)` pairs.
     sorted_edges: Vec<(usize, usize)>,
+    /// Per qubit, a bitset over edge ids of its incident edges
+    /// (`n_edges.div_ceil(64)` words each, row-major): see
+    /// [`CouplingMap::incident`].
+    incident: Vec<u64>,
     name: String,
 }
 
@@ -75,7 +79,12 @@ impl CouplingMap {
         let mut sorted_edges = edges.clone();
         sorted_edges.sort_unstable();
         let mut edge_ids = vec![u32::MAX; n * n];
+        let words = sorted_edges.len().div_ceil(64);
+        let mut incident = vec![0u64; n * words];
         for (id, &(a, b)) in sorted_edges.iter().enumerate() {
+            for q in [a, b] {
+                incident[q * words + id / 64] |= 1 << (id % 64);
+            }
             let id = u32::try_from(id).expect("edge count fits u32");
             edge_ids[a * n + b] = id;
             edge_ids[b * n + a] = id;
@@ -88,6 +97,7 @@ impl CouplingMap {
             residual,
             edge_ids,
             sorted_edges,
+            incident,
             name: name.to_owned(),
         }
     }
@@ -220,6 +230,15 @@ impl CouplingMap {
     /// The `(min, max)` endpoints of edge `id`.
     pub fn edge(&self, id: u32) -> (usize, usize) {
         self.sorted_edges[id as usize]
+    }
+
+    /// The edges incident to qubit `q`, as a bitset over edge ids: bit
+    /// `id % 64` of word `id / 64` is set when edge `id` has `q` as an
+    /// endpoint. Every qubit's slice has `n_edges().div_ceil(64)` words, so
+    /// ORing slices builds the incident-edge set of several qubits.
+    pub fn incident(&self, q: usize) -> &[u64] {
+        let words = self.n_edges().div_ceil(64);
+        &self.incident[q * words..(q + 1) * words]
     }
 
     /// The residual distance `distance(a, b) − 1` (saturating, so `0` on
@@ -412,6 +431,39 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Each qubit's incident mask holds exactly the ids of its edges,
+    /// across one-word maps and the multi-word grid(9,9) (144 edges) and
+    /// heavy_hex(7).
+    #[test]
+    fn incident_masks_match_edges() {
+        for m in [
+            CouplingMap::line(7),
+            CouplingMap::grid(4, 5),
+            CouplingMap::heavy_hex(5),
+            CouplingMap::all_to_all(6),
+            CouplingMap::grid(9, 9),
+            CouplingMap::heavy_hex(7),
+        ] {
+            let words = m.n_edges().div_ceil(64);
+            for q in 0..m.n_qubits() {
+                let mask = m.incident(q);
+                assert_eq!(mask.len(), words, "{}", m.name());
+                let ids: Vec<u32> = (0..m.n_edges() as u32)
+                    .filter(|&id| mask[id as usize / 64] >> (id % 64) & 1 == 1)
+                    .collect();
+                let mut expected: Vec<u32> =
+                    m.neighbors(q).iter().map(|&p| m.edge_id(q, p)).collect();
+                expected.sort_unstable();
+                assert_eq!(ids, expected, "{}: qubit {q}", m.name());
+                let spare = (words * 64 - m.n_edges()) as u32;
+                if spare > 0 {
+                    assert!(mask[words - 1].leading_zeros() >= spare, "spare bits set");
+                }
+            }
+        }
+        assert_eq!(CouplingMap::grid(9, 9).n_edges().div_ceil(64), 3);
     }
 
     #[test]
