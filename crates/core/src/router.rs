@@ -18,7 +18,9 @@
 //!
 //! * It walks a `RouteDag`: per node two `u32` operands, a class id, an
 //!   in-degree and its successors inline (a node has at most one successor
-//!   per wire, so two slots and a count). One constructor builds it from
+//!   per wire, so two slots and a count; each slot carries its node's
+//!   "is 2Q" flag in the high bit, and an unused slot holds a sentinel
+//!   id, the node count). One constructor builds it from
 //!   any ordered gate sequence by tracking the last node on each wire: the
 //!   engine feeds it the circuit's instructions forward and reversed, once
 //!   per engine, and [`route_with_scratch`] feeds it a [`Dag`]'s nodes.
@@ -59,15 +61,20 @@
 //!   rebuilt every step, which at ~12 candidates and ~21 scored nodes per
 //!   step costs no more than carrying it. The decay table is refilled
 //!   only when a SWAP has bumped it since the last reset.
-//! * **One lookahead walk per front change.** The breadth-first lookahead
-//!   (a flat queue read from a moving head; only its seen-marks are
-//!   epoch-stamped, since clearing them would cost O(DAG) per walk) runs
-//!   at most once between two changes of the front. It needs no executed
-//!   marks: it starts from unexecuted nodes (the front, or the successors
-//!   an executing gate releases), and every descendant of an unexecuted
-//!   node is unexecuted. The swap ranker's extended set is kept across
-//!   consecutive SWAP-only steps, since the front does not change between
-//!   them. And when the last gate to execute was a 2Q gate whose A1/A2
+//! * **One execute scan per front change.** After a gate executes, the
+//!   scan resumes at its index instead of restarting at 0 (the nodes
+//!   before it share no wire with it, so they stay unexecutable), and a
+//!   scan that executed anything goes straight on to SWAP insertion.
+//! * **One lookahead walk per front change**, without data-dependent
+//!   branches: the breadth-first lookahead (a flat queue read from a
+//!   moving head; only its seen-marks are epoch-stamped, since clearing
+//!   them would cost O(DAG) per walk) reads both successor slots of every
+//!   node it pops and advances its queue and window by the "fresh" and
+//!   "fresh and 2Q" flags. It needs no executed marks: it starts from
+//!   unexecuted nodes (the front, or the successors an executing gate
+//!   releases), and every descendant of an unexecuted node is unexecuted.
+//!   The swap ranker's extended set is kept across consecutive SWAP-only
+//!   steps, since the front does not change between them. And when the last gate to execute was a 2Q gate whose A1/A2
 //!   mirror decision walked its 40-node window, the ranker takes that
 //!   window's first 20 nodes instead of walking again. That is exact: the
 //!   decision's `probe` is the new front in the same order (the front
@@ -78,8 +85,11 @@
 //!   window against a fresh walk.
 //! * The mirror decision reads a per-run [`PriceTable`]: pricing the gate
 //!   and its mirror on the executing coupler is
-//!   `class_cost[k] * edge_factor[e]`. At A0 and A3, whose acceptance
-//!   ignores the costs, the lookahead is skipped altogether.
+//!   `class_cost[k] * edge_factor[e]`. Its lookahead sums add every
+//!   window node's mirror delta with no test of whether the node sits on
+//!   the mirrored pair; a node that does not adds an exact integer zero.
+//!   At A0 and A3, whose acceptance ignores the costs, the lookahead is
+//!   skipped altogether.
 //!
 //! Outputs are **bit-identical** to the pre-optimization router (kept as a
 //! test-only `legacy` fixture): residual distances are small integers, so
@@ -256,9 +266,16 @@ struct RouteNode {
     indeg: u32,
     /// Successors in id order, `succ[..n_succ]`: a node has at most one
     /// successor per wire, and one reached through both wires counts once.
+    /// Each entry carries [`TWO_Q`] when its node is a two-qubit gate;
+    /// unused slots hold the sentinel id [`RouteDag::len`], so the
+    /// lookahead walk reads both slots without a branch.
     succ: [u32; 2],
     n_succ: u32,
 }
+
+/// The flag a [`RouteNode::succ`] entry carries when its node is a
+/// two-qubit gate; the low 31 bits are the node id.
+const TWO_Q: u32 = 1 << 31;
 
 /// The router's compact view of a circuit DAG: per node its operands,
 /// class id, in-degree and (inline) successors.
@@ -301,11 +318,12 @@ impl RouteDag {
                     last[q as usize]
                 }
             });
+            let tagged = id | if qubits[1] == NO_QUBIT { 0 } else { TWO_Q };
             let mut indeg = 0;
             for p in [pa, if pb == pa { NONE } else { pb }] {
                 if p != NONE {
                     let n = &mut nodes[p as usize];
-                    n.succ[n.n_succ as usize] = id;
+                    n.succ[n.n_succ as usize] = tagged;
                     n.n_succ += 1;
                     indeg += 1;
                 }
@@ -322,6 +340,11 @@ impl RouteDag {
                 n_succ: 0,
             });
         }
+        let sentinel = index(nodes.len());
+        assert!(sentinel < TWO_Q, "DAG fits 31-bit node ids");
+        for n in &mut nodes {
+            n.succ[n.n_succ as usize..].fill(sentinel);
+        }
         RouteDag { n_qubits, nodes }
     }
 
@@ -329,9 +352,12 @@ impl RouteDag {
         self.nodes.len()
     }
 
-    fn succs(&self, id: usize) -> &[u32] {
+    /// The successors of node `id`, in id order.
+    fn succs(&self, id: usize) -> impl Iterator<Item = usize> + '_ {
         let n = &self.nodes[id];
-        &n.succ[..n.n_succ as usize]
+        n.succ[..n.n_succ as usize]
+            .iter()
+            .map(|&s| (s & !TWO_Q) as usize)
     }
 
     fn is_2q(&self, id: usize) -> bool {
@@ -480,12 +506,9 @@ impl RouterScratch {
         &self.trace
     }
 
-    /// Grow the per-node and per-qubit arrays to fit a routing problem,
-    /// and size the candidate bitset (all clear) to `n_edges` bits.
-    fn prepare(&mut self, n_nodes: usize, n_phys: usize, n_edges: usize) {
-        if self.lookahead.mark.len() < n_nodes {
-            self.lookahead.mark.resize(n_nodes, 0);
-        }
+    /// Grow the per-qubit touch lists to fit a device, and size the
+    /// candidate bitset (all clear) to `n_edges` bits.
+    fn prepare(&mut self, n_phys: usize, n_edges: usize) {
         if self.touch.len() < n_phys {
             self.touch.resize_with(n_phys, Vec::new);
         }
@@ -495,7 +518,9 @@ impl RouterScratch {
 }
 
 /// The lookahead walk's reusable state: a flat queue read from a moving
-/// head, and per-node seen-marks stamped with the walk's epoch.
+/// head, and per-node seen-marks stamped with the walk's epoch. Both keep
+/// their high-water length (one slot per node plus one for the sentinel)
+/// and are never cleared.
 #[derive(Debug, Default)]
 struct Lookahead {
     queue: Vec<u32>,
@@ -512,34 +537,46 @@ impl Lookahead {
     /// implementation's `HashSet`/`VecDeque` version. The walk only
     /// appends to `out`, so the window for a smaller `limit` is a prefix
     /// of the window for a larger one.
+    ///
+    /// The walk does not branch on the data. It reads both successor slots
+    /// of every node it pops; an unused slot holds the sentinel id, whose
+    /// mark is stamped before the walk starts, so it is never fresh. Each
+    /// successor is written at the queue's and the window's end, and the
+    /// two lengths advance by "fresh" and "fresh and two-qubit".
     fn window(&mut self, dag: &RouteDag, seeds: &[usize], limit: usize, out: &mut Vec<usize>) {
         let Lookahead { queue, mark, epoch } = self;
-        out.clear();
-        queue.clear();
+        let sentinel = dag.len();
+        if mark.len() <= sentinel {
+            mark.resize(sentinel + 1, 0);
+            queue.resize(sentinel + 1, 0);
+        }
         *epoch += 1;
         let ep = *epoch;
-        for &id in seeds {
+        mark[sentinel] = ep;
+        for (slot, &id) in queue.iter_mut().zip(seeds) {
             mark[id] = ep;
-            queue.push(id as u32);
+            *slot = id as u32;
         }
-        let mut head = 0;
-        while head < queue.len() && out.len() < limit {
-            let id = queue[head] as usize;
+        out.clear();
+        out.resize(limit, 0);
+        let (mut head, mut qlen, mut olen) = (0, seeds.len(), 0);
+        'walk: while head < qlen {
+            let succ = dag.nodes[queue[head] as usize].succ;
             head += 1;
-            for &s in dag.succs(id) {
-                let s = s as usize;
-                if mark[s] != ep {
-                    mark[s] = ep;
-                    if dag.is_2q(s) {
-                        out.push(s);
-                        if out.len() >= limit {
-                            break;
-                        }
-                    }
-                    queue.push(s as u32);
+            for s in succ {
+                if olen == limit {
+                    break 'walk;
                 }
+                let id = (s & !TWO_Q) as usize;
+                let fresh = usize::from(mark[id] != ep);
+                mark[id] = ep;
+                queue[qlen] = id as u32;
+                qlen += fresh;
+                out[olen] = id;
+                olen += fresh & (s >> 31) as usize;
             }
         }
+        out.truncate(olen);
     }
 }
 
@@ -567,12 +604,13 @@ fn residual(topo: &CouplingMap, a: usize, b: usize) -> i32 {
 
 /// One pass over `ids`: the summed residual distances (hops beyond
 /// adjacency) of their 2Q nodes under `layout`, plus the delta that
-/// swapping the occupants of `p1`/`p2` would apply — accumulated only over
-/// the nodes whose operands sit on `p1` or `p2` (a node with *both*
-/// operands there keeps its distance; [`swapped_home`] handles that
-/// naturally). 1Q nodes contribute nothing, matching the legacy
-/// `lookahead_sum`'s zero-distance convention. Sums are exact integers,
-/// so `sum` and `sum + delta` reproduce two full walks bit-for-bit.
+/// swapping the occupants of `p1`/`p2` would apply. Every 2Q node adds
+/// its delta with no test of whether it sits on `p1` or `p2`: a node that
+/// does not keeps its homes under [`swapped_home`] and adds zero, and so
+/// does one with *both* operands there. 1Q nodes contribute nothing,
+/// matching the legacy `lookahead_sum`'s zero-distance convention. Sums
+/// are exact integers, so `sum` and `sum + delta` reproduce two full walks
+/// bit-for-bit.
 fn sum_and_swap_delta(
     dag: &RouteDag,
     ids: &[usize],
@@ -590,10 +628,8 @@ fn sum_and_swap_delta(
         let (pa, pb) = dag.homes(nid, layout);
         let d = residual(topo, pa, pb);
         sum += i64::from(d);
-        if pa == p1 || pa == p2 || pb == p1 || pb == p2 {
-            let dm = residual(topo, swapped_home(pa, p1, p2), swapped_home(pb, p1, p2));
-            delta += i64::from(dm - d);
-        }
+        let dm = residual(topo, swapped_home(pa, p1, p2), swapped_home(pb, p1, p2));
+        delta += i64::from(dm - d);
     }
     (sum, delta)
 }
@@ -695,7 +731,7 @@ pub(crate) fn route_trace(
     let n_phys = topo.n_qubits();
     assert!(dag.n_qubits <= n_phys, "circuit larger than device");
 
-    scratch.prepare(dag.len(), n_phys, topo.n_edges());
+    scratch.prepare(n_phys, topo.n_edges());
     let RouterScratch {
         trace,
         indeg,
@@ -735,7 +771,11 @@ pub(crate) fn route_trace(
 
     while !front.is_empty() {
         // --- Execute layer: run everything executable. ---
-        let mut executed_any = false;
+        // One scan. After a gate executes the scan resumes at its index,
+        // which `swap_remove` refilled: the nodes before it were not
+        // executable, share no wire with the gate (front nodes never do),
+        // and the gate's own mirror is the only layout change, so they
+        // still are not.
         let mut i = 0;
         while i < front.len() {
             let id = front[i];
@@ -782,8 +822,7 @@ pub(crate) fn route_trace(
                             // still counts).
                             probe.clear();
                             probe.extend_from_slice(front);
-                            for &s in dag.succs(id) {
-                                let s = s as usize;
+                            for s in dag.succs(id) {
                                 if indeg[s] == 1 {
                                     probe.push(s);
                                 }
@@ -796,12 +835,8 @@ pub(crate) fn route_trace(
                             // not the swap-ranking average: the
                             // decomposition-cost delta is an absolute
                             // duration, so the routing term must be
-                            // absolute too. Both sums are computed in one
-                            // pass: residual distances are integers (exact
-                            // in f64), so "current sum" plus "delta over the
-                            // nodes touching p1/p2 under the mirrored
-                            // mapping" reproduces the two-walk result
-                            // bit-for-bit.
+                            // absolute too. One exact integer pass gives
+                            // the sum and its mirrored delta.
                             let (f_sum, f_delta) =
                                 sum_and_swap_delta(dag, probe, layout, topo, p1, p2);
                             let (e_sum, e_delta) =
@@ -835,14 +870,12 @@ pub(crate) fn route_trace(
             }
 
             // Release successors into the front layer.
-            for &s in dag.succs(id) {
-                let s = s as usize;
+            for s in dag.succs(id) {
                 indeg[s] -= 1;
                 if indeg[s] == 0 {
                     front.push(s);
                 }
             }
-            executed_any = true;
             // Any later executed gate changes the front again.
             ext_current = probed;
             // "Reset after every five steps or gate mapping."
@@ -852,16 +885,19 @@ pub(crate) fn route_trace(
             }
             swaps_since_reset = 0;
             stall_swaps = 0;
-            i = 0; // restart scan: new nodes may be executable
         }
         if front.is_empty() {
             break;
         }
-        if executed_any {
-            continue;
-        }
 
         // --- SWAP insertion: no gate is executable. ---
+        debug_assert!(
+            front.iter().all(|&id| dag.is_2q(id) && {
+                let (pa, pb) = dag.homes(id, layout);
+                topo.edge_id(pa, pb) == u32::MAX
+            }),
+            "a SWAP step began with an executable front node"
+        );
         assert!(
             counts.swaps_inserted < swap_budget,
             "routing exceeded its swap budget — probable non-termination"
@@ -876,18 +912,9 @@ pub(crate) fn route_trace(
             debug_assert_eq!(*ext, fresh, "a reused extended set went stale");
         }
 
-        // Base scores for this step, computed once: per-node residual
-        // distances over the front's 2Q nodes and the extended set, listed
-        // under both operands' homes with the partner's home, so each
-        // candidate re-prices only the nodes whose operands sit on its two
-        // qubits. Distances are integers, so base-plus-delta sums are
-        // exact — each candidate's score is bit-identical to a full re-walk
-        // under the trial layout. The candidate SWAPs are the coupling
-        // edges incident to the home of any front 2Q operand: each home's
-        // incident-edge mask is ORed into a bitset over edge ids, and ids
-        // number the edges in sorted `(min, max)` order, so walking the set
-        // bits upward visits them sorted and deduplicated (the order the
-        // seed's `BTreeSet` produced).
+        // Base scores for this step, computed once into the touch lists,
+        // and the candidate bitset (module docs: candidate SWAPs need no
+        // sort, delta scoring).
         touch.iter_mut().for_each(Vec::clear);
         let mut n_f = 0usize;
         // Base sums per lane: [extended, front].
@@ -1414,7 +1441,12 @@ pub mod legacy {
     }
 
     /// The lookahead window, allocating fresh set/queue/output per call.
-    fn extended_set(dag: &Dag, front: &[usize], done: &[bool], limit: usize) -> Vec<usize> {
+    pub(super) fn extended_set(
+        dag: &Dag,
+        front: &[usize],
+        done: &[bool],
+        limit: usize,
+    ) -> Vec<usize> {
         let mut out = Vec::with_capacity(limit);
         let mut queue: std::collections::VecDeque<usize> = front.iter().copied().collect();
         let mut seen: std::collections::HashSet<usize> = front.iter().copied().collect();
@@ -1834,33 +1866,39 @@ mod tests {
         }
     }
 
+    /// A seeded random circuit of fewer than `max_gates` gates. It repeats
+    /// same-pair gates (one successor through both wires), includes bare
+    /// SWAPs (the [`SWAP_OP`] source) and 1Q gates, and keeps its last
+    /// wire for 1Q gates only.
+    fn random_circuit(rng: &mut Rng, max_gates: usize) -> Circuit {
+        let n = 2 + rng.below(6);
+        let mut c = Circuit::new(n + 1);
+        let mut pair = (0, 1);
+        for _ in 0..rng.below(max_gates) {
+            if rng.chance(0.3) {
+                let gate = [Gate::H, Gate::T][rng.below(2)].clone();
+                c.push(gate, &[rng.below(n + 1)]);
+                continue;
+            }
+            if !rng.chance(0.3) {
+                let a = rng.below(n);
+                pair = (a, (a + 1 + rng.below(n - 1)) % n);
+            }
+            let gate = [Gate::Cx, Gate::Cz, Gate::Swap][rng.below(3)].clone();
+            c.push(gate, &[pair.0, pair.1]);
+        }
+        c
+    }
+
     /// `RouteDag::new` against [`Dag::from_circuit`] on seeded random
     /// circuits, forward and reversed: operands, class ids, sources,
-    /// in-degrees and successors in order. The circuits repeat same-pair
-    /// gates (one successor through both wires), include bare SWAPs (the
-    /// [`SWAP_OP`] source) and keep one wire for 1Q gates only.
+    /// in-degrees and successors in order.
     #[test]
     fn route_dag_matches_dag_forward_and_reversed() {
         let mut rng = Rng::new(0xDA6);
         let mut both_wires = 0;
         for _ in 0..200 {
-            let n = 2 + rng.below(6);
-            // Wire `n` only ever carries 1Q gates.
-            let mut c = Circuit::new(n + 1);
-            let mut pair = (0, 1);
-            for _ in 0..rng.below(40) {
-                if rng.chance(0.3) {
-                    let gate = [Gate::H, Gate::T][rng.below(2)].clone();
-                    c.push(gate, &[rng.below(n + 1)]);
-                    continue;
-                }
-                if !rng.chance(0.3) {
-                    let a = rng.below(n);
-                    pair = (a, (a + 1 + rng.below(n - 1)) % n);
-                }
-                let gate = [Gate::Cx, Gate::Cz, Gate::Swap][rng.below(3)].clone();
-                c.push(gate, &[pair.0, pair.1]);
-            }
+            let c = random_circuit(&mut rng, 40);
             for circuit in [c.clone(), c.reversed()] {
                 let dag = Dag::from_circuit(&circuit);
                 let classes: Vec<ClassId> = (0..dag.len())
@@ -1887,7 +1925,7 @@ mod tests {
                     assert_eq!(r.class, classes[i]);
                     assert_eq!(r.source, source(&node.gate, i));
                     assert_eq!(r.indeg as usize, node.preds.len(), "node {i}");
-                    let succs: Vec<usize> = rd.succs(i).iter().map(|&s| s as usize).collect();
+                    let succs: Vec<usize> = rd.succs(i).collect();
                     assert_eq!(succs, node.succs, "node {i}");
                     let mut ops = node.qubits.clone();
                     ops.sort_unstable();
@@ -1903,6 +1941,47 @@ mod tests {
             both_wires > 0,
             "no successor was reached through both wires"
         );
+    }
+
+    /// `Lookahead::window` against `legacy::extended_set` on seeded random
+    /// circuits, from the front left by executing a random prefix of the
+    /// DAG, in random order, at every limit from 1 to 40.
+    /// One walker serves every DAG, as a reused scratch does. Some limits
+    /// must fall between the two successors of one node.
+    #[test]
+    fn window_matches_legacy_extended_set() {
+        let mut rng = Rng::new(0x1A4);
+        let mut walker = Lookahead::default();
+        let mut out = Vec::new();
+        let mut cuts = 0;
+        for case in 0..150 {
+            let dag = Dag::from_circuit(&random_circuit(&mut rng, 120));
+            let rd = route_dag(&dag, &vec![NO_CLASS; dag.len()]);
+            let mut indeg = dag.indegrees();
+            let mut front = dag.front_layer();
+            let mut done = vec![false; dag.len()];
+            for _ in 0..rng.below(dag.len() + 1) {
+                let id = front.swap_remove(rng.below(front.len()));
+                done[id] = true;
+                for &s in &dag.nodes[id].succs {
+                    indeg[s] -= 1;
+                    if indeg[s] == 0 {
+                        front.push(s);
+                    }
+                }
+            }
+            rng.shuffle(&mut front);
+            let full = legacy::extended_set(&dag, &front, &done, 41);
+            for limit in 1..=40 {
+                walker.window(&rd, &front, limit, &mut out);
+                let expected = legacy::extended_set(&dag, &front, &done, limit);
+                assert_eq!(out, expected, "case {case} limit {limit}");
+                if let (Some(&last), Some(&next)) = (full.get(limit - 1), full.get(limit)) {
+                    cuts += usize::from(dag.nodes.iter().any(|n| n.succs == [last, next]));
+                }
+            }
+        }
+        assert!(cuts > 0, "no limit fell between a node's two successors");
     }
 
     /// Scratch reuse across different DAGs, devices, and configs must not

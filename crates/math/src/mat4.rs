@@ -1,7 +1,9 @@
 //! 4×4 complex matrices (two-qubit operators).
 
 use crate::{Complex64, Mat2};
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::{Add, Mul, Sub};
 
 /// A 4×4 complex matrix in row-major order.
@@ -39,13 +41,56 @@ pub struct Mat4 {
 /// }
 /// assert_eq!(calls, 2);
 /// assert_eq!(memo.get_or_insert_with(&Mat4::swap(), |_| 0), 1);
+/// // Keys are exact bits: a signed zero makes another matrix.
+/// let mut u = Mat4::swap();
+/// u.e[0][1].im = -0.0;
+/// assert_eq!(memo.get_or_insert_with(&u, |_| 3), 3);
 /// ```
 #[derive(Debug)]
-pub struct MatrixMemo<V>(std::collections::HashMap<[[[u64; 2]; 4]; 4], V>);
+pub struct MatrixMemo<V>(HashMap<[[[u64; 2]; 4]; 4], V, BuildHasherDefault<WordMix>>);
 
 impl<V> Default for MatrixMemo<V> {
     fn default() -> Self {
-        MatrixMemo(std::collections::HashMap::new())
+        MatrixMemo(HashMap::default())
+    }
+}
+
+/// [`MatrixMemo`]'s hasher: each 64-bit word of the key (32 float bit
+/// patterns) is mixed in with a rotate, xor and multiply, and the result
+/// is avalanched so the table may use any of its bits. Lookups still
+/// compare the full key, so a collision costs time, never a wrong value.
+/// Unlike SipHash it is not keyed. Keys are gate matrices (a client's, on
+/// the serve path), and every memo lives for one call or is capped, so
+/// chosen collisions could at worst make lookups linear in the entries a
+/// memo holds.
+#[derive(Debug, Default)]
+struct WordMix(u64);
+
+impl Hasher for WordMix {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.write_u64(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        for &b in words.remainder() {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // MurmurHash3's 64-bit finalizer.
+        let mut h = self.0;
+        h = (h ^ (h >> 33)).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        h = (h ^ (h >> 33)).wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+        h ^ (h >> 33)
     }
 }
 
@@ -219,16 +264,6 @@ impl Mat4 {
             }
         }
         out
-    }
-
-    /// Frobenius norm.
-    pub fn fro_norm(&self) -> f64 {
-        self.e
-            .iter()
-            .flatten()
-            .map(|z| z.norm_sqr())
-            .sum::<f64>()
-            .sqrt()
     }
 
     /// Largest entry magnitude of `self − other`.

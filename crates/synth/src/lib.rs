@@ -16,16 +16,14 @@
 //!
 //! ---
 //! **Owns:** [`decompose::decompose`], [`translate::translate_circuit`],
-//! [`approx_translate`], [`fidelity::CircuitFidelity`].
+//! [`fidelity::CircuitFidelity`].
 //! **Paper:** §III-A numerical decomposition, the Eq. 2 decoherence
 //! model, and the pulse sequences of Fig. 8.
 
-pub mod approx_translate;
 pub mod decompose;
 pub mod fidelity;
 pub mod translate;
 
-pub use approx_translate::{translate_circuit_approx, ApproxTranslationStats};
 pub use decompose::{decompose, DecompOptions, Decomposition};
 pub use fidelity::CircuitFidelity;
 pub use translate::{translate_circuit, TranslationStats};

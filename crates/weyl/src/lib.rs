@@ -33,7 +33,6 @@
 //! (Eq. 1), and the Cartan/KAK decomposition the synthesis layer dresses.
 
 pub mod coords;
-pub mod haar_measure;
 pub mod kak;
 pub mod mirror;
 
