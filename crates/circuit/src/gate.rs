@@ -201,6 +201,23 @@ impl Gate {
             Gate::Unitary2(m) => Gate::Unitary2(m.adjoint()),
         }
     }
+
+    /// True when the gate is symmetric under exchanging its qubits
+    /// (matrix commutes with SWAP). Symmetric gates let routers reverse
+    /// operand order for free.
+    pub fn is_symmetric(&self) -> bool {
+        matches!(
+            self,
+            Gate::Cz
+                | Gate::Cphase(_)
+                | Gate::Swap
+                | Gate::ISwap
+                | Gate::ISwapPow(_)
+                | Gate::Rxx(_)
+                | Gate::Ryy(_)
+                | Gate::Rzz(_)
+        )
+    }
 }
 
 #[cfg(test)]
@@ -290,9 +307,11 @@ mod tests {
     fn symmetric_gates() {
         let s = Mat4::swap();
         for g in [Gate::Cz, Gate::ISwap, Gate::Swap, Gate::Rzz(0.7)] {
+            assert!(g.is_symmetric());
             let m = g.matrix2();
             assert!(s.mul(&m).mul(&s).approx_eq(&m, 1e-12), "{g:?}");
         }
+        assert!(!Gate::Cx.is_symmetric());
         let m = Gate::Cx.matrix2();
         assert!(!s.mul(&m).mul(&s).approx_eq(&m, 1e-12));
     }

@@ -7,8 +7,16 @@ use crate::circuit::{Circuit, Instruction};
 use crate::gate::Gate;
 use mirage_math::{Mat2, Mat4};
 
-/// The instructions of `c` that are not (numerically) the identity:
-/// `RZ(0)`, `Phase(0)`, identity `Unitary1`/`Unitary2` blocks, and friends.
+/// Remove gates that are (numerically) the identity: `RZ(0)`, `Phase(0)`,
+/// identity `Unitary1`/`Unitary2` blocks, and friends.
+pub fn remove_identities(c: &Circuit) -> Circuit {
+    Circuit {
+        n_qubits: c.n_qubits,
+        instructions: without_identities(c),
+    }
+}
+
+/// The instructions of `c` that are not (numerically) the identity.
 fn without_identities(c: &Circuit) -> Vec<Instruction> {
     c.instructions
         .iter()
@@ -235,7 +243,7 @@ mod tests {
     fn removes_identity_rotations() {
         let mut c = Circuit::new(2);
         c.rz(0.0, 0).h(0).rx(0.0, 1).cx(0, 1);
-        let out = clean(&c);
+        let out = remove_identities(&c);
         assert_eq!(out.instructions.len(), 2);
         assert!(equivalent_on_zero(&c, &out, None));
     }

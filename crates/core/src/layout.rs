@@ -136,6 +136,15 @@ impl Layout {
         }
         true
     }
+
+    /// Full physical-side permutation `old→new` between two layouts of the
+    /// same device: where does the occupant of `p` under `self` sit under
+    /// `other`?
+    pub fn permutation_to(&self, other: &Layout) -> Vec<usize> {
+        (0..self.n_physical())
+            .map(|p| other.phys(self.log(p)))
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -195,5 +204,14 @@ mod tests {
     #[should_panic(expected = "not injective")]
     fn from_assignment_rejects_duplicates() {
         let _ = Layout::from_assignment(&[1, 1], 3);
+    }
+
+    #[test]
+    fn permutation_to_tracks_moves() {
+        let a = Layout::trivial(3, 3);
+        let mut b = a.clone();
+        b.swap_physical(0, 2);
+        let perm = a.permutation_to(&b);
+        assert_eq!(perm, vec![2, 1, 0]);
     }
 }

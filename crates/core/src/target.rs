@@ -65,41 +65,12 @@ use mirage_circuit::Circuit;
 use mirage_coverage::cache::SharedCostCache;
 use mirage_coverage::set::{BasisGate, CoverageOptions, CoverageSet};
 use mirage_math::mat4::MatrixMemo;
-use mirage_math::Mat4;
 use mirage_topology::CouplingMap;
 use mirage_weyl::coords::{coords_of, WeylCoord};
-use std::cell::RefCell;
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// Capacity of a target's shared cost cache (coordinate classes).
 const DEFAULT_CACHE_CAPACITY: usize = 4096;
-
-/// Distinct matrices past which [`coords_memoized`]'s per-thread memo
-/// starts over.
-const COORDS_MEMO_CAP: usize = 1024;
-
-/// [`coords_of`] through a per-thread memo keyed on the matrix's exact
-/// bits. The matrix-path scorers meet the same blocks across calls: a
-/// post-selection scores every candidate of one transpile, and the
-/// candidates share most of their blocks. `coords_of` is a pure function,
-/// so a memoized value is the computed one. The memo starts over at
-/// [`COORDS_MEMO_CAP`] entries, so a long-lived thread holds at most that
-/// many.
-fn coords_memoized(u: &Mat4) -> WeylCoord {
-    thread_local! {
-        static MEMO: RefCell<(MatrixMemo<WeylCoord>, usize)> = RefCell::default();
-    }
-    MEMO.with_borrow_mut(|(memo, len)| {
-        if *len == COORDS_MEMO_CAP {
-            *memo = MatrixMemo::default();
-            *len = 0;
-        }
-        memo.get_or_insert_with(u, |u| {
-            *len += 1;
-            coords_of(u)
-        })
-    })
-}
 
 /// The paper-default coverage construction parameters for a standard
 /// (mirror-free) costing set.
@@ -354,8 +325,7 @@ impl Target {
     }
 
     /// Every instruction of `c` with its class cost derived from its matrix
-    /// (`0.0` for single-qubit gates), priced once per distinct matrix, with
-    /// coordinates from [`coords_memoized`]: the input
+    /// (`0.0` for single-qubit gates), once per distinct matrix: the input
     /// of the matrix-path scorers, which hand it to the same
     /// [`CalibrationSnapshot`] pricing core the engine's class-priced path
     /// uses.
@@ -363,7 +333,7 @@ impl Target {
         let mut memo = MatrixMemo::default();
         c.instructions.iter().map(move |i| {
             let cost = if i.gate.is_two_qubit() {
-                memo.get_or_insert_with(&i.gate.matrix2(), |u| self.gate_cost(&coords_memoized(u)))
+                memo.get_or_insert_with(&i.gate.matrix2(), |u| self.gate_cost(&coords_of(u)))
             } else {
                 0.0
             };
@@ -461,18 +431,6 @@ mod tests {
     use super::*;
     use crate::calibration::QubitCalibration;
     use mirage_circuit::generators::ghz;
-    use mirage_circuit::Gate;
-
-    /// The per-thread coordinate memo returns `coords_of`'s exact value,
-    /// also for matrices met again after it started over at its cap.
-    #[test]
-    fn coords_memo_matches_coords_of_past_its_cap() {
-        let gates = (0..COORDS_MEMO_CAP + 10).map(|k| Gate::Rzz(0.001 * k as f64).matrix2());
-        let gates: Vec<Mat4> = gates.collect();
-        for u in gates.iter().chain(&gates[..20]) {
-            assert_eq!(coords_memoized(u), coords_of(u));
-        }
-    }
 
     #[test]
     fn lazy_coverage_not_built_on_construction() {

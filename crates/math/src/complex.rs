@@ -101,6 +101,14 @@ impl Complex64 {
         Complex64::from_polar(r.powf(1.0 / f64::from(n)), theta / f64::from(n))
     }
 
+    /// Raise to a real power via polar form.
+    pub fn powf(self, p: f64) -> Self {
+        if self == Complex64::ZERO {
+            return Complex64::ZERO;
+        }
+        Complex64::from_polar(self.abs().powf(p), self.arg() * p)
+    }
+
     /// Scale by a real factor.
     pub fn scale(self, k: f64) -> Self {
         Complex64::new(self.re * k, self.im * k)
@@ -282,6 +290,14 @@ mod tests {
         let r = z.nth_root(4);
         assert!((r.arg() - 0.3).abs() < TOL);
         assert!((r.abs() - 1.0).abs() < TOL);
+    }
+
+    #[test]
+    fn powf_matches_repeated_mul() {
+        let z = Complex64::new(0.6, 0.8);
+        let p = z.powf(3.0);
+        let m = z * z * z;
+        assert!(p.approx_eq(m, 1e-10));
     }
 
     #[test]

@@ -135,6 +135,16 @@ impl Mat2 {
         out
     }
 
+    /// Frobenius norm.
+    pub fn fro_norm(&self) -> f64 {
+        self.e
+            .iter()
+            .flatten()
+            .map(|z| z.norm_sqr())
+            .sum::<f64>()
+            .sqrt()
+    }
+
     /// True when `‖self†·self − I‖∞ ≤ tol` entry-wise.
     pub fn is_unitary(&self, tol: f64) -> bool {
         self.adjoint().mul(self).approx_eq(&Mat2::identity(), tol)
@@ -292,5 +302,10 @@ mod tests {
         let b = a.scale(Complex64::cis(0.9));
         assert!(b.approx_eq_up_to_phase(&a, 1e-10));
         assert!(!b.approx_eq(&a, 1e-10));
+    }
+
+    #[test]
+    fn fro_norm_of_identity() {
+        assert!((Mat2::identity().fro_norm() - 2f64.sqrt()).abs() < TOL);
     }
 }

@@ -60,9 +60,9 @@ impl<V> Default for MatrixMemo<V> {
 /// is avalanched so the table may use any of its bits. Lookups still
 /// compare the full key, so a collision costs time, never a wrong value.
 /// Unlike SipHash it is not keyed. Keys are gate matrices (a client's, on
-/// the serve path), and every memo lives for one call or is capped, so
-/// chosen collisions could at worst make lookups linear in the entries a
-/// memo holds.
+/// the serve path), and every memo lives for one call, so chosen
+/// collisions could at worst make that call's lookups linear in the
+/// entries its memo holds.
 #[derive(Debug, Default)]
 struct WordMix(u64);
 
@@ -264,6 +264,16 @@ impl Mat4 {
             }
         }
         out
+    }
+
+    /// Frobenius norm.
+    pub fn fro_norm(&self) -> f64 {
+        self.e
+            .iter()
+            .flatten()
+            .map(|z| z.norm_sqr())
+            .sum::<f64>()
+            .sqrt()
     }
 
     /// Largest entry magnitude of `self − other`.

@@ -277,6 +277,21 @@ impl CouplingMap {
     pub fn is_connected(&self) -> bool {
         self.dist[..self.n].iter().all(|&d| d != u32::MAX)
     }
+
+    /// Graph degree statistics `(min, max)`.
+    pub fn degree_range(&self) -> (usize, usize) {
+        let mut lo = usize::MAX;
+        let mut hi = 0;
+        for adj in &self.adjacency {
+            lo = lo.min(adj.len());
+            hi = hi.max(adj.len());
+        }
+        if self.n == 0 {
+            (0, 0)
+        } else {
+            (lo, hi)
+        }
+    }
 }
 
 fn all_pairs_bfs(n: usize, adjacency: &[Vec<usize>]) -> Vec<u32> {
@@ -302,12 +317,6 @@ fn all_pairs_bfs(n: usize, adjacency: &[Vec<usize>]) -> Vec<u32> {
 mod tests {
     use super::*;
 
-    /// The least and greatest qubit degree of a non-empty map.
-    fn degree_range(m: &CouplingMap) -> (usize, usize) {
-        let degrees = (0..m.n_qubits()).map(|q| m.neighbors(q).len());
-        (degrees.clone().min().unwrap(), degrees.max().unwrap())
-    }
-
     #[test]
     fn line_distances() {
         let m = CouplingMap::line(5);
@@ -331,7 +340,8 @@ mod tests {
         assert_eq!(m.n_qubits(), 36);
         assert_eq!(m.edges().len(), 60); // 2·6·5
         assert_eq!(m.distance(0, 35), 10);
-        assert_eq!(degree_range(&m), (2, 4));
+        let (lo, hi) = m.degree_range();
+        assert_eq!((lo, hi), (2, 4));
         assert!(m.is_connected());
     }
 
@@ -355,7 +365,7 @@ mod tests {
         assert!(m.is_connected());
         // Heavy-hex degree is at most 3 — that is the whole point of the
         // lattice (crosstalk reduction).
-        let (lo, hi) = degree_range(&m);
+        let (lo, hi) = m.degree_range();
         assert!(lo >= 1);
         assert!(hi <= 3, "heavy-hex max degree = {hi}");
     }
@@ -365,7 +375,7 @@ mod tests {
         let m = CouplingMap::heavy_hex(3);
         assert_eq!(m.n_qubits(), (5 * 9 - 6 - 1) / 2); // 19
         assert!(m.is_connected());
-        assert!(degree_range(&m).1 <= 3);
+        assert!(m.degree_range().1 <= 3);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! which exchanges CNOT ↔ iSWAP, fixes the B gate, maps SWAP → identity and
 //! maps the CPHASE family onto the parametric-SWAP family (paper Fig. 6).
 
-use crate::coords::WeylCoord;
+use crate::coords::{coords_of, WeylCoord};
 use mirage_math::{Mat4, PI_4};
 
 /// Apply Eq. 1: the canonical coordinates of `SWAP · U` given those of `U`.
@@ -34,10 +34,15 @@ pub fn mirror_unitary(u: &Mat4) -> Mat4 {
     Mat4::swap().mul(u)
 }
 
+/// Convenience: coordinates of the mirror of a unitary, computed through
+/// Eq. 1 (cheap) rather than re-deriving coordinates from the matrix.
+pub fn mirror_coord_of(u: &Mat4) -> WeylCoord {
+    mirror_coord(&coords_of(u))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coords::coords_of;
     use mirage_gates::{can, cnot, cphase, haar_2q, iswap, iswap_alpha, swap};
     use mirage_math::{Rng, PI_2};
 
@@ -152,5 +157,14 @@ mod tests {
         let u = cnot();
         let m = mirror_unitary(&u);
         assert!(m.approx_eq(&Mat4::swap().mul(&u), 1e-12));
+    }
+
+    #[test]
+    fn mirror_coord_of_agrees() {
+        let mut rng = Rng::new(24);
+        let u = haar_2q(&mut rng);
+        let a = mirror_coord_of(&u);
+        let b = coords_of(&mirror_unitary(&u));
+        assert!(a.approx_eq(&b, 1e-6));
     }
 }
