@@ -16,16 +16,23 @@
 //! those routes is ever output. So the core **routes without building a
 //! circuit**:
 //!
-//! * It walks a `RouteDag`: per node two `u32` operands, a class id, an
-//!   in-degree and its successors inline (a node has at most one successor
-//!   per wire, so two slots and a count; each slot carries its node's
-//!   "is 2Q" flag in the high bit, and an unused slot holds a sentinel
-//!   id, the node count). One constructor builds it from
-//!   any ordered gate sequence by tracking the last node on each wire: the
-//!   engine feeds it the circuit's instructions forward and reversed, once
-//!   per engine, and [`route_with_scratch`] feeds it a [`Dag`]'s nodes.
-//!   The large [`Dag`] nodes (gate plus three `Vec`s) never enter the
-//!   loop.
+//! * It routes the **two-qubit skeleton**. A `RouteDag` holds one node
+//!   per two-qubit gate: two `u32` operands, a class id, an in-degree and
+//!   its successors inline (a node has at most one successor per wire, so
+//!   two slots and a count; an unused slot holds a sentinel id, the node
+//!   count). Each single-qubit gate is a **rider** of the latest
+//!   two-qubit node before it on its wire, or leads when none precedes
+//!   it. Riders never enter the front layer, the lookahead windows or the
+//!   SWAP scoring, as in SABRE (Li et al.), whose front layer and extended
+//!   set hold two-qubit gates only: the route writes the leading riders
+//!   first, on the initial layout, and a node's riders right after the
+//!   node, on their wires' homes after its mirror decision. That is where
+//!   they execute: a rider's wire sees no other gate between its node and
+//!   the rider. One constructor builds the view from any ordered gate
+//!   sequence by tracking the last node on each wire: the engine feeds it
+//!   the circuit's instructions forward and reversed, once per engine, and
+//!   [`route_with_scratch`] feeds it a [`Dag`]'s nodes. The large [`Dag`]
+//!   nodes (gate plus three `Vec`s) never enter the loop.
 //! * It writes an **op trace** (`Op`): per emitted gate the node it came
 //!   from (or a SWAP sentinel), its physical operands, its class id and its
 //!   count of mirror steps. No `Gate` clone, no matrix product, no
@@ -39,7 +46,7 @@
 //!   [`crate::trials::TrialEngine`] gives each trial worker one for its
 //!   run.
 //! * Candidate SWAPs need **no sort**: the coupling edges incident to the
-//!   home of any front 2Q operand are marked in a `u64` bitset by edge id,
+//!   home of any front operand are marked in a `u64` bitset by edge id,
 //!   by ORing in each home's incident-edge mask
 //!   ([`CouplingMap::incident`], same word layout). [`CouplingMap`]
 //!   numbers its edges in sorted `(min, max)` order, so walking the set
@@ -69,8 +76,8 @@
 //!   branches: the breadth-first lookahead (a flat queue read from a
 //!   moving head; only its seen-marks are epoch-stamped, since clearing
 //!   them would cost O(DAG) per walk) reads both successor slots of every
-//!   node it pops and advances its queue and window by the "fresh" and
-//!   "fresh and 2Q" flags. It needs no executed marks: it starts from
+//!   node it pops and advances its queue by the "fresh" flag; the window
+//!   is the queue past the seeds. It needs no executed marks: it starts from
 //!   unexecuted nodes (the front, or the successors an executing gate
 //!   releases), and every descendant of an unexecuted node is unexecuted.
 //!   The swap ranker's extended set is kept across consecutive SWAP-only
@@ -91,14 +98,22 @@
 //!   At A0 and A3, whose acceptance ignores the costs, the lookahead is
 //!   skipped altogether.
 //!
-//! Outputs are **bit-identical** to the pre-optimization router (kept as a
-//! test-only `legacy` fixture): residual distances are small integers, so
-//! front/extended sums are exact in `f64` regardless of summation order,
-//! the score expressions reproduce the original floating-point operations,
-//! and `materialize` applies `SWAP·` once per mirror step in the order
-//! the old per-route circuits did. The golden tests
-//! (`tests/golden_routing.rs`) and a randomized `route == legacy::route`
-//! sweep pin this.
+//! # The skeleton contract
+//!
+//! Every route's two-qubit ops (operands, gate or SWAP, mirrored or not),
+//! its counters, its RNG draws and its final layout are those of the
+//! pre-optimization router (kept as a test-only `legacy` fixture, which
+//! routes single-qubit gates as DAG nodes) on the same input with its
+//! single-qubit gates deleted; on an input with no single-qubit gate the
+//! output is **bit-identical** to it. Residual distances are small
+//! integers, so front/extended sums are exact in `f64` regardless of
+//! summation order, the score expressions reproduce the original
+//! floating-point operations, and `materialize` applies `SWAP·` once per
+//! mirror step in the order the old per-route circuits did. A randomized
+//! sweep against `legacy::route` on the skeleton, statevector checks of
+//! routes with riders, and the pins of `tests/skeleton_routing.rs` (taken
+//! on the router that still routed single-qubit gates as nodes) and
+//! `tests/golden_routing.rs` hold this.
 
 use crate::layout::Layout;
 use crate::pricing::{ClassId, Classes, Operands, PriceTable, NO_CLASS};
@@ -253,44 +268,59 @@ fn source(gate: &Gate, i: usize) -> u32 {
     }
 }
 
-/// One [`RouteDag`] node: what the router reads of a gate.
+/// One [`RouteDag`] node: what the router reads of a two-qubit gate.
 #[derive(Debug, Clone, Copy)]
 struct RouteNode {
-    /// Logical operands; `[q, NO_QUBIT]` for a single-qubit gate.
+    /// Logical operands.
     qubits: [u32; 2],
-    /// Coordinate class ([`NO_CLASS`] for a single-qubit gate).
+    /// Coordinate class.
     class: ClassId,
-    /// The [`Op::source`] the node emits: its id, or [`SWAP_OP`].
+    /// The [`Op::source`] the node emits: its gate index, or [`SWAP_OP`].
     source: u32,
     /// Number of predecessors.
     indeg: u32,
     /// Successors in id order, `succ[..n_succ]`: a node has at most one
     /// successor per wire, and one reached through both wires counts once.
-    /// Each entry carries [`TWO_Q`] when its node is a two-qubit gate;
-    /// unused slots hold the sentinel id [`RouteDag::len`], so the
+    /// Unused slots hold the sentinel id [`RouteDag::len`], so the
     /// lookahead walk reads both slots without a branch.
     succ: [u32; 2],
     n_succ: u32,
 }
 
-/// The flag a [`RouteNode::succ`] entry carries when its node is a
-/// two-qubit gate; the low 31 bits are the node id.
-const TWO_Q: u32 = 1 << 31;
+/// A single-qubit gate riding its wire: its gate index and logical qubit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Rider {
+    source: u32,
+    qubit: u32,
+}
 
-/// The router's compact view of a circuit DAG: per node its operands,
-/// class id, in-degree and (inline) successors.
+/// The router's compact view of a circuit: the dependency DAG of its
+/// two-qubit gates (per node its operands, class id, in-degree and inline
+/// successors), and its single-qubit gates as **riders**. A single-qubit
+/// gate rides the latest two-qubit node before it on its wire, or joins the
+/// leading list when no node precedes it; the router writes a node's riders
+/// right after the node itself, on their wires' homes at that point.
 #[derive(Debug, Clone)]
 pub(crate) struct RouteDag {
     n_qubits: usize,
     nodes: Vec<RouteNode>,
+    /// Every rider, grouped by owner (the leading list, then node 0, node
+    /// 1, ...) and in gate order within a group.
+    riders: Vec<Rider>,
+    /// `riders[starts[k]..starts[k + 1]]` are owner `k`'s riders: owner 0
+    /// is the leading list, owner `id + 1` is node `id`.
+    starts: Vec<u32>,
 }
 
 impl RouteDag {
-    /// The dependency DAG of an ordered gate sequence on `n_qubits`
-    /// wires: node `i` is item `i`, given as its operands, its gate and its
-    /// class id, and depends on the latest earlier node on each of its
-    /// wires. The nodes, in-degrees and successor order are
-    /// [`Dag::from_circuit`]'s for the same sequence.
+    /// The routing view of an ordered gate sequence on `n_qubits` wires,
+    /// item `i` given as its operands, its gate and its class id (ignored
+    /// for a single-qubit gate). Gate `i` emits [`Op::source`] `i` (or
+    /// [`SWAP_OP`] for a bare SWAP). The two-qubit gates become nodes in
+    /// order, each depending on the latest earlier node on each of its
+    /// wires: the nodes, in-degrees and successor order are
+    /// [`Dag::from_circuit`]'s for the sequence with its single-qubit gates
+    /// deleted.
     ///
     /// # Panics
     ///
@@ -304,48 +334,62 @@ impl RouteDag {
         // The latest node on each wire so far.
         let mut last = vec![NONE; n_qubits];
         let mut nodes: Vec<RouteNode> = Vec::new();
+        // Each rider with its owner (see `starts`).
+        let mut owned: Vec<(u32, Rider)> = Vec::new();
         for (i, (qubits, gate, class)) in gates.into_iter().enumerate() {
-            let id = index(i);
-            let qubits = match *qubits {
-                [a] => [index(a), NO_QUBIT],
-                [a, b] => [index(a), index(b)],
+            let source = source(gate, i);
+            let (a, b) = match *qubits {
+                [q] => {
+                    let owner = if last[q] == NONE { 0 } else { last[q] + 1 };
+                    let qubit = index(q);
+                    owned.push((owner, Rider { source, qubit }));
+                    continue;
+                }
+                [a, b] => (a, b),
                 _ => panic!("the router handles one- and two-qubit gates only"),
             };
-            let [pa, pb] = qubits.map(|q| {
-                if q == NO_QUBIT {
-                    NONE
-                } else {
-                    last[q as usize]
-                }
-            });
-            let tagged = id | if qubits[1] == NO_QUBIT { 0 } else { TWO_Q };
+            let id = index(nodes.len());
+            let (pa, pb) = (last[a], last[b]);
             let mut indeg = 0;
             for p in [pa, if pb == pa { NONE } else { pb }] {
                 if p != NONE {
                     let n = &mut nodes[p as usize];
-                    n.succ[n.n_succ as usize] = tagged;
+                    n.succ[n.n_succ as usize] = id;
                     n.n_succ += 1;
                     indeg += 1;
                 }
             }
-            for q in qubits.into_iter().filter(|&q| q != NO_QUBIT) {
-                last[q as usize] = id;
-            }
+            last[a] = id;
+            last[b] = id;
             nodes.push(RouteNode {
-                qubits,
+                qubits: [index(a), index(b)],
                 class,
-                source: source(gate, i),
+                source,
                 indeg,
                 succ: [NONE; 2],
                 n_succ: 0,
             });
         }
         let sentinel = index(nodes.len());
-        assert!(sentinel < TWO_Q, "DAG fits 31-bit node ids");
         for n in &mut nodes {
             n.succ[n.n_succ as usize..].fill(sentinel);
         }
-        RouteDag { n_qubits, nodes }
+        // Group by owner; the sort is stable, so gate order holds within
+        // a group.
+        owned.sort_by_key(|&(owner, _)| owner);
+        let mut starts = vec![0; nodes.len() + 2];
+        for &(owner, _) in &owned {
+            starts[owner as usize + 1] += 1;
+        }
+        for k in 1..starts.len() {
+            starts[k] += starts[k - 1];
+        }
+        RouteDag {
+            n_qubits,
+            nodes,
+            riders: owned.into_iter().map(|(_, r)| r).collect(),
+            starts,
+        }
     }
 
     fn len(&self) -> usize {
@@ -355,20 +399,30 @@ impl RouteDag {
     /// The successors of node `id`, in id order.
     fn succs(&self, id: usize) -> impl Iterator<Item = usize> + '_ {
         let n = &self.nodes[id];
-        n.succ[..n.n_succ as usize]
-            .iter()
-            .map(|&s| (s & !TWO_Q) as usize)
+        n.succ[..n.n_succ as usize].iter().map(|&s| s as usize)
     }
 
-    fn is_2q(&self, id: usize) -> bool {
-        self.nodes[id].qubits[1] != NO_QUBIT
+    /// The riders of owner `k`: the leading list for 0, node `k - 1`'s
+    /// riders otherwise.
+    fn riders(&self, k: usize) -> &[Rider] {
+        &self.riders[self.starts[k] as usize..self.starts[k + 1] as usize]
     }
 
-    /// The physical homes of a two-qubit node's operands under `layout`.
+    /// The physical homes of a node's operands under `layout`.
     fn homes(&self, id: usize, layout: &Layout) -> (usize, usize) {
         let [a, b] = self.nodes[id].qubits;
         (layout.phys(a as usize), layout.phys(b as usize))
     }
+}
+
+/// Append `riders` to `trace`, each on its wire's home under `layout`.
+fn emit_riders(trace: &mut Vec<Op>, riders: &[Rider], layout: &Layout) {
+    trace.extend(riders.iter().map(|r| Op {
+        source: r.source,
+        qubits: [layout.phys(r.qubit as usize) as u32, NO_QUBIT],
+        class: NO_CLASS,
+        mirrors: 0,
+    }));
 }
 
 /// One gate of a routed circuit, before it is a [`Circuit`] instruction.
@@ -529,20 +583,19 @@ struct Lookahead {
 }
 
 impl Lookahead {
-    /// The lookahead window: up to `limit` two-qubit descendants of
-    /// `seeds`, breadth-first, into the reusable `out` buffer. Seeds are
-    /// unexecuted (front nodes, or successors the executing gate
-    /// releases), so every descendant is too: the walk needs no executed
-    /// marks. Identical traversal (and therefore output order) to the seed
-    /// implementation's `HashSet`/`VecDeque` version. The walk only
-    /// appends to `out`, so the window for a smaller `limit` is a prefix
-    /// of the window for a larger one.
+    /// The lookahead window: up to `limit` descendants of `seeds`,
+    /// breadth-first, into the reusable `out` buffer. Seeds are unexecuted
+    /// (front nodes, or successors the executing gate releases), so every
+    /// descendant is too: the walk needs no executed marks. Identical
+    /// traversal (and therefore output order) to the seed implementation's
+    /// `HashSet`/`VecDeque` version. The walk only appends, so the window
+    /// for a smaller `limit` is a prefix of the window for a larger one.
     ///
     /// The walk does not branch on the data. It reads both successor slots
     /// of every node it pops; an unused slot holds the sentinel id, whose
     /// mark is stamped before the walk starts, so it is never fresh. Each
-    /// successor is written at the queue's and the window's end, and the
-    /// two lengths advance by "fresh" and "fresh and two-qubit".
+    /// successor is written at the queue's end, which advances when it is
+    /// fresh: the window is the queue past the seeds.
     fn window(&mut self, dag: &RouteDag, seeds: &[usize], limit: usize, out: &mut Vec<usize>) {
         let Lookahead { queue, mark, epoch } = self;
         let sentinel = dag.len();
@@ -557,32 +610,29 @@ impl Lookahead {
             mark[id] = ep;
             *slot = id as u32;
         }
-        out.clear();
-        out.resize(limit, 0);
-        let (mut head, mut qlen, mut olen) = (0, seeds.len(), 0);
+        let (mut head, mut qlen) = (0, seeds.len());
+        let end = qlen + limit;
         'walk: while head < qlen {
             let succ = dag.nodes[queue[head] as usize].succ;
             head += 1;
             for s in succ {
-                if olen == limit {
+                if qlen == end {
                     break 'walk;
                 }
-                let id = (s & !TWO_Q) as usize;
-                let fresh = usize::from(mark[id] != ep);
-                mark[id] = ep;
-                queue[qlen] = id as u32;
+                let fresh = usize::from(mark[s as usize] != ep);
+                mark[s as usize] = ep;
+                queue[qlen] = s;
                 qlen += fresh;
-                out[olen] = id;
-                olen += fresh & (s >> 31) as usize;
             }
         }
-        out.truncate(olen);
+        out.clear();
+        out.extend(queue[seeds.len()..qlen].iter().map(|&id| id as usize));
     }
 }
 
 /// Where physical qubit `x` ends up if the occupants of `p1` and `p2`
 /// trade places. The single remap every delta computation goes through —
-/// the convention must stay identical everywhere or the bit-identity
+/// the convention must stay identical everywhere or the skeleton
 /// contract breaks.
 #[inline]
 fn swapped_home(x: usize, p1: usize, p2: usize) -> usize {
@@ -603,14 +653,12 @@ fn residual(topo: &CouplingMap, a: usize, b: usize) -> i32 {
 }
 
 /// One pass over `ids`: the summed residual distances (hops beyond
-/// adjacency) of their 2Q nodes under `layout`, plus the delta that
-/// swapping the occupants of `p1`/`p2` would apply. Every 2Q node adds
-/// its delta with no test of whether it sits on `p1` or `p2`: a node that
-/// does not keeps its homes under [`swapped_home`] and adds zero, and so
-/// does one with *both* operands there. 1Q nodes contribute nothing,
-/// matching the legacy `lookahead_sum`'s zero-distance convention. Sums
-/// are exact integers, so `sum` and `sum + delta` reproduce two full walks
-/// bit-for-bit.
+/// adjacency) of their nodes under `layout`, plus the delta that swapping
+/// the occupants of `p1`/`p2` would apply. Every node adds its delta with
+/// no test of whether it sits on `p1` or `p2`: a node that does not keeps
+/// its homes under [`swapped_home`] and adds zero, and so does one with
+/// *both* operands there. Sums are exact integers, so `sum` and
+/// `sum + delta` reproduce two full walks bit-for-bit.
 fn sum_and_swap_delta(
     dag: &RouteDag,
     ids: &[usize],
@@ -622,9 +670,6 @@ fn sum_and_swap_delta(
     let mut sum = 0i64;
     let mut delta = 0i64;
     for &nid in ids {
-        if !dag.is_2q(nid) {
-            continue;
-        }
         let (pa, pb) = dag.homes(nid, layout);
         let d = residual(topo, pa, pb);
         sum += i64::from(d);
@@ -746,6 +791,7 @@ pub(crate) fn route_trace(
     } = scratch;
 
     trace.clear();
+    emit_riders(trace, dag.riders(0), layout);
     indeg.clear();
     indeg.extend(dag.nodes.iter().map(|n| n.indeg));
     front.clear();
@@ -779,95 +825,83 @@ pub(crate) fn route_trace(
         let mut i = 0;
         while i < front.len() {
             let id = front[i];
-            let node = dag.nodes[id];
-            let pair = if node.qubits[1] == NO_QUBIT {
-                None
-            } else {
-                let (p1, p2) = dag.homes(id, layout);
-                if topo.edge_id(p1, p2) == u32::MAX {
-                    i += 1;
-                    continue;
-                }
-                Some((p1, p2))
-            };
+            let (p1, p2) = dag.homes(id, layout);
+            if topo.edge_id(p1, p2) == u32::MAX {
+                i += 1;
+                continue;
+            }
             front.swap_remove(i);
             // Set when the mirror decision walks its window from the front
             // this gate leaves behind.
             let mut probed = false;
 
-            if let Some((p1, p2)) = pair {
-                let k = node.class;
-                let mut op = Op::new(node.source, (p1, Some(p2)), k);
-                if let Some(aggr) = config.aggression {
-                    counts.mirror_candidates += 1;
-                    let accepted = match aggr {
-                        // Acceptance ignores the costs at these levels.
-                        Aggression::A0 => false,
-                        Aggression::A3 => true,
-                        Aggression::A1 | Aggression::A2 => {
-                            let km = prices.mirror(k);
-                            // Price both options on the edge the gate
-                            // executes on: a calibrated slow coupler scales
-                            // dc and dcm alike, which amplifies their
-                            // *difference* against the hop-denominated
-                            // routing term — on expensive edges the
-                            // decomposition delta dominates, exactly the
-                            // effect the calibration-skew experiment sweeps.
-                            let dc = prices.edge_cost(k, p1, p2);
-                            let dcm = prices.edge_cost(km, p1, p2);
+            let k = dag.nodes[id].class;
+            let mut op = Op::new(dag.nodes[id].source, (p1, Some(p2)), k);
+            if let Some(aggr) = config.aggression {
+                counts.mirror_candidates += 1;
+                let accepted = match aggr {
+                    // Acceptance ignores the costs at these levels.
+                    Aggression::A0 => false,
+                    Aggression::A3 => true,
+                    Aggression::A1 | Aggression::A2 => {
+                        let km = prices.mirror(k);
+                        // Price both options on the edge the gate
+                        // executes on: a calibrated slow coupler scales
+                        // dc and dcm alike, which amplifies their
+                        // *difference* against the hop-denominated
+                        // routing term — on expensive edges the
+                        // decomposition delta dominates, exactly the
+                        // effect the calibration-skew experiment sweeps.
+                        let dc = prices.edge_cost(k, p1, p2);
+                        let dcm = prices.edge_cost(km, p1, p2);
 
-                            // Lookahead impact: the *remaining* front plus
-                            // the successors this gate would release
-                            // (exactly one predecessor left — this node
-                            // still counts).
-                            probe.clear();
-                            probe.extend_from_slice(front);
-                            for s in dag.succs(id) {
-                                if indeg[s] == 1 {
-                                    probe.push(s);
-                                }
+                        // Lookahead impact: the *remaining* front plus
+                        // the successors this gate would release
+                        // (exactly one predecessor left — this node
+                        // still counts).
+                        probe.clear();
+                        probe.extend_from_slice(front);
+                        for s in dag.succs(id) {
+                            if indeg[s] == 1 {
+                                probe.push(s);
                             }
-                            // The mirror decision looks deeper than the
-                            // swap ranker: mirrors are rarer, higher-stakes
-                            // moves.
-                            lookahead.window(dag, probe, MIRROR_LOOKAHEAD, ext);
-                            // The mirror decision uses *summed* distances,
-                            // not the swap-ranking average: the
-                            // decomposition-cost delta is an absolute
-                            // duration, so the routing term must be
-                            // absolute too. One exact integer pass gives
-                            // the sum and its mirrored delta.
-                            let (f_sum, f_delta) =
-                                sum_and_swap_delta(dag, probe, layout, topo, p1, p2);
-                            let (e_sum, e_delta) =
-                                sum_and_swap_delta(dag, ext, layout, topo, p1, p2);
-                            // The window's first `|E|` nodes are the
-                            // ranker's extended set of the front this gate
-                            // leaves behind (see the module docs).
-                            ext.truncate(EXTENDED_SET_SIZE);
-                            probed = true;
-                            let h_plain = f_sum as f64 + EXTENDED_SET_WEIGHT * e_sum as f64;
-                            let h_mirror = (f_sum + f_delta) as f64
-                                + EXTENDED_SET_WEIGHT * ((e_sum + e_delta) as f64);
-
-                            let lambda = config.mirror_heuristic_weight;
-                            let cost_current = dc + lambda * h_plain;
-                            let cost_trial = dcm + lambda * h_mirror;
-                            aggr.accept(cost_current, cost_trial)
                         }
-                    };
-                    if accepted {
-                        counts.mirrors_accepted += 1;
-                        op.class = prices.mirror(k);
-                        op.mirrors = 1;
-                        layout.swap_physical(p1, p2);
+                        // The mirror decision looks deeper than the
+                        // swap ranker: mirrors are rarer, higher-stakes
+                        // moves.
+                        lookahead.window(dag, probe, MIRROR_LOOKAHEAD, ext);
+                        // The mirror decision uses *summed* distances,
+                        // not the swap-ranking average: the
+                        // decomposition-cost delta is an absolute
+                        // duration, so the routing term must be
+                        // absolute too. One exact integer pass gives
+                        // the sum and its mirrored delta.
+                        let (f_sum, f_delta) = sum_and_swap_delta(dag, probe, layout, topo, p1, p2);
+                        let (e_sum, e_delta) = sum_and_swap_delta(dag, ext, layout, topo, p1, p2);
+                        // The window's first `|E|` nodes are the
+                        // ranker's extended set of the front this gate
+                        // leaves behind (see the module docs).
+                        ext.truncate(EXTENDED_SET_SIZE);
+                        probed = true;
+                        let h_plain = f_sum as f64 + EXTENDED_SET_WEIGHT * e_sum as f64;
+                        let h_mirror = (f_sum + f_delta) as f64
+                            + EXTENDED_SET_WEIGHT * ((e_sum + e_delta) as f64);
+
+                        let lambda = config.mirror_heuristic_weight;
+                        let cost_current = dc + lambda * h_plain;
+                        let cost_trial = dcm + lambda * h_mirror;
+                        aggr.accept(cost_current, cost_trial)
                     }
+                };
+                if accepted {
+                    counts.mirrors_accepted += 1;
+                    op.class = prices.mirror(k);
+                    op.mirrors = 1;
+                    layout.swap_physical(p1, p2);
                 }
-                trace.push(op);
-            } else {
-                let p = layout.phys(node.qubits[0] as usize);
-                trace.push(Op::new(node.source, (p, None), NO_CLASS));
             }
+            trace.push(op);
+            emit_riders(trace, dag.riders(id + 1), layout);
 
             // Release successors into the front layer.
             for s in dag.succs(id) {
@@ -892,7 +926,7 @@ pub(crate) fn route_trace(
 
         // --- SWAP insertion: no gate is executable. ---
         debug_assert!(
-            front.iter().all(|&id| dag.is_2q(id) && {
+            front.iter().all(|&id| {
                 let (pa, pb) = dag.homes(id, layout);
                 topo.edge_id(pa, pb) == u32::MAX
             }),
@@ -916,19 +950,17 @@ pub(crate) fn route_trace(
         // and the candidate bitset (module docs: candidate SWAPs need no
         // sort, delta scoring).
         touch.iter_mut().for_each(Vec::clear);
-        let mut n_f = 0usize;
         // Base sums per lane: [extended, front].
         let mut base = [0i64; 2];
-        let front_2q = front.iter().copied().filter(|&id| dag.is_2q(id));
-        for (lane, id) in front_2q
+        for (lane, &id) in front
+            .iter()
             .map(|id| (FRONT, id))
-            .chain(ext.iter().map(|&id| (EXTENDED, id)))
+            .chain(ext.iter().map(|id| (EXTENDED, id)))
         {
             let (pa, pb) = dag.homes(id, layout);
             let dist = residual(topo, pa, pb);
             base[lane as usize] += i64::from(dist);
             if lane == FRONT {
-                n_f += 1;
                 for p in [pa, pb] {
                     for (word, &mask) in candidates.iter_mut().zip(topo.incident(p)) {
                         *word |= mask;
@@ -947,7 +979,7 @@ pub(crate) fn route_trace(
             });
         }
         let [e_base, f_base] = base;
-        let n_e = ext.len();
+        let (n_f, n_e) = (front.len(), ext.len());
 
         best.clear();
         let mut best_score = f64::INFINITY;
@@ -1130,19 +1162,14 @@ pub fn absorb_adjacent_swaps(c: &Circuit) -> (Circuit, usize) {
 }
 
 /// Deterministic progress step: the first SWAP along the shortest path
-/// between the operands of the first front-layer 2Q gate.
+/// between the operands of the first front-layer gate.
 fn force_step(
     dag: &RouteDag,
     front: &[usize],
     layout: &Layout,
     topo: &CouplingMap,
 ) -> (usize, usize) {
-    let id = front
-        .iter()
-        .copied()
-        .find(|&id| dag.is_2q(id))
-        .expect("stalled front contains a 2Q gate");
-    let (src, dst) = dag.homes(id, layout);
+    let (src, dst) = dag.homes(front[0], layout);
     // First hop of a BFS shortest path from src toward dst.
     let next = topo
         .neighbors(src)
@@ -1154,7 +1181,9 @@ fn force_step(
 }
 
 /// The pre-optimization router, kept verbatim as a **test-only** reference
-/// fixture.
+/// fixture. It routes single-qubit gates as DAG nodes; the sweeps compare
+/// it against the router on circuits with their single-qubit gates
+/// deleted (see the [module docs](super)).
 ///
 /// `legacy::route` clones the full [`Layout`] and re-scores the entire
 /// front and extended set for every candidate SWAP, rebuilds
@@ -1163,7 +1192,7 @@ fn force_step(
 /// re-scans the instruction list inside a fixpoint loop. After three
 /// re-anchor cycles of golden fingerprints carried the equivalence proof,
 /// the module was compiled out of production builds; the randomized
-/// `route_matches_legacy_*` sweeps below keep the bit-identity property
+/// `route_matches_legacy_*` sweeps below keep the skeleton contract
 /// under test, and `tests/golden_routing.rs` pins the outputs across
 /// releases.
 #[cfg(test)]
@@ -1172,8 +1201,9 @@ pub mod legacy {
     use mirage_weyl::mirror::mirror_coord;
 
     /// The pre-optimization [`super::route`]: per-candidate layout clones,
-    /// full re-scoring, per-step scratch allocation. Bit-identical output,
-    /// several times slower; see the [module docs](self).
+    /// full re-scoring, per-step scratch allocation, single-qubit gates as
+    /// nodes. On a circuit without single-qubit gates the output is
+    /// bit-identical, several times slower; see the [module docs](self).
     pub fn route(
         dag: &Dag,
         coords: &[Option<WeylCoord>],
@@ -1563,6 +1593,20 @@ mod tests {
         Target::sqrt_iswap(topo)
     }
 
+    /// `c` with every single-qubit instruction deleted.
+    fn skeleton(c: &Circuit) -> Circuit {
+        let mut s = Circuit::new(c.n_qubits);
+        s.instructions = c.instructions.clone();
+        s.instructions.retain(|i| i.gate.is_two_qubit());
+        s
+    }
+
+    /// The two-qubit instructions of `c`.
+    fn two_qubit_part(c: &Circuit) -> Vec<&Instruction> {
+        let two_q = c.instructions.iter().filter(|i| i.gate.is_two_qubit());
+        two_q.collect()
+    }
+
     /// The `RouteDag` of `dag`'s nodes, as [`route_with_scratch`] builds it.
     fn route_dag(dag: &Dag, classes: &[ClassId]) -> RouteDag {
         let gates = dag.nodes.iter().zip(classes);
@@ -1754,12 +1798,16 @@ mod tests {
         assert!(verify_routed(&c, &r, &t));
     }
 
-    /// The bit-identity contract: the optimized hot path must reproduce
-    /// the legacy router's output exactly — same instructions, same
-    /// layouts, same counters — across circuits, topologies, aggression
-    /// levels, calibrations, and seeds. The 16-qubit cases give long SWAP
-    /// runs (decay resets mid-run) and scored nodes on both swapped
-    /// qubits; the 9×9 grid has more edges than one bitset word holds.
+    /// The skeleton contract against the legacy router, which routed
+    /// single-qubit gates as DAG nodes: on the circuit with its
+    /// single-qubit gates deleted, the router reproduces the legacy output
+    /// exactly — same instructions, same layouts, same counters, same RNG
+    /// draws — and on the full circuit its two-qubit instructions, layouts,
+    /// counters and draws are still exactly those, across circuits,
+    /// topologies, aggression levels, calibrations, and seeds. The
+    /// 16-qubit cases give long SWAP runs (decay resets mid-run) and scored
+    /// nodes on both swapped qubits; the 9×9 grid has more edges than one
+    /// bitset word holds.
     #[test]
     fn route_matches_legacy_bit_for_bit() {
         let topos = [
@@ -1794,6 +1842,8 @@ mod tests {
                     let cc = consolidate(&circuit);
                     let dag = Dag::from_circuit(&cc);
                     let coords = node_coords(&dag);
+                    let skel = Dag::from_circuit(&skeleton(&cc));
+                    let skel_coords = node_coords(&skel);
                     for aggression in [
                         None,
                         Some(Aggression::A0),
@@ -1808,17 +1858,38 @@ mod tests {
                         };
                         let mut rng_a = Rng::new(0xBEEF + case);
                         let layout = Layout::random(cc.n_qubits, t.n_qubits(), &mut rng_a);
-                        let mut rng_b = rng_a.clone();
-                        let new = route(&dag, &coords, &t, layout.clone(), &config, &mut rng_a);
-                        let old = legacy::route(&dag, &coords, &t, layout, &config, &mut rng_b);
-                        assert_eq!(new.circuit, old.circuit, "case {case} diverged");
-                        assert_eq!(new.final_layout, old.final_layout);
-                        assert_eq!(new.swaps_inserted, old.swaps_inserted);
-                        assert_eq!(new.mirrors_accepted, old.mirrors_accepted);
-                        assert_eq!(new.mirror_candidates, old.mirror_candidates);
+                        let (mut rng_b, mut rng_c) = (rng_a.clone(), rng_a.clone());
+                        let old = legacy::route(
+                            &skel,
+                            &skel_coords,
+                            &t,
+                            layout.clone(),
+                            &config,
+                            &mut rng_b,
+                        );
+                        let bare =
+                            route(&skel, &skel_coords, &t, layout.clone(), &config, &mut rng_c);
+                        assert_eq!(bare.circuit, old.circuit, "case {case} diverged");
+                        let new = route(&dag, &coords, &t, layout, &config, &mut rng_a);
+                        assert_eq!(
+                            two_qubit_part(&new.circuit),
+                            two_qubit_part(&old.circuit),
+                            "case {case}: the skeleton diverged"
+                        );
+                        for r in [&new, &bare] {
+                            assert_eq!(r.final_layout, old.final_layout);
+                            assert_eq!(r.swaps_inserted, old.swaps_inserted);
+                            assert_eq!(r.mirrors_accepted, old.mirrors_accepted);
+                            assert_eq!(r.mirror_candidates, old.mirror_candidates);
+                        }
                         // And the RNGs advanced in lockstep (same number of
                         // tie-breaks, same draws).
-                        assert_eq!(rng_a.next_u64(), rng_b.next_u64());
+                        let next = rng_b.next_u64();
+                        assert_eq!(rng_a.next_u64(), next);
+                        assert_eq!(rng_c.next_u64(), next);
+                        if t.n_qubits() <= 16 {
+                            assert!(verify_routed(&circuit, &new, &t), "case {case}");
+                        }
                     }
                 }
             }
@@ -1835,20 +1906,20 @@ mod tests {
             let mut stalled = 0;
             for a in 0..n {
                 for b in (0..n).filter(|&b| topo.distance(a, b) >= 3) {
-                    // A 1Q front gate ahead of the 2Q one: the step must
-                    // skip it.
+                    // A 1Q front gate ahead of the 2Q one: the legacy step
+                    // must skip it.
                     let spectator = (0..n).find(|&q| q != a && q != b).unwrap();
                     let mut c = Circuit::new(n);
                     c.h(spectator).cx(a, b);
                     let dag = Dag::from_circuit(&c);
                     let (_, node_classes) = Classes::build(&node_coords(&dag));
                     let route_dag = route_dag(&dag, &node_classes);
-                    let front = dag.front_layer();
                     let layout = Layout::trivial(n, n);
-                    let (p1, p2) = force_step(&route_dag, &front, &layout, &topo);
+                    // The router's front is the 2Q node alone.
+                    let (p1, p2) = force_step(&route_dag, &[0], &layout, &topo);
                     assert_eq!(
                         (p1, p2),
-                        legacy::force_step(&dag, &front, &layout, &topo),
+                        legacy::force_step(&dag, &dag.front_layer(), &layout, &topo),
                         "{a}-{b} on {n} qubits"
                     );
                     assert!(topo.are_adjacent(p1, p2), "({p1}, {p2}) is not coupled");
@@ -1890,13 +1961,17 @@ mod tests {
         c
     }
 
-    /// `RouteDag::new` against [`Dag::from_circuit`] on seeded random
-    /// circuits, forward and reversed: operands, class ids, sources,
-    /// in-degrees and successors in order.
+    /// `RouteDag::new` on seeded random circuits, forward and reversed.
+    /// Its nodes are [`Dag::from_circuit`]'s of the circuit with its 1Q
+    /// gates deleted (operands, class ids, in-degrees, successors in
+    /// order), each emitting its own instruction's source; every 1Q
+    /// instruction rides the latest 2Q node before it on its wire (or
+    /// leads), and riders keep gate order. So every instruction appears
+    /// exactly once.
     #[test]
-    fn route_dag_matches_dag_forward_and_reversed() {
+    fn route_dag_is_the_skeleton_with_riders() {
         let mut rng = Rng::new(0xDA6);
-        let mut both_wires = 0;
+        let (mut both_wires, mut leading, mut riding) = (0, 0, 0);
         for _ in 0..200 {
             let c = random_circuit(&mut rng, 40);
             for circuit in [c.clone(), c.reversed()] {
@@ -1911,41 +1986,73 @@ mod tests {
                     })
                     .collect();
                 let rd = route_dag(&dag, &classes);
-                assert_eq!(rd.len(), dag.len());
+                let skel = Dag::from_circuit(&skeleton(&circuit));
+                assert_eq!(rd.len(), skel.len());
                 assert_eq!(rd.n_qubits, dag.n_qubits);
-                for (i, node) in dag.nodes.iter().enumerate() {
-                    let r = rd.nodes[i];
-                    let qubits: Vec<usize> = r
-                        .qubits
-                        .iter()
-                        .filter(|&&q| q != NO_QUBIT)
-                        .map(|&q| q as usize)
-                        .collect();
-                    assert_eq!(qubits, node.qubits, "node {i}");
+                // The instruction index of every skeleton node.
+                let two_q: Vec<usize> = (0..dag.len())
+                    .filter(|&i| dag.nodes[i].qubits.len() == 2)
+                    .collect();
+                for (id, node) in skel.nodes.iter().enumerate() {
+                    let r = rd.nodes[id];
+                    let i = two_q[id];
+                    let qubits = r.qubits.map(|q| q as usize);
+                    assert_eq!(qubits[..], node.qubits, "node {id}");
                     assert_eq!(r.class, classes[i]);
                     assert_eq!(r.source, source(&node.gate, i));
-                    assert_eq!(r.indeg as usize, node.preds.len(), "node {i}");
-                    let succs: Vec<usize> = rd.succs(i).collect();
-                    assert_eq!(succs, node.succs, "node {i}");
+                    assert_eq!(r.indeg as usize, node.preds.len(), "node {id}");
+                    let succs: Vec<usize> = rd.succs(id).collect();
+                    assert_eq!(succs, node.succs, "node {id}");
                     let mut ops = node.qubits.clone();
                     ops.sort_unstable();
                     if let [s] = node.succs[..] {
-                        let mut next = dag.nodes[s].qubits.clone();
+                        let mut next = skel.nodes[s].qubits.clone();
                         next.sort_unstable();
-                        both_wires += usize::from(ops.len() == 2 && next == ops);
+                        both_wires += usize::from(next == ops);
                     }
                 }
+                // Riders: owner 0 leads, owner `id + 1` is node `id`.
+                let mut seen = vec![false; dag.len()];
+                for &i in &two_q {
+                    seen[i] = true;
+                }
+                for k in 0..=rd.len() {
+                    let riders = rd.riders(k);
+                    for (j, r) in riders.iter().enumerate() {
+                        let i = r.source as usize;
+                        assert!(!seen[i], "instruction {i} appears twice");
+                        seen[i] = true;
+                        assert_eq!(dag.nodes[i].qubits, [r.qubit as usize]);
+                        // The latest 2Q instruction before it on its wire.
+                        let owner = two_q.iter().rposition(|&t| {
+                            t < i && dag.nodes[t].qubits.contains(&dag.nodes[i].qubits[0])
+                        });
+                        assert_eq!(owner.map_or(0, |id| id + 1), k, "rider {i}");
+                        if j > 0 {
+                            assert!(riders[j - 1].source < r.source, "riders out of order");
+                        }
+                    }
+                    if k == 0 {
+                        leading += riders.len();
+                    } else {
+                        riding += riders.len();
+                    }
+                }
+                assert!(seen.iter().all(|&s| s), "an instruction is missing");
             }
         }
         assert!(
-            both_wires > 0,
-            "no successor was reached through both wires"
+            both_wires > 0 && leading > 0 && riding > 0,
+            "the sweep needs shared successors ({both_wires}), leading \
+             riders ({leading}) and node riders ({riding})"
         );
     }
 
     /// `Lookahead::window` against `legacy::extended_set` on seeded random
-    /// circuits, from the front left by executing a random prefix of the
-    /// DAG, in random order, at every limit from 1 to 40.
+    /// circuits with their 1Q gates deleted (the walker reads the
+    /// `RouteDag` of the full circuit), from the front left by executing a
+    /// random prefix of the DAG, in random order, at every limit from 1 to
+    /// 40.
     /// One walker serves every DAG, as a reused scratch does. Some limits
     /// must fall between the two successors of one node.
     #[test]
@@ -1955,8 +2062,10 @@ mod tests {
         let mut out = Vec::new();
         let mut cuts = 0;
         for case in 0..150 {
-            let dag = Dag::from_circuit(&random_circuit(&mut rng, 120));
-            let rd = route_dag(&dag, &vec![NO_CLASS; dag.len()]);
+            let circuit = random_circuit(&mut rng, 120);
+            let full_dag = Dag::from_circuit(&circuit);
+            let rd = route_dag(&full_dag, &vec![NO_CLASS; full_dag.len()]);
+            let dag = Dag::from_circuit(&skeleton(&circuit));
             let mut indeg = dag.indegrees();
             let mut front = dag.front_layer();
             let mut done = vec![false; dag.len()];
@@ -1982,6 +2091,67 @@ mod tests {
             }
         }
         assert!(cuts > 0, "no limit fell between a node's two successors");
+    }
+
+    /// Single-qubit gates that lead, sit between and trail the 2Q gates on
+    /// their wires, fill a wire no 2Q gate touches, or follow a bare SWAP
+    /// gate: every route, under every mode and from random layouts, is
+    /// equivalent to its input (statevector check), and its 2Q part,
+    /// counters and final layout are the route of the skeleton's. Seeded
+    /// random circuits (1Q gates, bare SWAPs, a 1Q-only wire) add breadth.
+    #[test]
+    fn routes_with_riders_verify() {
+        let mut c = Circuit::new(5);
+        // Leading runs, and wire 4 sees 1Q gates only.
+        c.h(0).t(0).ry(0.3, 1).h(2).rz(0.7, 3).h(4).t(4);
+        // Interior runs.
+        c.cx(0, 3).h(0).rx(0.9, 3).cp(0.4, 1, 2).rx(0.2, 1).h(1);
+        // Riders of a bare SWAP gate.
+        c.swap(0, 2).h(2).t(0).tdg(2);
+        c.cx(3, 1).h(1).cx(1, 0).cz(2, 3).rz(0.1, 4).cx(0, 2);
+        // Trailing runs.
+        c.t(0).h(2).ry(0.5, 3).x(1).h(4);
+        let mut rng = Rng::new(0x51DE);
+        let mut circuits = vec![(c, CouplingMap::line(5))];
+        for _ in 0..40 {
+            circuits.push((random_circuit(&mut rng, 40), CouplingMap::grid(3, 3)));
+        }
+        let mut checked = 0;
+        for (c, topo) in circuits {
+            let t = target(topo);
+            let dag = Dag::from_circuit(&c);
+            let coords = node_coords(&dag);
+            let skel = Dag::from_circuit(&skeleton(&c));
+            let skel_coords = node_coords(&skel);
+            for aggression in [
+                None,
+                Some(Aggression::A1),
+                Some(Aggression::A2),
+                Some(Aggression::A3),
+            ] {
+                let config = RouterConfig {
+                    aggression,
+                    ..RouterConfig::default()
+                };
+                let mut rng_a = Rng::new(rng.next_u64());
+                let layout = Layout::random(c.n_qubits, t.n_qubits(), &mut rng_a);
+                let mut rng_b = rng_a.clone();
+                let r = route(&dag, &coords, &t, layout.clone(), &config, &mut rng_a);
+                let bare = route(&skel, &skel_coords, &t, layout, &config, &mut rng_b);
+                assert!(verify_routed(&c, &r, &t), "{aggression:?} broke {c:?}");
+                assert_eq!(two_qubit_part(&r.circuit), two_qubit_part(&bare.circuit));
+                assert_eq!(r.final_layout, bare.final_layout);
+                assert_eq!(r.swaps_inserted, bare.swaps_inserted);
+                assert_eq!(r.mirrors_accepted, bare.mirrors_accepted);
+                assert_eq!(
+                    r.circuit.instructions.len(),
+                    bare.circuit.instructions.len() + c.instructions.len()
+                        - skeleton(&c).instructions.len()
+                );
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 164);
     }
 
     /// Scratch reuse across different DAGs, devices, and configs must not

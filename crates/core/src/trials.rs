@@ -74,7 +74,11 @@ pub struct TrialOptions {
     pub seed: u64,
     /// Workers for the trial loop: `0` is the host's available
     /// parallelism, `1` runs every task inline on the calling thread,
-    /// `n` uses `n` workers. Capped at `layout_trials × routing_trials`,
+    /// `n` uses `n` workers. The available parallelism is queried once per
+    /// calling thread, on its first `threads = 0` run, and kept: the query
+    /// costs about 20 µs (a syscall and cgroup reads), a few percent of a
+    /// small transpile, and a later change of the thread's CPU affinity
+    /// goes unseen. Capped at `layout_trials × routing_trials`,
     /// the number of route tasks, so even one layout trial can spread its
     /// routing trials over several workers. Never affects results, only
     /// wall-clock: seeds come from the pre-split [`SeedSchedule`] and the
@@ -155,13 +159,15 @@ impl TrialOptions {
     /// parallelism when `threads == 0` (1 if the host won't say), capped
     /// at `layout_trials × routing_trials` — more workers than route tasks
     /// would be pure overhead. The host is asked only when more than one
-    /// task could use the answer.
+    /// task could use the answer, and only once per thread.
     fn workers(&self) -> usize {
+        thread_local! {
+            static PARALLELISM: usize = std::thread::available_parallelism()
+                .map_or(1, std::num::NonZeroUsize::get);
+        }
         let n = self.layout_trials.saturating_mul(self.routing_trials);
         match self.threads {
-            0 if n > 1 => std::thread::available_parallelism()
-                .map_or(1, std::num::NonZeroUsize::get)
-                .min(n),
+            0 if n > 1 => PARALLELISM.with(|&p| p).min(n),
             0 => 1,
             t => t.min(n),
         }
@@ -360,9 +366,9 @@ pub struct TrialOutcome {
     pub prices: PriceTable,
 }
 
-/// The routing precompute: the compact forward and backward DAGs (forward
-/// node `i` is instruction `i`; the backward DAG routes the reversed
-/// instruction list). Built lazily — a transpile that takes the VF2 fast
+/// The routing precompute: the compact forward and backward DAGs (the
+/// forward DAG's ops name their instructions by index; the backward DAG
+/// routes the reversed instruction list). Built lazily — a transpile that takes the VF2 fast
 /// path never routes, so it never pays for this.
 #[derive(Debug)]
 struct RoutingState {
@@ -610,7 +616,7 @@ impl<'a> TrialEngine<'a> {
                 .iter()
                 .zip(self.circuit_classes())
                 .map(|(i, &k)| (&i.qubits[..], &i.gate, k));
-            // The backward DAG's node `i` is instruction `len - 1 - i`.
+            // The backward DAG's source `i` is instruction `len - 1 - i`.
             RoutingState {
                 fwd: RouteDag::new(circuit.n_qubits, gates.clone()),
                 bwd: RouteDag::new(circuit.n_qubits, gates.rev()),
@@ -765,7 +771,7 @@ impl<'a> TrialEngine<'a> {
     }
 
     /// Materialize a traced candidate from the engine's circuit (forward
-    /// node `i` is instruction `i`).
+    /// source `i` is instruction `i`).
     fn candidate(&self, t: Traced) -> Candidate {
         let gates = &self.ctx.circuit().instructions;
         let (circuit, classes) = materialize(&t.ops, self.target.n_qubits(), |i| &gates[i].gate);

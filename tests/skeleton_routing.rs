@@ -7,7 +7,8 @@
 //! input with every single-qubit gate deleted, and an input with no
 //! single-qubit gate routes exactly as before.
 //!
-//! `SKELETON_FOLD` folds the routes of 1Q-free inputs (the golden routing
+//! `full_routes_fold_to_their_skeleton_routes` checks the spec case by
+//! case. `SKELETON_FOLD` folds the routes of 1Q-free inputs (the golden routing
 //! inputs and the paper suite, consolidated, with their single-qubit gates
 //! deleted), pinned on the router that still routed single-qubit gates as
 //! DAG nodes: on 1Q-free inputs both routers agree. `NO_1Q_GOLDEN` pins
@@ -26,6 +27,7 @@ use mirage::circuit::{Circuit, Dag, Gate};
 use mirage::core::calibration::Calibration;
 use mirage::core::layout::Layout;
 use mirage::core::router::{node_coords, route, Aggression, RoutedCircuit, RouterConfig};
+use mirage::core::verify::verify_routed;
 use mirage::core::{transpile, RouterKind, Target, TranspileOptions};
 use mirage::math::hash::Fnv1a;
 use mirage::math::Rng;
@@ -242,6 +244,42 @@ fn skeleton_routes_match_pinned_fold() {
         SKELETON_FOLD,
         "routes of 1Q-free inputs drifted from the pinned fold"
     );
+}
+
+/// The spec itself: every case routed with its single-qubit gates in
+/// place folds, over its two-qubit part, to the fold of its skeleton's
+/// route, and routes on devices of at most 20 qubits pass the statevector
+/// check.
+#[test]
+fn full_routes_fold_to_their_skeleton_routes() {
+    let mut riders = 0;
+    for case in cases() {
+        let routed = route_case(&case, &case.circuit);
+        assert_coupled(&case, &routed);
+        let bare = route_case(&case, &skeleton(&case.circuit));
+        assert_eq!(
+            route_fold(&routed),
+            route_fold(&bare),
+            "{}: the two-qubit part differs from the skeleton's route",
+            case.label
+        );
+        let n_1q = case.circuit.instructions.len() - skeleton(&case.circuit).instructions.len();
+        assert_eq!(
+            routed.circuit.instructions.len(),
+            bare.circuit.instructions.len() + n_1q,
+            "{}: every single-qubit gate is routed once",
+            case.label
+        );
+        riders += n_1q;
+        if case.target.n_qubits() <= 20 {
+            assert!(
+                verify_routed(&case.circuit, &routed, &case.target),
+                "{}: the route is not equivalent to its input",
+                case.label
+            );
+        }
+    }
+    assert!(riders > 0, "the cases must carry single-qubit gates");
 }
 
 /// The 1Q-free inputs: quantum-volume circuits (Haar blocks on random
