@@ -59,38 +59,38 @@ const CALIBRATION_SEED: u64 = 0xCA11B;
 /// change.
 #[rustfmt::skip]
 const SANITY: &[(&str, Sanity)] = &[
-    ("quick grid skewed random", (0x9F4AA31ABE2324C7, 964, 713)),
-    ("quick grid skewed noise-aware", (0xA4310A751EE4BA3B, 779, 604)),
-    ("quick grid skewed degree-noise", (0x4E9664CAF9993097, 833, 499)),
-    ("quick grid skewed vf2", (0x9F4AA31ABE2324C7, 964, 713)),
-    ("quick grid synthetic random", (0x4D3E199ED6ADBC5A, 704, 555)),
-    ("quick grid synthetic noise-aware", (0xD5E558627DDE5067, 738, 574)),
-    ("quick grid synthetic degree-noise", (0xC240B2B0967AFB78, 700, 493)),
-    ("quick grid synthetic vf2", (0x4D3E199ED6ADBC5A, 704, 555)),
-    ("quick heavy-hex skewed random", (0x9268149BD689A3C5, 1296, 742)),
-    ("quick heavy-hex skewed noise-aware", (0x03460C2A4F375FCA, 1303, 711)),
-    ("quick heavy-hex skewed degree-noise", (0xB7FE394E351185B4, 1491, 579)),
-    ("quick heavy-hex skewed vf2", (0x9268149BD689A3C5, 1296, 742)),
-    ("quick heavy-hex synthetic random", (0xC14E1A79F78689AB, 1295, 715)),
-    ("quick heavy-hex synthetic noise-aware", (0x4AC4C66614FACB78, 1298, 548)),
-    ("quick heavy-hex synthetic degree-noise", (0xA961B35D48011771, 1329, 737)),
-    ("quick heavy-hex synthetic vf2", (0xC14E1A79F78689AB, 1295, 715)),
-    ("full grid skewed random", (0xC97826612D41E1A2, 2234, 1899)),
-    ("full grid skewed noise-aware", (0xB0C800BEE8DEA126, 2308, 1955)),
-    ("full grid skewed degree-noise", (0xD70800490F610D89, 2189, 2066)),
-    ("full grid skewed vf2", (0xC97826612D41E1A2, 2234, 1899)),
-    ("full grid synthetic random", (0x26815DDA8DF21590, 1918, 1861)),
-    ("full grid synthetic noise-aware", (0x5DC93DA438DA9CA4, 1908, 1799)),
-    ("full grid synthetic degree-noise", (0xECE3FF2E9041CF6F, 1946, 1523)),
-    ("full grid synthetic vf2", (0x26815DDA8DF21590, 1918, 1861)),
-    ("full heavy-hex skewed random", (0x1463DB78384E6AE2, 3250, 2425)),
-    ("full heavy-hex skewed noise-aware", (0x54358C84A2CE2327, 3306, 2464)),
-    ("full heavy-hex skewed degree-noise", (0x05753FC9E690EA8D, 3376, 2657)),
-    ("full heavy-hex skewed vf2", (0x1463DB78384E6AE2, 3250, 2425)),
-    ("full heavy-hex synthetic random", (0xECFEAA3A20721145, 2836, 2704)),
-    ("full heavy-hex synthetic noise-aware", (0xF80F66A17084C415, 2839, 2715)),
-    ("full heavy-hex synthetic degree-noise", (0xED46E48E330345B5, 3008, 2494)),
-    ("full heavy-hex synthetic vf2", (0xECFEAA3A20721145, 2836, 2704)),
+    ("quick grid skewed random", (0xEB46235428AD0CF7, 699, 709)),
+    ("quick grid skewed noise-aware", (0x178D48AC40776E1E, 791, 597)),
+    ("quick grid skewed degree-noise", (0xBA7D9FDA7AFD27AA, 752, 664)),
+    ("quick grid skewed vf2", (0xEB46235428AD0CF7, 699, 709)),
+    ("quick grid synthetic random", (0xE43AED143F181C36, 669, 515)),
+    ("quick grid synthetic noise-aware", (0xCC5B9CF9C50F9601, 675, 659)),
+    ("quick grid synthetic degree-noise", (0xD9A79E97861BCBA1, 636, 630)),
+    ("quick grid synthetic vf2", (0xE43AED143F181C36, 669, 515)),
+    ("quick heavy-hex skewed random", (0x60CA5187AC3791D1, 1121, 731)),
+    ("quick heavy-hex skewed noise-aware", (0xC6986327663A2E74, 1504, 427)),
+    ("quick heavy-hex skewed degree-noise", (0x4C00EBEE4204483C, 1473, 539)),
+    ("quick heavy-hex skewed vf2", (0x60CA5187AC3791D1, 1121, 731)),
+    ("quick heavy-hex synthetic random", (0xA019F7859A15E363, 1364, 702)),
+    ("quick heavy-hex synthetic noise-aware", (0x60F51E1F4F00AB5C, 1100, 1047)),
+    ("quick heavy-hex synthetic degree-noise", (0xF60DB93C258EE0DB, 1267, 676)),
+    ("quick heavy-hex synthetic vf2", (0xA019F7859A15E363, 1364, 702)),
+    ("full grid skewed random", (0xA3A27A1C5AB4BAC3, 2140, 1841)),
+    ("full grid skewed noise-aware", (0x52062342A54B58D4, 1954, 2184)),
+    ("full grid skewed degree-noise", (0x38420F904293A979, 2129, 1988)),
+    ("full grid skewed vf2", (0xA3A27A1C5AB4BAC3, 2140, 1841)),
+    ("full grid synthetic random", (0x690CDE1EB581E901, 1619, 2200)),
+    ("full grid synthetic noise-aware", (0xBE952F7E43CE3350, 1665, 2127)),
+    ("full grid synthetic degree-noise", (0x59E8C3C9544D9238, 1640, 1937)),
+    ("full grid synthetic vf2", (0x690CDE1EB581E901, 1619, 2200)),
+    ("full heavy-hex skewed random", (0x8B06E103AFF4B854, 3427, 2466)),
+    ("full heavy-hex skewed noise-aware", (0x01A6DA3615D32685, 3076, 2793)),
+    ("full heavy-hex skewed degree-noise", (0x23DEDB9978DAE549, 3361, 2348)),
+    ("full heavy-hex skewed vf2", (0x8B06E103AFF4B854, 3427, 2466)),
+    ("full heavy-hex synthetic random", (0x581A6FC0849C24AC, 2622, 2718)),
+    ("full heavy-hex synthetic noise-aware", (0x5C703D1A7812BAE4, 2727, 2754)),
+    ("full heavy-hex synthetic degree-noise", (0x5B65FD9AF091F858, 2794, 2709)),
+    ("full heavy-hex synthetic vf2", (0x581A6FC0849C24AC, 2622, 2718)),
 ];
 
 const CLI: Cli = Cli {

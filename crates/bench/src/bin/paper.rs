@@ -15,8 +15,10 @@
 //!   [`SCORES`] (FNV-1a fold of its score bits).
 //! * **Fig. 12 direction** — MIRAGE's geo-mean depth is below SABRE's on
 //!   both devices at every seed.
-//! * **Floors** (full mode) — every seed's Fig. 11/12 reduction is at or
-//!   above its [`FLOORS`] entry: the worst seed when cut, minus the spread.
+//! * **Floors** — in full mode every seed's Fig. 11/12 reduction is at or
+//!   above its [`FLOORS`] entry: the worst seed when cut, minus the spread;
+//!   in quick mode each Fig. 12 SWAP reduction is at or above its
+//!   [`QUICK_SWAP_FLOORS`] entry.
 //!
 //! Checked elsewhere: Figs. 1, 3, 4 and 6 by `tests/paper_anchors.rs`;
 //! Fig. 5's end points are Tables I–II's ∜iSWAP rows; Table III's gate
@@ -55,40 +57,40 @@ use std::sync::Arc;
 /// and mirrors. Re-pin with `--print-fingerprints` after an intended change.
 #[rustfmt::skip]
 const SANITY: &[(&str, Sanity)] = &[
-    ("quick fig8 sabre", (0x5C9690ED50FB1E63, 3, 0)),
-    ("quick fig8 mirage", (0x30FC3F124CB73F0E, 0, 5)),
-    ("quick fig9", (0x17AA19D5BAF9286C, 1, 9)),
+    ("quick fig8 sabre", (0x7F89075950440211, 3, 0)),
+    ("quick fig8 mirage", (0xD03872FD000D9E5E, 0, 5)),
+    ("quick fig9", (0x69FA4518ACF31119, 1, 9)),
     ("quick fig10 wstate_n27", (0xF499DC6631E84C6F, 52, 57)),
-    ("quick fig10 bigadder_n18", (0xABB1CF9ABA5E6A7D, 192, 164)),
-    ("quick fig10 qft_n18", (0x4C3ED70A0E6CB71E, 465, 242)),
-    ("quick fig10 bv_n30", (0x244E97AA98D61AC9, 61, 27)),
-    ("quick fig11 mirage-swaps", (0x14CFB2B245B84AE7, 1491, 984)),
-    ("quick fig12 heavy-hex", (0xF887213544E10FD8, 2563, 1039)),
-    ("quick fig12 grid", (0xBE4AE84EBC42B7F9, 1562, 671)),
-    ("quick lambda qft_n18", (0x5DFD9C25B716FAC3, 587, 211)),
-    ("quick lambda seca_n11", (0xDEEB9EA7D9071EDF, 163, 90)),
-    ("quick lambda portfolioqaoa_n16", (0x3700D691B18F4782, 744, 1591)),
-    ("quick lambda swap_test_n25", (0x001082E6647175D8, 150, 0)),
-    ("quick skew line", (0xB5C684D15D43F467, 118, 129)),
-    ("quick skew grid", (0x7A94FFDE28499102, 58, 44)),
-    ("quick skew heavy-hex", (0xE1C743EC71F8BB4D, 135, 86)),
-    ("full fig8 sabre", (0xE98C87E8B0D99CE3, 9, 0)),
-    ("full fig8 mirage", (0xA3F69E0EA1E16DF4, 0, 15)),
-    ("full fig9", (0x27850EE1B9686CD0, 3, 27)),
+    ("quick fig10 bigadder_n18", (0xE1C95AE0B75D4F4C, 203, 149)),
+    ("quick fig10 qft_n18", (0x03A17A84CFEBE740, 498, 286)),
+    ("quick fig10 bv_n30", (0xBB84BA9293AB1EA1, 61, 27)),
+    ("quick fig11 mirage-swaps", (0x56D2A3B48580B850, 1518, 955)),
+    ("quick fig12 heavy-hex", (0xAF8C1079C3D3C38A, 2574, 929)),
+    ("quick fig12 grid", (0x262745CAB534A619, 1632, 658)),
+    ("quick lambda qft_n18", (0x395B90C30290A9F3, 506, 409)),
+    ("quick lambda seca_n11", (0x884F43D98D570B96, 146, 75)),
+    ("quick lambda portfolioqaoa_n16", (0xF1944D2F619C9E83, 949, 1045)),
+    ("quick lambda swap_test_n25", (0x9CC3A47AD70246E9, 195, 100)),
+    ("quick skew line", (0xEDD472115B90F064, 122, 140)),
+    ("quick skew grid", (0x3D780D41BF161BFF, 60, 44)),
+    ("quick skew heavy-hex", (0x40EED18F342D1921, 143, 106)),
+    ("full fig8 sabre", (0xFF9CB5088077A377, 9, 0)),
+    ("full fig8 mirage", (0x11D25FED1ACF8CE9, 0, 15)),
+    ("full fig9", (0x5773D687E7B307AD, 3, 27)),
     ("full fig10 wstate_n27", (0xFFFACC86B702F432, 72, 158)),
-    ("full fig10 bigadder_n18", (0xDB8A66A9B3ED67F9, 540, 498)),
-    ("full fig10 qft_n18", (0x03A6DA1396C11620, 1050, 928)),
-    ("full fig10 bv_n30", (0x93E73EFE0003539A, 136, 81)),
-    ("full fig11 mirage-swaps", (0x359B10C9CBF34FF2, 3984, 2959)),
-    ("full fig12 heavy-hex", (0x2A7939CE3CE28C20, 6650, 2603)),
-    ("full fig12 grid", (0x693D76620B6C03C3, 4262, 2130)),
-    ("full lambda qft_n18", (0xD566BB28D416348A, 1158, 1124)),
-    ("full lambda seca_n11", (0x2B348C447B4CF3A1, 439, 245)),
-    ("full lambda portfolioqaoa_n16", (0x05AFA55327F33AE6, 2441, 3744)),
-    ("full lambda swap_test_n25", (0xF76F4FFA65CE9F9D, 460, 88)),
-    ("full skew line", (0xF57E2A4BEFEB3872, 336, 365)),
-    ("full skew grid", (0xA6A71F8908A95BE4, 147, 168)),
-    ("full skew heavy-hex", (0x632FA3A4D8FA8A10, 243, 387)),
+    ("full fig10 bigadder_n18", (0x2C87742C98EF7D7C, 506, 462)),
+    ("full fig10 qft_n18", (0x57CA1608692A20B9, 1094, 899)),
+    ("full fig10 bv_n30", (0xACE446EFA3F7273A, 122, 81)),
+    ("full fig11 mirage-swaps", (0xF5E5BA67EB67DDB3, 3696, 2907)),
+    ("full fig12 heavy-hex", (0x7E1855E68A765C56, 6387, 3049)),
+    ("full fig12 grid", (0xA33443CDE6177892, 3911, 2661)),
+    ("full lambda qft_n18", (0xEE6B56B2D220F378, 1094, 1653)),
+    ("full lambda seca_n11", (0x89F97CE5FD774D5E, 400, 220)),
+    ("full lambda portfolioqaoa_n16", (0x8B7C81DE9C9E4634, 2061, 4435)),
+    ("full lambda swap_test_n25", (0x64FB64A28B8DEFCB, 414, 312)),
+    ("full skew line", (0x3549977B9D100E20, 360, 361)),
+    ("full skew grid", (0x000C8EAC76825429, 149, 164)),
+    ("full skew heavy-hex", (0x9B057280139F980D, 268, 399)),
 ];
 
 /// `"{mode} {case}"` for Tables I–II: FNV-1a fold of the case's four score
@@ -110,12 +112,20 @@ const SCORES: &[(&str, u64)] = &[
 ];
 
 /// Full-mode floors on the Fig. 11/12 reductions (percent; depth, gate
-/// cost, SWAPs): the worst seed when cut, minus the seed spread.
+/// cost, SWAPs): the worst seed when cut, minus the seed spread, and never
+/// below the floor it replaced. Re-cut when the router began routing the
+/// two-qubit skeleton.
 const FLOORS: &[(&str, [f64; 3])] = &[
-    ("fig11 mirage-swaps", [-0.13, 1.47, 19.78]),
-    ("fig12 heavy-hex", [6.59, 3.46, 15.64]),
-    ("fig12 grid", [8.44, -2.53, -8.63]),
+    ("fig11 mirage-swaps", [6.19, 3.92, 33.80]),
+    ("fig12 heavy-hex", [15.03, 3.46, 15.64]),
+    ("fig12 grid", [16.66, 0.63, 24.12]),
 ];
+
+/// Quick-mode floors on the Fig. 12 SWAP reductions (percent). Quick mode
+/// runs one seed and is deterministic, so each is the reduction when cut,
+/// rounded down to a whole percent: a routing change that gives SWAP
+/// reduction back fails CI's `paper --quick` step even when it re-pins.
+const QUICK_SWAP_FLOORS: &[(&str, f64)] = &[("fig12 heavy-hex", 22.0), ("fig12 grid", 12.0)];
 
 const CLI: Cli = Cli {
     bin: "paper",
@@ -629,7 +639,8 @@ fn skew(mode: &Mode) -> Figure {
 }
 
 /// The gates on the Fig. 11/12 reductions: MIRAGE's Fig. 12 depth below
-/// SABRE's at every seed, and (full mode) every seed at or above its floor.
+/// SABRE's at every seed, and every seed at or above its floor (full
+/// mode), or the Fig. 12 SWAP reductions at or above theirs (quick mode).
 fn gate_reductions(mode: &Mode, reductions: &Reductions, verdict: &mut Verdict) {
     let mut gate = |ok: bool, line: String| {
         println!("{line} -> {}", if ok { "ok" } else { "FAIL" });
@@ -641,6 +652,11 @@ fn gate_reductions(mode: &Mode, reductions: &Reductions, verdict: &mut Verdict) 
             gate(per_seed.iter().all(|r| r[0] > 0.0), line);
         }
         if mode.quick {
+            if let Some((_, floor)) = QUICK_SWAP_FLOORS.iter().find(|(n, _)| n == name) {
+                let swaps = per_seed.iter().map(|r| r[2]).fold(f64::INFINITY, f64::min);
+                let line = format!("{name}: SWAP reduction {swaps:.2}, quick floor {floor:.2}");
+                gate(swaps >= *floor, line);
+            }
             continue;
         }
         let Some((_, floor)) = FLOORS.iter().find(|(n, _)| n == name) else {

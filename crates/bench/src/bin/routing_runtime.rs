@@ -53,43 +53,43 @@ const RUNS: usize = 7;
 /// output (bit-identical by construction; regenerate with
 /// `--print-fingerprints` after an intentional behavior change).
 const SANITY: &[(&str, Sanity)] = &[
-    ("qft-16", (0xC4736293D5E6AFA8, 27, 91)),
-    ("qft-24", (0xEDCA2F0A70B12FE9, 33, 241)),
-    ("qft-32", (0x831BAE8487AD27B8, 39, 455)),
-    ("qft-48", (0xDF9CFA2B7FE470CB, 51, 1075)),
-    ("qft-64", (0x3FFF2B7904DD1A08, 63, 1951)),
-    ("twolocal-full-12", (0xF1F44696F4BB94A2, 7, 127)),
-    ("twolocal-full-16", (0xCE22E0695E2D8363, 3, 237)),
-    ("twolocal-linear-24", (0x551A34CDC86E5D27, 0, 1)),
-    ("grid6x6-qft-32-a2", (0x93D88B3590BD892C, 325, 216)),
-    ("grid6x6-qft-32-a1", (0x93D88B3590BD892C, 325, 216)),
-    ("grid6x6-qft-32-sabre", (0xA6D818A13635BEE5, 501, 0)),
+    ("qft-16", (0x111F16CBB24A1BE2, 24, 98)),
+    ("qft-24", (0x9320F6525508B488, 15, 259)),
+    ("qft-32", (0x9A8BFBC7172876EE, 15, 478)),
+    ("qft-48", (0x6FF97EA6AD2A6B10, 27, 1099)),
+    ("qft-64", (0x1B78BD1063BD306D, 36, 1981)),
+    ("twolocal-full-12", (0x275DB24BB880025C, 3, 129)),
+    ("twolocal-full-16", (0xD9E29C3885E68A6F, 3, 237)),
+    ("twolocal-linear-24", (0x1936E77E65F356C7, 0, 1)),
+    ("grid6x6-qft-32-a2", (0x94378B43B51BFBD6, 383, 191)),
+    ("grid6x6-qft-32-a1", (0x94378B43B51BFBD6, 383, 191)),
+    ("grid6x6-qft-32-sabre", (0xAD96E360D0A6A6A8, 523, 0)),
     (
         "grid6x6-twolocal-full-24-a2",
-        (0x4462FF674A3035E5, 292, 292),
+        (0x14B3CF67B6959D0F, 386, 295),
     ),
     (
         "grid6x6-twolocal-full-24-a1",
-        (0x38797D214ED0E8B2, 373, 234),
+        (0x5D4395FEE32431CC, 351, 218),
     ),
     (
         "grid6x6-twolocal-full-24-sabre",
-        (0x40768798D8914CFB, 539, 0),
+        (0x192BF23BD92A1696, 542, 0),
     ),
-    ("heavyhex5-qft-32-a2", (0xEE58FEFFFF7038D6, 736, 239)),
-    ("heavyhex5-qft-32-a1", (0xEE58FEFFFF7038D6, 736, 239)),
-    ("heavyhex5-qft-32-sabre", (0x7BC2AA0048BACE59, 934, 0)),
+    ("heavyhex5-qft-32-a2", (0x1F41DBF4B45650DB, 752, 256)),
+    ("heavyhex5-qft-32-a1", (0x1F41DBF4B45650DB, 752, 256)),
+    ("heavyhex5-qft-32-sabre", (0xBC2F24F1FB2DCA6A, 952, 0)),
     (
         "heavyhex5-twolocal-full-24-a2",
-        (0x1D142E944FDEF8E0, 719, 310),
+        (0x4DE49BC1BEF16440, 800, 296),
     ),
     (
         "heavyhex5-twolocal-full-24-a1",
-        (0xA2750B24CD37DE31, 689, 287),
+        (0x1DD28FA644265344, 723, 293),
     ),
     (
         "heavyhex5-twolocal-full-24-sabre",
-        (0xF0C98A553ADA72E9, 973, 0),
+        (0x6C06A1952BB32400, 1004, 0),
     ),
 ];
 

@@ -40,10 +40,10 @@ const RUNS: usize = 7;
 /// regenerate with `--print-fingerprints` after an intentional behavior
 /// change).
 const SANITY: &[(&str, Sanity)] = &[
-    ("qft-16", (0x7FEEB09EE195ADB8, 3, 122)),
-    ("qft-32", (0x0279BCF79D3CA2A6, 3, 498)),
-    ("qft-48", (0xE1B2F216BF88B649, 138, 988)),
-    ("twolocal-full-16", (0x97A40200E0C12FD6, 2, 242)),
+    ("qft-16", (0xD6DCA926D069722E, 3, 122)),
+    ("qft-32", (0x1784F9D4473BCD18, 3, 498)),
+    ("qft-48", (0xC6BE860EFD9EBCCA, 94, 1039)),
+    ("twolocal-full-16", (0xC984C0695B0AFD7E, 3, 242)),
 ];
 
 const CLI: Cli = Cli {
