@@ -18,9 +18,9 @@ use crate::router::RoutedCircuit;
 use crate::target::Target;
 use mirage_circuit::circuit::critical_path;
 use mirage_circuit::{Circuit, Gate, Instruction};
+use mirage_math::hash::WordMixMap;
 use mirage_weyl::coords::{coords_of, WeylCoord};
 use mirage_weyl::mirror::mirror_coord;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Compact id of a coordinate class within one [`Classes`] set.
@@ -46,7 +46,8 @@ impl Classes {
     /// quantized coordinate — the key of the Fig. 13a cache — and return the
     /// class set with the class id of every entry ([`NO_CLASS`] for `None`).
     pub fn build(coords: &[Option<WeylCoord>]) -> (Classes, Vec<ClassId>) {
-        let mut index: HashMap<(u16, u16, u16), ClassId> = HashMap::new();
+        // A cheap hasher: route_with_scratch builds classes on every call.
+        let mut index: WordMixMap<(u16, u16, u16), ClassId> = WordMixMap::default();
         let mut reps: Vec<WeylCoord> = Vec::new();
         let mut intern = |reps: &mut Vec<WeylCoord>, w: WeylCoord| {
             *index.entry(w.quantized()).or_insert_with(|| {

@@ -288,7 +288,7 @@ struct RouteNode {
 }
 
 /// A single-qubit gate riding its wire: its gate index and logical qubit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Rider {
     source: u32,
     qubit: u32,
@@ -334,8 +334,10 @@ impl RouteDag {
         // The latest node on each wire so far.
         let mut last = vec![NONE; n_qubits];
         let mut nodes: Vec<RouteNode> = Vec::new();
-        // Each rider with its owner (see `starts`).
+        // Each rider with its owner (see `starts`), and the riders per
+        // owner.
         let mut owned: Vec<(u32, Rider)> = Vec::new();
+        let mut count: Vec<u32> = vec![0];
         for (i, (qubits, gate, class)) in gates.into_iter().enumerate() {
             let source = source(gate, i);
             let (a, b) = match *qubits {
@@ -343,6 +345,7 @@ impl RouteDag {
                     let owner = if last[q] == NONE { 0 } else { last[q] + 1 };
                     let qubit = index(q);
                     owned.push((owner, Rider { source, qubit }));
+                    count[owner as usize] += 1;
                     continue;
                 }
                 [a, b] => (a, b),
@@ -361,6 +364,7 @@ impl RouteDag {
             }
             last[a] = id;
             last[b] = id;
+            count.push(0);
             nodes.push(RouteNode {
                 qubits: [index(a), index(b)],
                 class,
@@ -374,20 +378,23 @@ impl RouteDag {
         for n in &mut nodes {
             n.succ[n.n_succ as usize..].fill(sentinel);
         }
-        // Group by owner; the sort is stable, so gate order holds within
-        // a group.
-        owned.sort_by_key(|&(owner, _)| owner);
-        let mut starts = vec![0; nodes.len() + 2];
-        for &(owner, _) in &owned {
-            starts[owner as usize + 1] += 1;
+        // Group by owner, in gate order within a group (a counting sort).
+        let mut starts = Vec::with_capacity(count.len() + 1);
+        starts.push(0);
+        for c in count {
+            starts.push(starts[starts.len() - 1] + c);
         }
-        for k in 1..starts.len() {
-            starts[k] += starts[k - 1];
+        let mut next = starts.clone();
+        let mut riders = vec![Rider::default(); owned.len()];
+        for (owner, r) in owned {
+            let slot = &mut next[owner as usize];
+            riders[*slot as usize] = r;
+            *slot += 1;
         }
         RouteDag {
             n_qubits,
             nodes,
-            riders: owned.into_iter().map(|(_, r)| r).collect(),
+            riders,
             starts,
         }
     }

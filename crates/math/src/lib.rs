@@ -16,7 +16,8 @@
 //!   routine for general complex 4×4 matrices.
 //! * [`poly`] — complex polynomial root finding (quartics and below).
 //! * [`hash`] — FNV-1a, the stable hash behind every fingerprint and
-//!   checksum in the workspace.
+//!   checksum in the workspace, and `WordMix`, the cheap hasher of
+//!   short-lived hot-path maps.
 //! * [`rng`] — a small deterministic PRNG (SplitMix64 seeding into
 //!   xoshiro256**) so every experiment in the repository is reproducible from
 //!   a single `u64` seed.
